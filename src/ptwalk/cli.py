@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,28 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
+
+
+# The smallest value of each size flag; --tgrid 0 means stroboscopic times and
+# --samples 0 noiseless probabilities.
+_SIZE_MINIMA = {"kgrid": 1, "res": 1, "tmax": 0, "tgrid": 0, "samples": 0}
+
+
+def _check_sizes(args) -> None:
+    for key, minimum in _SIZE_MINIMA.items():
+        value = getattr(args, key, None)
+        if value is not None and value < minimum:
+            kind = "positive" if minimum else "non-negative"
+            raise ConfigError(f"--{key} must be {kind}, got {value}")
+
+
+@contextmanager
+def _preconditions():
+    """Report a library precondition (grid size, loss range) as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _require(args, *keys):
@@ -211,7 +234,8 @@ def cmd_phase_diagram(args) -> int:
     _defaults(args, res=32, kgrid=256, p=0.0)
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
-    cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
+    with _preconditions():
+        cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
     rows = [
         (
             c.theta1,
@@ -262,8 +286,11 @@ def cmd_chern(args) -> int:
     subs = build_submanifolds(points, spec)
     rows = []
     for sub in subs:
-        riemann = chern_riemann(sub, spec, n_k=args.kgrid, n_t=args.tgrid)
-        solid = chern_solid_angle(sub, spec, n_k=min(args.kgrid, 128), n_t=min(args.tgrid, 128))
+        with _preconditions():
+            riemann = chern_riemann(sub, spec, n_k=args.kgrid, n_t=args.tgrid)
+            solid = chern_solid_angle(
+                sub, spec, n_k=min(args.kgrid, 128), n_t=min(args.tgrid, 128)
+            )
         rows.append(
             (
                 sub.k_lo,
@@ -424,6 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        _check_sizes(args)
         return args.func(args)
     except WalkError as exc:
         sys.stderr.write(

@@ -13,12 +13,14 @@ Winding numbers are global Berry phases: the sum of the two bands' generalized
 Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  Each Zak phase
 is computed as a Wilson loop of biorthogonal overlaps <chi_kj | psi_kj+1>,
 accumulating the phase link by link so the result converges to the continuum
-integral rather than its value mod 2 pi.
+integral rather than its value mod 2 pi.  That loop is the defining path; the
+phase diagram evaluates its closed form over the whole coin-angle grid at once.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +65,7 @@ class BandStructure:
 class PhaseDiagramCell:
     theta1: float
     theta2: float
-    nu: int | None            # None when undefined (broken or non-quantized)
+    nu: int | None            # None when undefined (broken or band touching)
     pt_broken: bool
     min_gap: float            # min_k (1 - d0^2), negative inside broken regions
 
@@ -108,14 +110,54 @@ def band_structure(params: CoinParams, ks: np.ndarray) -> BandStructure:
     )
 
 
-def min_gap(params: CoinParams) -> float:
-    """min_k (1 - d0^2); zero at a band touching, negative once PT breaks.
+def _coin_trig(params: CoinParams) -> tuple[float, float, float, float]:
+    """(cos theta1, sin theta1, cos theta2, sin theta2), as in :func:`d_coefficients`."""
+    return (
+        math.cos(params.theta1),
+        math.sin(params.theta1),
+        math.cos(params.theta2),
+        math.sin(params.theta2),
+    )
 
-    d0 = A cos(2k) + B, so the extrema are at cos(2k) = +-1.
+
+def _axis_trig(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle with ``math``, so every cell matches its scalar path."""
+    angles = thetas.tolist()
+    return np.array([math.cos(t) for t in angles]), np.array([math.sin(t) for t in angles])
+
+
+def _min_gaps(alpha: float, c1, s1, c2, s2) -> np.ndarray:
+    """min_k (1 - d0^2) elementwise over broadcast cos/sin of the two angles.
+
+    d0 = alpha (cos 2k c1 c2 - s1 s2) is affine in cos 2k, so its extrema sit
+    at cos 2k = +-1 and max_k |d0| = |alpha c1 c2| + |alpha s1 s2|.  The square
+    is Python's float power (the C library's pow), not numpy's x*x: the two
+    differ in the last bit for about one value in a thousand.
     """
-    a = params.alpha * math.cos(params.theta1) * math.cos(params.theta2)
-    b = -params.alpha * math.sin(params.theta1) * math.sin(params.theta2)
-    return 1.0 - (abs(a) + abs(b)) ** 2
+    extreme = np.abs(alpha * c1 * c2) + np.abs(alpha * s1 * s2)
+    squares = [e**2 for e in np.ravel(extreme).tolist()]
+    return 1.0 - np.reshape(squares, np.shape(extreme))
+
+
+def _pt_broken(alpha: float, c1, s1, c2, s2, gap, n_k: int) -> np.ndarray:
+    """The PT classification elementwise: max(grid max of d0^2, 1 - gap) > 1 + EP_TOL.
+
+    The grid is the n_k-point zone grid of :func:`pt_classify`.  In float
+    arithmetic d0 = alpha * (x * c1 * c2 - s1 * s2) is still monotone in
+    x = cos 2k, because each rounded step is, so the grid maximum of d0^2 sits
+    at the grid's smallest or largest cos 2k.  Two evaluations per cell give
+    it bit for bit, without a (cells, n_k) array.
+    """
+    cos2k = np.cos(2 * np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+    d0_lo = alpha * (cos2k.min() * c1 * c2 - s1 * s2)
+    d0_hi = alpha * (cos2k.max() * c1 * c2 - s1 * s2)
+    grid_max = np.maximum(d0_lo * d0_lo, d0_hi * d0_hi)
+    return np.maximum(grid_max, 1.0 - gap) > 1.0 + EP_TOL
+
+
+def min_gap(params: CoinParams) -> float:
+    """min_k (1 - d0^2); zero at a band touching, negative once PT breaks."""
+    return float(_min_gaps(params.alpha, *_coin_trig(params)))
 
 
 def pt_classify(params: CoinParams, n_k: int = 512) -> PTPhase:
@@ -123,19 +165,13 @@ def pt_classify(params: CoinParams, n_k: int = 512) -> PTPhase:
 
     Exact band touchings (max d0^2 == 1) keep an entirely real spectrum and
     classify as UNBROKEN; they are the transition locus itself.  Checked
-    analytically (extrema of d0 sit at cos 2k = +-1) and on a grid.
+    analytically (extrema of d0 sit at cos 2k = +-1) and on the n_k-point
+    zone grid, whose maximum is exact from its two extreme values of cos 2k.
     """
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    d0 = d_coefficients(params, ks)[..., 0].real
-    grid_max = float(np.max(d0 * d0))
-    analytic_max = 1.0 - min_gap(params)
-    return (
-        PTPhase.BROKEN
-        if max(grid_max, analytic_max) > 1.0 + EP_TOL
-        else PTPhase.UNBROKEN
-    )
+    broken = _pt_broken(params.alpha, *_coin_trig(params), min_gap(params), n_k)
+    return PTPhase.BROKEN if broken else PTPhase.UNBROKEN
 
 
 def _band_eigensystems(params: CoinParams, ks: np.ndarray):
@@ -143,6 +179,21 @@ def _band_eigensystems(params: CoinParams, ks: np.ndarray):
         return eig_biorthogonal_grid(momentum_operator_closed(params, ks))
     except DegenerateSpectrum as exc:
         raise ExceptionalPoint(str(exc)) from exc
+
+
+def _wilson_phases(params: CoinParams, n_k: int, k_offset: float) -> tuple[float, float]:
+    """Zak phases (phi_+, phi_-) of both bands from one eigen-grid."""
+    if n_k < 16:
+        raise ValueError("n_k must be >= 16")
+    if pt_classify(params, max(64, n_k)) is PTPhase.BROKEN:
+        raise ExceptionalPoint("PT-broken regime: Zak phase undefined")
+    ks = k_offset + np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    grid = _band_eigensystems(params, ks)
+    phases = []
+    for b in (0, 1):
+        links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
+        phases.append(float(-np.angle(links).sum()))
+    return phases[0], phases[1]
 
 
 def zak_phase(
@@ -159,19 +210,15 @@ def zak_phase(
     """
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
-    if n_k < 16:
-        raise ValueError("n_k must be >= 16")
-    if pt_classify(params, max(64, n_k)) is PTPhase.BROKEN:
-        raise ExceptionalPoint("PT-broken regime: Zak phase undefined")
-    ks = k_offset + np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    grid = _band_eigensystems(params, ks)
-    b = 0 if band == +1 else 1
-    links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
-    return float(-np.angle(links).sum())
+    plus, minus = _wilson_phases(params, n_k, k_offset)
+    return plus if band == +1 else minus
 
 
 def winding_number(params: CoinParams, n_k: int = 512, k_offset: float = 0.0) -> int:
     """Integer winding from the global Berry phase (phi_Z+ + phi_Z-)/2 pi.
+
+    This Wilson loop is the defining path; :func:`phase_diagram` uses a
+    closed form that the tests check against it.
 
     Raises
     ------
@@ -181,8 +228,8 @@ def winding_number(params: CoinParams, n_k: int = 512, k_offset: float = 0.0) ->
     ExceptionalPoint
         In the PT-broken regime or at a band touching on the grid.
     """
-    total = zak_phase(params, +1, n_k, k_offset) + zak_phase(params, -1, n_k, k_offset)
-    nu = total / (2 * np.pi)
+    plus, minus = _wilson_phases(params, n_k, k_offset)
+    nu = (plus + minus) / (2 * np.pi)
     rounded = int(round(nu))
     if abs(nu - rounded) >= QUANTIZATION_TOL:
         raise NonQuantized(f"global Berry phase / 2pi = {nu:.4f} is not near an integer")
@@ -195,34 +242,47 @@ def phase_diagram(
     p: float,
     n_k: int = 512,
 ) -> list[PhaseDiagramCell]:
-    """Winding number and PT phase over a coin-parameter grid.
+    """Winding number and PT phase over a coin-parameter grid, as one broadcast.
 
-    Cells where the winding is undefined (broken regime, band touching, or a
-    failed quantization check) carry ``nu=None`` rather than a guess.
+    The winding is the closed form
+
+        nu = 2 sign(sin theta1)  if |cos theta1 sin theta2| < |sin theta1 cos theta2|,
+        nu = 0                   otherwise,
+
+    minus the planar winding of (d2, d3): over the zone they trace twice an
+    ellipse centred at (alpha c1 s2, 0) with semi-axes |alpha s1 c2| and
+    |alpha c2|, which encloses the origin exactly under the condition above.
+    It holds on every unbroken cell.  The winding can only change where
+    d2 = d3 = 0, where the sum rule gives d0^2 = 1 + beta^2; for p > 0 every
+    such gap-closing line therefore lies inside broken cells, and for p = 0 it
+    is the band touching itself.  :func:`winding_number` (the Wilson loop)
+    stays the reference that the tests compare against.
+
+    ``pt_broken`` is bit-identical to ``pt_classify(params, max(64, n_k))``:
+    d0 is monotone in cos 2k even after rounding, so the grid maximum of d0^2
+    comes from the grid's two extreme values of cos 2k (see ``_pt_broken``).
+    Cells that are broken or at a band touching (|min_gap| <= 1e-12) carry
+    ``nu=None`` rather than a guess.
     """
     theta1s = np.asarray(theta1s, dtype=float)
     theta2s = np.asarray(theta2s, dtype=float)
     if theta1s.size < 32 or theta2s.size < 32:
         raise ValueError("phase diagram resolution must be at least 32x32")
-    cells = []
-    for th1 in theta1s:
-        for th2 in theta2s:
-            params = CoinParams(float(th1), float(th2), p)
-            gap = min_gap(params)
-            broken = pt_classify(params, max(64, n_k)) is PTPhase.BROKEN
-            nu: int | None = None
-            if not broken:
-                try:
-                    nu = winding_number(params, n_k)
-                except (NonQuantized, ExceptionalPoint):
-                    nu = None
-            cells.append(
-                PhaseDiagramCell(
-                    theta1=float(th1),
-                    theta2=float(th2),
-                    nu=nu,
-                    pt_broken=broken,
-                    min_gap=gap,
-                )
-            )
-    return cells
+    if n_k < 16:
+        raise ValueError("n_k must be >= 16")
+    if not (np.isfinite(theta1s).all() and np.isfinite(theta2s).all()):
+        raise ValueError("coin angles must be finite")
+    alpha = CoinParams(0.0, 0.0, p).alpha
+    c1, s1 = (v[:, None] for v in _axis_trig(theta1s))
+    c2, s2 = _axis_trig(theta2s)
+    gap = _min_gaps(alpha, c1, s1, c2, s2)
+    broken = _pt_broken(alpha, c1, s1, c2, s2, gap, max(64, n_k))
+    winding = np.where(np.abs(c1 * s2) < np.abs(s1 * c2), np.where(s1 > 0, 2, -2), 0)
+    defined = ~broken & (np.abs(gap) > EP_TOL)
+    columns = (a.ravel().tolist() for a in (winding, defined, broken, gap))
+    return [
+        PhaseDiagramCell(theta1=th1, theta2=th2, nu=nu if ok else None, pt_broken=br, min_gap=g)
+        for (th1, th2), nu, ok, br, g in zip(
+            itertools.product(theta1s.tolist(), theta2s.tolist()), *columns
+        )
+    ]

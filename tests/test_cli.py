@@ -1,12 +1,14 @@
 """Command-line interface: exports, presets, determinism, error mapping."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ptwalk.cli import main
 
@@ -161,6 +163,42 @@ def test_phase_diagram_export(capsys):
     nus = {r["nu"] for r in rows}
     assert "0" in nus or "0.0" in nus
     assert any(r["nu"] == "nan" for r in rows)  # boundary cells stay undefined
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--p", "0"], "62cc76b36d14ad5480c1ef69f516b3e393a730ea681609f8959a58060a751f2d"),
+        (["--p", "0.36"], "b7b67a0d8474920d2f7af3a70e79de45e093c640b62099d9d99e15111a32f51e"),
+    ],
+)
+def test_phase_diagram_default_csv_is_pinned(args, digest, capsys):
+    # Digests of the CSV written by the Wilson-loop implementation of the
+    # diagram; the closed-form broadcast must reproduce it byte for byte.
+    code, out, _ = run_cli(["phase-diagram", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phase-diagram", "--res", "8"],
+        ["phase-diagram", "--kgrid", "0"],
+        ["chern", "--preset", "fig6", "--kgrid", "0"],
+        ["reconstruct", "--preset", "fig3a", "--tmax", "-1"],
+        ["reconstruct", "--preset", "fig3a", "--samples", "-5"],
+        ["fixed-points", "--preset", "fig3a", "--kgrid", "0"],
+        ["quench", "--preset", "fig3a", "--tmax", "-2"],
+        ["quench", "--preset", "fig3a", "--tgrid", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_size_flags_are_config_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,12 +1,17 @@
 """Bands, PT classification, Zak phases, winding numbers, phase diagram."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwalk.core import eig_biorthogonal_grid
 from ptwalk.errors import ExceptionalPoint, NonQuantized
-from ptwalk.floquet import CoinParams, momentum_operator_closed
+from ptwalk.floquet import CoinParams, d_coefficients, momentum_operator_closed
 from ptwalk.spectrum import (
+    EP_TOL,
     PTPhase,
     band_structure,
     min_gap,
@@ -45,6 +50,16 @@ def test_exceptional_point_raises():
     params = CoinParams(0.4, -0.4, 0.0)
     with pytest.raises(ExceptionalPoint):
         quasienergies(params, 0.0)
+
+
+def test_min_gap_is_its_scalar_formula_bit_for_bit(rng):
+    # The published gap squares with Python's float power; numpy's x*x
+    # differs from it in the last bit for about one value in a thousand.
+    for th1, th2, p in rng.uniform((-np.pi, -np.pi, 0.0), (np.pi, np.pi, 0.95), (20000, 3)):
+        params = CoinParams(float(th1), float(th2), float(p))
+        a = params.alpha * math.cos(th1) * math.cos(th2)
+        b = -params.alpha * math.sin(th1) * math.sin(th2)
+        assert min_gap(params) == 1.0 - (abs(a) + abs(b)) ** 2
 
 
 def test_pt_classify_examples():
@@ -189,3 +204,89 @@ def test_nonquantized_near_boundary():
     params = CoinParams(0.4, -0.4 + 1e-9, 0.0)
     with pytest.raises((NonQuantized, ExceptionalPoint)):
         winding_number(params, 128)
+
+
+RES = 32
+STEP = 2 * np.pi / RES
+# Offsets of 0 or a hair put grid angles on or beside 0 and +-pi/2.
+OFFSETS = st.one_of(
+    st.floats(-STEP / 2, STEP / 2),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9]),
+)
+
+
+@st.composite
+def diagram_draws(draw):
+    """Grid offsets, p and a few cells, pushed onto |tan theta1| = |tan theta2|.
+
+    With equal offsets the cells (i, i) and (i, i + 16) sit on theta2 = theta1
+    (mod pi); with opposite offsets (i, -i) and (i, 16 - i) sit on
+    theta2 = -theta1 (mod pi).
+    """
+    off1 = draw(OFFSETS)
+    off2 = draw(st.one_of(OFFSETS, st.just(off1), st.just(-off1)))
+    p = draw(st.floats(0.0, 0.95))
+    picks = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, RES - 1))
+        j = draw(st.one_of(
+            st.integers(0, RES - 1),
+            st.sampled_from([i, i + 16, -i, 16 - i]).map(lambda n: n % RES),
+        ))
+        picks.append((i, j))
+    return off1, off2, p, picks
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(diagram_draws())
+def test_phase_diagram_against_classification_and_wilson_loop(draw):
+    off1, off2, p, picks = draw
+    n_k = 64
+    grid = np.linspace(-np.pi, np.pi, RES, endpoint=False)
+    thetas1, thetas2 = grid + off1, grid + off2
+    cells = phase_diagram(thetas1, thetas2, p, n_k=n_k)
+    for cell in cells:
+        assert (cell.nu is None) == (cell.pt_broken or abs(cell.min_gap) <= EP_TOL)
+    for i, j in picks:
+        cell = cells[RES * i + j]
+        params = CoinParams(float(thetas1[i]), float(thetas2[j]), p)
+        assert (cell.theta1, cell.theta2) == (params.theta1, params.theta2)
+        assert cell.min_gap == min_gap(params)
+        assert cell.pt_broken == (pt_classify(params, n_k) is PTPhase.BROKEN)
+        try:
+            wilson = winding_number(params, n_k)
+        except (NonQuantized, ExceptionalPoint):
+            continue
+        if cell.nu is not None:
+            assert wilson == cell.nu
+
+
+def grid_verdicts(params: CoinParams, n_k: int) -> tuple[bool, bool]:
+    """The two halves of the PT test: the full n_k-point grid and the extremum."""
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    d0 = d_coefficients(params, ks)[..., 0].real
+    return float(np.max(d0 * d0)) > 1.0 + EP_TOL, 1.0 - min_gap(params) > 1.0 + EP_TOL
+
+
+def test_pt_broken_matches_the_full_grid_at_the_threshold(rng):
+    # Step theta2 ulp by ulp across max d0^2 = 1 + EP_TOL, where the rounded
+    # grid maximum and the analytic extremum disagree in both directions.
+    seen = set()
+    for trial in range(16):
+        p = float(rng.uniform(0.01, 0.9))
+        th1 = float(rng.uniform(-np.pi, np.pi))
+        alpha = CoinParams(0.0, 0.0, p).alpha
+        # |cos(th1 - th2)| or |cos(th1 + th2)| at threshold: d0 peaks at
+        # cos 2k = -1 or at cos 2k = +1.
+        mirror = (1, -1)[trial // 4 % 2]
+        centre = mirror * th1 - math.acos(math.sqrt(1.0 + EP_TOL) / alpha)
+        theta2s = centre + np.arange(-40, 41) * np.spacing(centre)
+        n_k = (64, 100, 256, 512)[trial % 4]
+        cells = phase_diagram(np.full(RES, th1), theta2s, p, n_k=n_k)
+        for cell in cells[: theta2s.size]:
+            params = CoinParams(th1, cell.theta2, p)
+            on_grid, analytic = grid_verdicts(params, n_k)
+            seen.add((on_grid, analytic))
+            assert cell.pt_broken == (on_grid or analytic)
+            assert (pt_classify(params, n_k) is PTPhase.BROKEN) == cell.pt_broken
+    assert {(True, False), (False, True)} <= seen
