@@ -16,7 +16,7 @@ from .chern import (
     chern_riemann,
     chern_solid_angle,
 )
-from .core import EigenSystem, eig_biorthogonal, pauli_assemble, pauli_expand
+from .core import EigenSystem, eig_biorthogonal_grid, pauli_assemble, pauli_expand
 from .errors import (
     ConfigError,
     DegenerateSpectrum,
@@ -103,7 +103,7 @@ __all__ = [
     "chern_solid_angle",
     "d_coefficients",
     "density_matrix",
-    "eig_biorthogonal",
+    "eig_biorthogonal_grid",
     "evolve",
     "find_fixed_points",
     "fourier",

@@ -28,12 +28,12 @@ import numpy as np
 
 from .errors import DegenerateTriangle, ExceptionalPoint
 from .quench import (
+    REAL_E_TOL,
     FixedPoint,
     FixedPointKind,
     QuenchSpec,
-    _bloch_from_coefficients,
-    _final_eig,
-    _overlap_grid,
+    bloch_from_coefficients,
+    overlap_grid,
 )
 
 __all__ = [
@@ -63,14 +63,11 @@ class ChernResult:
     method: str
 
 
-def build_submanifolds(fixed_points: list[FixedPoint], spec: QuenchSpec) -> list[Submanifold]:
+def build_submanifolds(fixed_points: list[FixedPoint]) -> list[Submanifold]:
     """Consecutive fixed-point pairs around the zone, with wraparound.
 
     Fewer than two fixed points close no submanifold; the result is empty.
-    ``spec`` is accepted for signature symmetry with the integrators (the
-    patch geometry itself only needs the fixed points).
     """
-    del spec
     if len(fixed_points) < 2:
         return []
     fps = sorted(fixed_points, key=lambda fp: fp.k)
@@ -86,9 +83,8 @@ def build_submanifolds(fixed_points: list[FixedPoint], spec: QuenchSpec) -> list
 
 def _field_columns(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_plus, c_minus) per k, guarding that every column oscillates (real E)."""
-    cp, cm = _overlap_grid(spec, ks)
-    energy = _final_eig(spec.final, ks).quasienergies[:, 0]
-    if np.any(np.abs(energy.imag) > 1e-10):
+    cp, cm, final = overlap_grid(spec, ks)
+    if np.any(np.abs(final.quasienergies[:, 0].imag) > REAL_E_TOL):
         raise ExceptionalPoint(
             "submanifold touches the PT-broken regime; no periodic time cycle"
         )
@@ -102,7 +98,7 @@ def _bloch_grid(cp: np.ndarray, cm: np.ndarray, taus: np.ndarray) -> np.ndarray:
     the global phase drops out of the Bloch map.
     """
     phase = np.exp(1j * np.pi * taus)
-    return _bloch_from_coefficients(
+    return bloch_from_coefficients(
         cp[:, None] / phase[None, :], cm[:, None] * phase[None, :]
     )
 

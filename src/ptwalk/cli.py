@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,13 @@ import numpy as np
 from . import __version__
 from .chern import build_submanifolds, chern_riemann, chern_solid_angle
 from .errors import ConfigError, WalkError
-from .expr import evaluate, evaluate_angle
 from .floquet import CoinParams
 from .measurement import (
     all_pair_probabilities,
     reconstruct_bloch_field,
     sample_shot_noise,
 )
-from .presets import PRESETS, build_spec, preset_names
+from .presets import PRESETS, Preset, build_spec, final_params, preset_names
 from .quench import QuenchSpec, bloch_field, find_fixed_points, initial_spinors
 from .spectrum import band_structure, phase_diagram, pt_classify
 from .walksim import evolve
@@ -110,15 +109,6 @@ def _check_sizes(args) -> None:
             raise ConfigError(f"--{key} must be {kind}, got {value}")
 
 
-@contextmanager
-def _preconditions():
-    """Report a library precondition (grid size, loss range) as a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _require(args, *keys):
     for key in keys:
         if getattr(args, key) is None:
@@ -132,22 +122,7 @@ def _defaults(args, **pairs):
             setattr(args, key, value)
 
 
-def _single_params(args) -> CoinParams:
-    """Coin parameters for single-operator commands (spectrum, phase diagram)."""
-    if args.preset:
-        preset = _preset(args.preset)
-        p = args.p if args.p is not None else preset.p
-        return CoinParams(
-            evaluate_angle(args.theta1 or preset.theta1_f, p),
-            evaluate_angle(args.theta2 or preset.theta2_f, p),
-            p,
-        )
-    _require(args, "theta1", "theta2")
-    p = args.p if args.p is not None else 0.0
-    return CoinParams(evaluate_angle(args.theta1, p), evaluate_angle(args.theta2, p), p)
-
-
-def _preset(name: str):
+def _preset(name: str) -> Preset:
     try:
         return PRESETS[name]
     except KeyError:
@@ -156,51 +131,49 @@ def _preset(name: str):
         ) from None
 
 
+# The preset field each angle flag writes over.  Single-operator commands
+# (spectrum) read --theta1/--theta2 as the angles of the final operator.
+_SINGLE_FIELDS = {"theta1": "theta1_f", "theta2": "theta2_f"}
+_QUENCH_FIELDS = {"theta1": "theta1_i", "theta2": "theta2_i", "theta1_f": "theta1_f",
+                  "theta2_f": "theta2_f"}
+# Base of a run without --preset: lossless, lower-band start, all angles from flags.
+_FLAGS_ONLY = Preset("", "", "", "", "", p=0.0, initial_state=None, description="")
+
+
+def _flag_preset(args, fields: dict[str, str]) -> Preset:
+    """The chosen preset (or flags alone) with every given flag written over it."""
+    if args.preset:
+        base = _preset(args.preset)
+    else:
+        _require(args, *fields)
+        base = _FLAGS_ONLY
+    changes = {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag)}
+    if args.p is not None:
+        changes["p"] = args.p
+    if getattr(args, "initial_state", None) is not None:
+        changes["initial_state"] = _initial_state(args.initial_state)
+    return replace(base, **changes)
+
+
+def _single_params(args) -> CoinParams:
+    """Coin parameters for single-operator commands (spectrum)."""
+    return final_params(_flag_preset(args, _SINGLE_FIELDS))
+
+
 def _quench_spec(args) -> QuenchSpec:
     """Quench specification from flags, optionally seeded by a preset."""
-    if args.preset:
-        preset = _preset(args.preset)
-        spec = build_spec(preset)
-        if not any(
-            getattr(args, key) is not None
-            for key in ("theta1", "theta2", "theta1_f", "theta2_f", "p", "initial_state")
-        ):
-            return spec
-        p = args.p if args.p is not None else preset.p
-        initial = CoinParams(
-            evaluate_angle(args.theta1 or preset.theta1_i, p),
-            evaluate_angle(args.theta2 or preset.theta2_i, p),
-            p,
-        )
-        final = CoinParams(
-            evaluate_angle(args.theta1_f or preset.theta1_f, p),
-            evaluate_angle(args.theta2_f or preset.theta2_f, p),
-            p,
-        )
-        state = _initial_state(args.initial_state, p) if args.initial_state else (
-            None
-            if preset.initial_state is None
-            else tuple(complex(evaluate(expr, p)) for expr in preset.initial_state)
-        )
-        return QuenchSpec(initial=initial, final=final, initial_state=state)
-    _require(args, "theta1", "theta2", "theta1_f", "theta2_f")
-    p = args.p if args.p is not None else 0.0
-    return QuenchSpec(
-        initial=CoinParams(evaluate_angle(args.theta1, p), evaluate_angle(args.theta2, p), p),
-        final=CoinParams(evaluate_angle(args.theta1_f, p), evaluate_angle(args.theta2_f, p), p),
-        initial_state=_initial_state(args.initial_state, p),
-    )
+    return build_spec(_flag_preset(args, _QUENCH_FIELDS))
 
 
-def _initial_state(text: str | None, p: float):
-    if text is None or text == "eigenstate":
+def _initial_state(text: str) -> tuple[str, str] | None:
+    if text == "eigenstate":
         return None
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(
             "--initial-state takes 'eigenstate' or two comma-separated amplitudes"
         )
-    return (complex(evaluate(parts[0], p)), complex(evaluate(parts[1], p)))
+    return parts[0], parts[1]
 
 
 def _bloch_rows(field) -> list[tuple]:
@@ -234,8 +207,7 @@ def cmd_phase_diagram(args) -> int:
     _defaults(args, res=32, kgrid=256, p=0.0)
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
-    with _preconditions():
-        cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
+    cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
     rows = [
         (
             c.theta1,
@@ -283,14 +255,13 @@ def cmd_chern(args) -> int:
     _defaults(args, kgrid=256, tgrid=256)
     spec = _quench_spec(args)
     points = find_fixed_points(spec, n_k=512)
-    subs = build_submanifolds(points, spec)
+    subs = build_submanifolds(points)
     rows = []
     for sub in subs:
-        with _preconditions():
-            riemann = chern_riemann(sub, spec, n_k=args.kgrid, n_t=args.tgrid)
-            solid = chern_solid_angle(
-                sub, spec, n_k=min(args.kgrid, 128), n_t=min(args.tgrid, 128)
-            )
+        riemann = chern_riemann(sub, spec, n_k=args.kgrid, n_t=args.tgrid)
+        solid = chern_solid_angle(
+            sub, spec, n_k=min(args.kgrid, 128), n_t=min(args.tgrid, 128)
+        )
         rows.append(
             (
                 sub.k_lo,
@@ -452,7 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _merge_config(args)
         _check_sizes(args)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # a library precondition: grid size, loss range, ...
+            raise ConfigError(str(exc)) from None
     except WalkError as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -32,8 +32,6 @@ __all__ = [
     "KET_L",
     "KET_D",
     "EigenSystem",
-    "EigenGrid",
-    "eig_biorthogonal",
     "eig_biorthogonal_grid",
     "pauli_expand",
     "pauli_assemble",
@@ -59,51 +57,30 @@ _IM_SPLIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Biorthogonal eigensystem of a single 2x2 matrix.
+    """Biorthogonal eigensystems of 2x2 matrices, with any leading batch axes.
 
-    Band order is [plus, minus] in every array.  ``right[b]`` is the unit-norm
-    right eigenvector (ket) of band b; ``left[b]`` is the left eigenvector as a
-    row vector (bra), rescaled so that ``left[b] @ right[b] == 1``.
+    Band order is [plus, minus] in every array; a single matrix has batch
+    shape ().  ``right[..., b, :]`` is the unit-norm right eigenvector (ket) of
+    band b; ``left[..., b, :]`` is the left eigenvector as a row vector (bra),
+    rescaled so that ``left[..., b, :] @ right[..., b, :] == 1``.
     """
 
-    values: np.ndarray        # (2,) eigenvalues [lambda_+, lambda_-]
-    quasienergies: np.ndarray  # (2,) eps = i log(lambda), [eps_+, eps_-]
-    right: np.ndarray         # (2, 2) kets, right[band, component]
-    left: np.ndarray          # (2, 2) bras, left[band, component]
+    values: np.ndarray        # (..., 2) eigenvalues [lambda_+, lambda_-]
+    quasienergies: np.ndarray  # (..., 2) eps = i log(lambda), [eps_+, eps_-]
+    right: np.ndarray         # (..., 2, 2) kets, right[..., band, component]
+    left: np.ndarray          # (..., 2, 2) bras, left[..., band, component]
 
     @property
     def psi_plus(self) -> np.ndarray:
-        return self.right[0]
+        return self.right[..., 0, :]
 
     @property
     def psi_minus(self) -> np.ndarray:
-        return self.right[1]
-
-    @property
-    def chi_plus(self) -> np.ndarray:
-        return self.left[0]
-
-    @property
-    def chi_minus(self) -> np.ndarray:
-        return self.left[1]
+        return self.right[..., 1, :]
 
     def completeness(self) -> np.ndarray:
         """sum_mu |psi_mu><chi_mu|, identity for a biorthonormal system."""
-        return self.right.T @ self.left
-
-
-@dataclass(frozen=True)
-class EigenGrid:
-    """Vectorized eigensystems over a batch of 2x2 matrices.
-
-    Shapes: ``values``/``quasienergies`` are (..., 2) ordered [plus, minus],
-    ``right``/``left`` are (..., 2, 2) indexed [..., band, component].
-    """
-
-    values: np.ndarray
-    quasienergies: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+        return np.einsum("...bc,...bd->...cd", self.right, self.left)
 
 
 def _order_plus_first(eps_a, eps_b):
@@ -112,57 +89,30 @@ def _order_plus_first(eps_a, eps_b):
     return np.where(im_split, eps_a.imag > eps_b.imag, eps_a.real > eps_b.real)
 
 
-def eig_biorthogonal(m: np.ndarray, gap_tol: float = GAP_TOL) -> EigenSystem:
-    """Biorthogonal eigendecomposition of a diagonalizable 2x2 matrix.
-
-    Right eigenvectors come from the matrix itself, left eigenvectors from the
-    conjugate transpose (eigenvalue lambda*), then each left vector is rescaled
-    against its right partner.
-
-    Raises
-    ------
-    DegenerateSpectrum
-        If the eigenvalue gap is at or below ``gap_tol`` (exceptional point).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix has non-finite entries")
-
-    lam, vecs = np.linalg.eig(m)
-    if abs(lam[0] - lam[1]) <= gap_tol:
-        raise DegenerateSpectrum(
-            f"eigenvalue gap {abs(lam[0] - lam[1]):.3e} <= {gap_tol:.1e}"
-        )
-    eps = 1j * np.log(lam)
-    if not _order_plus_first(eps[0], eps[1]):
-        lam, eps, vecs = lam[::-1], eps[::-1], vecs[:, ::-1]
-
-    lam_left, vecs_left = np.linalg.eig(m.conj().T)
-    right = np.empty((2, 2), dtype=complex)
-    left = np.empty((2, 2), dtype=complex)
-    for b in range(2):
-        psi = vecs[:, b] / np.linalg.norm(vecs[:, b])
-        match = int(np.argmin(np.abs(lam_left - lam[b].conjugate())))
-        bra = vecs_left[:, match].conj()
-        overlap = bra @ psi
-        if abs(overlap) <= 1e-12:
-            raise DegenerateSpectrum("left/right eigenvectors nearly orthogonal")
-        right[b] = psi
-        left[b] = bra / overlap
-    return EigenSystem(values=lam, quasienergies=eps, right=right, left=left)
-
-
-def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenGrid:
-    """Closed-form biorthogonal eigensystems for a batch of 2x2 matrices.
+def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenSystem:
+    """Closed-form biorthogonal eigensystems of 2x2 matrices, shape (..., 2, 2).
 
     Uses the quadratic formula for the eigenvalues and spectral projectors
     P_mu = (m - lambda_nu I)/(lambda_mu - lambda_nu) for the vector pairs,
-    which keeps the construction branch-free and fully vectorized.  Agrees
-    with :func:`eig_biorthogonal` matrix by matrix.
+    which keeps the construction branch-free and fully vectorized.  Each
+    matrix's result does not depend on the batch it sits in.
+
+    Raises
+    ------
+    ValueError
+        If the trailing axes are not (2, 2) or an entry is not finite.
+    DegenerateSpectrum
+        If an eigenvalue gap is at or below ``gap_tol`` (exceptional point).
     """
     ms = np.asarray(ms, dtype=complex)
+    if ms.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {ms.shape}")
+    if not np.isfinite(ms).all():
+        raise ValueError("matrix has non-finite entries")
+    # Numpy's 0-d (scalar) arithmetic rounds differently from its array loops,
+    # so every batch, shape () included, is solved as a flat 1-D batch.
+    batch = ms.shape[:-2]
+    ms = ms.reshape(-1, 2, 2)
     tr = ms[..., 0, 0] + ms[..., 1, 1]
     det = ms[..., 0, 0] * ms[..., 1, 1] - ms[..., 0, 1] * ms[..., 1, 0]
     disc = np.sqrt(tr * tr / 4 - det)
@@ -178,7 +128,7 @@ def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenGrid
     eps = np.stack([np.where(keep, eps_a, eps_b), np.where(keep, eps_b, eps_a)], axis=-1)
 
     eye = np.broadcast_to(SIGMA_0, ms.shape)
-    right = np.empty(ms.shape[:-2] + (2, 2), dtype=complex)
+    right = np.empty(ms.shape, dtype=complex)
     left = np.empty_like(right)
     for b in range(2):
         lam_own = lam[..., b, None, None]
@@ -193,7 +143,8 @@ def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenGrid
         bra = bra / np.einsum("...c,...c->...", bra, psi)[..., None]
         right[..., b, :] = psi
         left[..., b, :] = bra
-    return EigenGrid(values=lam, quasienergies=eps, right=right, left=left)
+    vec, mat = batch + (2,), batch + (2, 2)
+    return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
 
 
 def pauli_expand(m: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import ast
 import math
 
 from .errors import ConfigError
+from .floquet import CoinParams
 
 __all__ = ["evaluate", "evaluate_angle"]
 
@@ -36,12 +37,11 @@ _BINOPS = {
 
 
 def _constants(p: float | None) -> dict[str, complex]:
+    """Named constants; gamma, alpha and beta need p (a ValueError outside [0, 1))."""
     names: dict[str, complex] = {"pi": math.pi, "e": math.e, "i": 1j, "j": 1j}
     if p is not None:
-        gamma = (1.0 - p) ** -0.25
-        names["gamma"] = gamma
-        names["alpha"] = 0.5 * gamma * (1.0 + math.sqrt(1.0 - p))
-        names["beta"] = 0.5 * gamma * (1.0 - math.sqrt(1.0 - p))
+        params = CoinParams(0.0, 0.0, p)
+        names.update(gamma=params.gamma, alpha=params.alpha, beta=params.beta)
     return names
 
 

@@ -34,9 +34,13 @@ import numpy as np
 from .core import KET_D, KET_L, PAULI, EigenSystem
 from .errors import SingularNormalization
 from .quench import (
+    EIGENSTATE_TOL,
+    NORM_FLOOR,
+    REAL_E_TOL,
     BlochField,
     QuenchSpec,
-    _final_eig,
+    bloch_from_density,
+    final_eigensystem,
     initial_spinors,
     initial_state_residual,
 )
@@ -191,13 +195,16 @@ def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
     Multiplies by sum_mu |chi_mu><chi_mu| of the final eigensystem and
     normalizes by the trace; invariant under any positive rescaling of
     rho_prime, so the decayed norm of the measured state drops out.
+    ``rho_prime`` (..., 2, 2) broadcasts against the batch axes of ``system``.
     """
-    chi_sum = system.left.conj().T @ system.left
+    chi_sum = np.einsum("...bc,...bd->...cd", system.left.conj(), system.left)
     numer = np.asarray(rho_prime, dtype=complex) @ chi_sum
-    denom = np.trace(numer)
-    if abs(denom) <= 1e-12:
-        raise SingularNormalization(f"Tr[rho' sum|chi><chi|] = {denom:.3e}")
-    return numer / denom
+    denom = np.trace(numer, axis1=-2, axis2=-1)
+    if np.any(np.abs(denom) <= NORM_FLOOR):
+        raise SingularNormalization(
+            f"|Tr[rho' sum|chi><chi|]| = {np.abs(denom).min():.3e} <= {NORM_FLOOR:.0e}"
+        )
+    return numer / denom[..., None, None]
 
 
 def _resolve_rng(seed, *tags: int) -> np.random.Generator:
@@ -273,15 +280,13 @@ def reconstruct_bloch_field(
     # eigenstate residual of the one localized coin state across all sectors
     probe = QuenchSpec(spec.initial, spec.final, initial_state=tuple(coin))
     residual = initial_state_residual(probe)
-    if spec.initial_state is None and residual > 1e-8:
+    if spec.initial_state is None and residual > EIGENSTATE_TOL:
         raise ValueError(
             "position-space reconstruction needs a momentum-independent "
             f"initial state (eigenstate residual {residual:.2e} across sectors)"
         )
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    grid = _final_eig(spec.final, ks)
-    chi_sum = np.einsum("kbc,kbd->kcd", grid.left.conj(), grid.left)
-    taus = np.einsum("jmn,kmc,knd->kjcd", PAULI, grid.right, grid.left)
+    final = final_eigensystem(spec, ks)
 
     states = evolve(coin, spec.final, t_max)
     ts = np.arange(t_max + 1, dtype=float)
@@ -296,20 +301,14 @@ def reconstruct_bloch_field(
                 for pair in pairs
             ]
         table = reconstruct_matrix_elements(site, pairs)
-        rho_p = assemble_hermitian_density(table, ks)
-        numer = rho_p @ chi_sum
-        denom = np.trace(numer, axis1=-2, axis2=-1)
-        if np.any(np.abs(denom) <= 1e-12):
-            raise SingularNormalization("reconstruction denominator vanished")
-        rho = numer / denom[:, None, None]
-        comps = np.einsum("kab,kjba->kj", rho, taus)
-        n_field[:, t, :] = comps[:, 1:].real
+        rho = to_nonhermitian(assemble_hermitian_density(table, ks), final)
+        n_field[:, t, :] = bloch_from_density(rho, final)
     return BlochField(
         ks=ks,
         ts=ts,
         n=n_field,
-        real_regime=np.abs(grid.quasienergies[:, 0].imag) <= 1e-10,
+        real_regime=np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL,
         source="reconstructed",
-        eigenstate_initial=residual < 1e-8,
+        eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,
     )

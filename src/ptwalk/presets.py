@@ -15,7 +15,7 @@ from .expr import evaluate, evaluate_angle
 from .floquet import CoinParams
 from .quench import QuenchSpec
 
-__all__ = ["Preset", "PRESETS", "build_spec", "preset_names"]
+__all__ = ["Preset", "PRESETS", "build_spec", "final_params", "preset_names"]
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,20 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
+def _coin_params(theta1: str, theta2: str, p: float) -> CoinParams:
+    return CoinParams(evaluate_angle(theta1, p), evaluate_angle(theta2, p), p)
+
+
+def final_params(preset: Preset) -> CoinParams:
+    """Evaluate a preset's final walk operator alone (single-operator commands)."""
+    return _coin_params(preset.theta1_f, preset.theta2_f, preset.p)
+
+
 def build_spec(preset: Preset) -> QuenchSpec:
     """Evaluate a preset's expressions into a concrete quench specification."""
     p = preset.p
-    initial = CoinParams(
-        evaluate_angle(preset.theta1_i, p), evaluate_angle(preset.theta2_i, p), p
-    )
-    final = CoinParams(
-        evaluate_angle(preset.theta1_f, p), evaluate_angle(preset.theta2_f, p), p
-    )
+    initial = _coin_params(preset.theta1_i, preset.theta2_i, p)
+    final = final_params(preset)
     state = None
     if preset.initial_state is not None:
         state = (

@@ -27,15 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .core import PAULI, EigenSystem, eig_biorthogonal_grid
-from .errors import (
-    DegenerateSpectrum,
-    ExceptionalPoint,
-    ImaginaryEnergy,
-    SingularNormalization,
-)
+from .core import PAULI, EigenSystem
+from .errors import ImaginaryEnergy, SingularNormalization
 from .floquet import CoinParams, momentum_operator_closed
-from .spectrum import PTPhase, pt_classify, quasienergies
+from .spectrum import PTPhase, pt_classify, quasienergies, walk_eigensystem
 
 __all__ = [
     "QuenchSpec",
@@ -44,7 +39,9 @@ __all__ = [
     "FixedPoint",
     "BlochField",
     "final_eigensystem",
+    "overlap_grid",
     "overlaps",
+    "bloch_from_coefficients",
     "bloch_vector",
     "density_matrix",
     "tau_basis",
@@ -55,8 +52,10 @@ __all__ = [
     "initial_state_residual",
 ]
 
-REAL_E_TOL = 1e-10
+REAL_E_TOL = 1e-10          # |Im E| up to which a quasienergy counts as real
 FIXED_POINT_RESIDUAL = 1e-10
+EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
+NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,9 @@ class QuenchSpec:
     """Initial/final walk parameters plus the initial-state choice.
 
     ``initial_state=None`` selects the lower-band eigenstate of the initial
-    operator in every momentum sector (requires the initial operator to be
-    PT-unbroken).  An explicit coin state is used verbatim in every sector,
-    which models a walker localized on a single site.
+    operator in every momentum sector, so the initial operator must be
+    PT-unbroken; that is checked once, here.  An explicit coin state is used
+    verbatim in every sector, which models a walker localized on a single site.
     """
 
     initial: CoinParams
@@ -74,11 +73,16 @@ class QuenchSpec:
     initial_state: tuple[complex, complex] | None = None
 
     def __post_init__(self):
-        if self.initial_state is not None:
-            a, b = complex(self.initial_state[0]), complex(self.initial_state[1])
-            if abs(a) == 0 and abs(b) == 0:
-                raise ValueError("initial coin state must be nonzero")
-            object.__setattr__(self, "initial_state", (a, b))
+        if self.initial_state is None:
+            if pt_classify(self.initial) is PTPhase.BROKEN:
+                raise ValueError(
+                    "lower-band initial state requires a PT-unbroken initial operator"
+                )
+            return
+        a, b = complex(self.initial_state[0]), complex(self.initial_state[1])
+        if abs(a) == 0 and abs(b) == 0:
+            raise ValueError("initial coin state must be nonzero")
+        object.__setattr__(self, "initial_state", (a, b))
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,7 @@ def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
     if spec.initial_state is not None:
         state = np.array(spec.initial_state, dtype=complex)
         return np.broadcast_to(state, (len(ks), 2)).copy()
-    if pt_classify(spec.initial) is PTPhase.BROKEN:
-        raise ValueError(
-            "lower-band initial state requires a PT-unbroken initial operator"
-        )
-    grid = _final_eig(spec.initial, ks)
-    return grid.right[:, 1, :]
+    return walk_eigensystem(spec.initial, ks).right[:, 1, :]
 
 
 def initial_state_residual(spec: QuenchSpec, n_k: int = 64) -> float:
@@ -144,42 +143,35 @@ def initial_state_residual(spec: QuenchSpec, n_k: int = 64) -> float:
     return float(np.linalg.norm(residual, axis=1).max())
 
 
-def _final_eig(params: CoinParams, ks: np.ndarray):
-    try:
-        return eig_biorthogonal_grid(momentum_operator_closed(params, ks))
-    except DegenerateSpectrum as exc:
-        raise ExceptionalPoint(str(exc)) from exc
-
-
-def final_eigensystem(spec: QuenchSpec, k: float) -> EigenSystem:
-    """Biorthogonal eigensystem of the final operator at one momentum.
+def final_eigensystem(spec: QuenchSpec, k) -> EigenSystem:
+    """Biorthogonal eigensystem of the final operator at each momentum of ``k``.
 
     All quench quantities share the eigenvector gauge of this construction;
     mixing gauges would rotate the in-plane components n1, n2 (the physical
     matrix rho is gauge invariant, its dressed components are covariant).
     """
-    grid = _final_eig(spec.final, np.array([k]))
-    return EigenSystem(
-        values=grid.values[0],
-        quasienergies=grid.quasienergies[0],
-        right=grid.right[0],
-        left=grid.left[0],
-    )
+    return walk_eigensystem(spec.final, k)
 
 
-def _overlap_grid(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c_plus, c_minus) arrays over a momentum grid."""
+def overlap_grid(
+    spec: QuenchSpec, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
+    """(c_plus, c_minus, final eigensystem) over a momentum grid.
+
+    The quench core: one solve of each operator (the initial one only for an
+    eigenstate start) gives every quantity the quench is built from.
+    """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     psi_i = initial_spinors(spec, ks)
-    grid = _final_eig(spec.final, ks)
-    c_plus = np.einsum("kc,kc->k", grid.left[:, 0, :], psi_i)
-    c_minus = np.einsum("kc,kc->k", grid.left[:, 1, :], psi_i)
-    return c_plus, c_minus
+    final = final_eigensystem(spec, ks)
+    c_plus = np.einsum("kc,kc->k", final.left[:, 0, :], psi_i)
+    c_minus = np.einsum("kc,kc->k", final.left[:, 1, :], psi_i)
+    return c_plus, c_minus, final
 
 
 def overlaps(spec: QuenchSpec, k: float) -> OverlapPair:
     """Expansion coefficients of the initial state over the final eigenbasis."""
-    cp, cm = _overlap_grid(spec, np.array([k]))
+    cp, cm, _ = overlap_grid(spec, np.array([k]))
     return OverlapPair(c_plus=complex(cp[0]), c_minus=complex(cm[0]))
 
 
@@ -189,16 +181,28 @@ def _dressed_coefficients(cp, cm, energy, t):
     return cp * np.exp(-1j * energy * t), cm * np.exp(1j * energy * t)
 
 
-def _bloch_from_coefficients(ct_plus, ct_minus):
+def bloch_from_coefficients(ct_plus, ct_minus) -> np.ndarray:
     """Unit Bloch vector of the dressed coefficient spinor, stacked on axis -1.
 
     For real E this is the oscillatory closed form (n0 constant in time); for
     imaginary E the weights e^{-+ 2 Im(E) t} reproduce the relaxation form with
     its n1, n2 frozen and n3 -> 1.
+
+    Raises
+    ------
+    SingularNormalization
+        Where n0 = |ct_+|^2 + |ct_-|^2 is zero or not finite, e.g. once the
+        growing weight e^{2 Im(E) t} overflows at long times.
     """
-    wp = np.abs(ct_plus) ** 2
-    wm = np.abs(ct_minus) ** 2
-    n0 = wp + wm
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        wp = np.abs(ct_plus) ** 2
+        wm = np.abs(ct_minus) ** 2
+        n0 = wp + wm
+    ok = np.isfinite(n0) & (n0 > 0)
+    if not ok.all():
+        raise SingularNormalization(
+            f"|ct_+|^2 + |ct_-|^2 is zero or not finite at {np.size(ok) - ok.sum()} points"
+        )
     cross = np.conj(ct_plus) * ct_minus
     return np.stack(
         [2 * cross.real / n0, 2 * cross.imag / n0, (wp - wm) / n0], axis=-1
@@ -210,12 +214,15 @@ def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     pair = overlaps(spec, k)
     energy, _ = quasienergies(spec.final, k)
     ct_p, ct_m = _dressed_coefficients(pair.c_plus, pair.c_minus, energy, t)
-    return _bloch_from_coefficients(ct_p, ct_m)
+    return bloch_from_coefficients(ct_p, ct_m)
 
 
 def tau_basis(system: EigenSystem) -> np.ndarray:
-    """Dressed Pauli basis tau_j = sum_{mu,nu} |psi_mu> sigma_j^{mu nu} <chi_nu|."""
-    return np.einsum("jmn,mc,nd->jcd", PAULI, system.right, system.left)
+    """Dressed Pauli basis tau_j = sum_{mu,nu} |psi_mu> sigma_j^{mu nu} <chi_nu|.
+
+    Shape (..., 4, 2, 2), following the batch axes of ``system``.
+    """
+    return np.einsum("jmn,...mc,...nd->...jcd", PAULI, system.right, system.left)
 
 
 def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
@@ -241,15 +248,17 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     psi_t = ct @ system.right
     chi_t = ct.conj() @ system.left
     denom = chi_t @ psi_t
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= NORM_FLOOR:
         raise SingularNormalization(f"<chi(t)|psi(t)> = {denom:.3e} at k = {k!r}")
     return np.outer(psi_t, chi_t) / denom
 
 
 def bloch_from_density(rho: np.ndarray, system: EigenSystem) -> np.ndarray:
-    """n_j = Tr[rho tau_j] for j = 1, 2, 3 (trace over the dressed basis)."""
-    taus = tau_basis(system)
-    comps = np.einsum("...ab,jba->...j", rho, taus)
+    """n_j = Tr[rho tau_j] for j = 1, 2, 3 (trace over the dressed basis).
+
+    ``rho`` (..., 2, 2) broadcasts against the batch axes of ``system``.
+    """
+    comps = np.einsum("...ab,...jba->...j", rho, tau_basis(system))
     return comps[..., 1:].real
 
 
@@ -269,18 +278,17 @@ def bloch_field(
     if ts is None:
         ts = np.arange(t_max + 1, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    cp, cm = _overlap_grid(spec, ks)
-    grid = _final_eig(spec.final, ks)
-    energy = grid.quasienergies[:, 0]
+    cp, cm, final = overlap_grid(spec, ks)
+    energy = final.quasienergies[:, 0]
     ct_p, ct_m = _dressed_coefficients(cp[:, None], cm[:, None], energy[:, None], ts[None, :])
     residual = initial_state_residual(spec)
     return BlochField(
         ks=ks,
         ts=ts,
-        n=_bloch_from_coefficients(ct_p, ct_m),
+        n=bloch_from_coefficients(ct_p, ct_m),
         real_regime=np.abs(energy.imag) <= REAL_E_TOL,
         source="analytic",
-        eigenstate_initial=residual < 1e-8,
+        eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,
     )
 
@@ -297,11 +305,14 @@ def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
     wraparound), and refines each bracket by golden-section minimization.
     Only momenta with a real quasienergy can host fixed points; sectors in
     the broken regime are skipped, so a fully broken final operator yields an
-    empty list.
+    empty list.  A grid below 64 points is rejected: it can miss whole
+    k, k + pi pairs of fixed points without any sign of it.
     """
+    if n_k < 64:
+        raise ValueError("n_k must be >= 64")
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    cp, cm = _overlap_grid(spec, ks)
-    energy = _final_eig(spec.final, ks).quasienergies[:, 0]
+    cp, cm, final = overlap_grid(spec, ks)
+    energy = final.quasienergies[:, 0]
     real_regime = np.abs(energy.imag) <= REAL_E_TOL
     dk = 2 * np.pi / n_k
 
@@ -311,7 +322,7 @@ def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
         (FixedPointKind.C_MINUS_ZERO, np.abs(cm) ** 2),
     ):
         def objective(k: float, _idx=0 if kind is FixedPointKind.C_PLUS_ZERO else 1) -> float:
-            c = _overlap_grid(spec, np.array([k]))[_idx]
+            c = overlap_grid(spec, np.array([k]))[_idx]
             return float(np.abs(c[0]) ** 2)
 
         for i in range(n_k):

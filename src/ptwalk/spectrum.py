@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import eig_biorthogonal_grid
+from .core import EigenSystem, eig_biorthogonal_grid
 from .errors import DegenerateSpectrum, ExceptionalPoint, NonQuantized
 from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 
@@ -41,6 +41,7 @@ __all__ = [
     "winding_number",
     "phase_diagram",
     "min_gap",
+    "walk_eigensystem",
 ]
 
 EP_TOL = 1e-12
@@ -174,9 +175,16 @@ def pt_classify(params: CoinParams, n_k: int = 512) -> PTPhase:
     return PTPhase.BROKEN if broken else PTPhase.UNBROKEN
 
 
-def _band_eigensystems(params: CoinParams, ks: np.ndarray):
+def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
+    """Biorthogonal eigensystem of Ut_k at every momentum of ``k`` (any shape).
+
+    Raises
+    ------
+    ExceptionalPoint
+        If two eigenvalues meet at some momentum (band touching).
+    """
     try:
-        return eig_biorthogonal_grid(momentum_operator_closed(params, ks))
+        return eig_biorthogonal_grid(momentum_operator_closed(params, k))
     except DegenerateSpectrum as exc:
         raise ExceptionalPoint(str(exc)) from exc
 
@@ -188,7 +196,7 @@ def _wilson_phases(params: CoinParams, n_k: int, k_offset: float) -> tuple[float
     if pt_classify(params, max(64, n_k)) is PTPhase.BROKEN:
         raise ExceptionalPoint("PT-broken regime: Zak phase undefined")
     ks = k_offset + np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    grid = _band_eigensystems(params, ks)
+    grid = walk_eigensystem(params, ks)
     phases = []
     for b in (0, 1):
         links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .floquet import CoinParams, coin_rotation, loss_matrix
 
-__all__ = ["PositionState", "step_position", "evolve", "fourier", "inverse_fourier"]
+__all__ = ["PositionState", "step_position", "evolve", "fourier"]
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,3 @@ def fourier(state: PositionState, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(k, state.sites.astype(float)))
     return np.einsum("...x,xc->...c", phases, state.amplitudes)
-
-
-def inverse_fourier(spinors_k: np.ndarray, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Recover site spinors from momentum samples on a uniform k grid."""
-    phases = np.exp(1j * np.multiply.outer(xs.astype(float), np.asarray(ks)))
-    return np.einsum("xk,kc->xc", phases, spinors_k) / len(ks)

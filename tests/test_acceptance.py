@@ -152,7 +152,7 @@ def test_criterion_3_fixed_points_literal_fixture():
 def _chern_table(name, n_k=256, n_t=256):
     spec = build_spec(PRESETS[name])
     fps = find_fixed_points(spec, 512)
-    subs = build_submanifolds(fps, spec)
+    subs = build_submanifolds(fps)
     riemann = [chern_riemann(sub, spec, n_k, n_t) for sub in subs]
     solid = [chern_solid_angle(sub, spec, 128, 128) for sub in subs]
     return fps, subs, riemann, solid
@@ -319,7 +319,7 @@ def test_criterion_9_property_suite():
     sum_rule = 0
     for name in ("fig3a", "fig3b", "fig6"):
         spec = build_spec(PRESETS[name])
-        subs = build_submanifolds(find_fixed_points(spec, 256), spec)
+        subs = build_submanifolds(find_fixed_points(spec, 256))
         sum_rule += abs(sum(chern_riemann(s, spec, 128, 128).rounded for s in subs))
 
     # pipeline scale invariance under amplitude rescaling

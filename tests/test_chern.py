@@ -12,7 +12,7 @@ PI = np.pi
 
 def all_cherns(spec, n_k=128, n_t=128):
     fps = find_fixed_points(spec, 256)
-    subs = build_submanifolds(fps, spec)
+    subs = build_submanifolds(fps)
     return subs, [chern_riemann(s, spec, n_k, n_t) for s in subs], [
         chern_solid_angle(s, spec, min(n_k, 128), min(n_t, 128)) for s in subs
     ]
@@ -20,7 +20,7 @@ def all_cherns(spec, n_k=128, n_t=128):
 
 def test_submanifold_geometry_fig3a(spec_fig3a):
     fps = find_fixed_points(spec_fig3a)
-    subs = build_submanifolds(fps, spec_fig3a)
+    subs = build_submanifolds(fps)
     assert len(subs) == 4
     edges = [(s.k_lo / PI, s.k_hi / PI) for s in subs]
     np.testing.assert_allclose(
@@ -31,9 +31,9 @@ def test_submanifold_geometry_fig3a(spec_fig3a):
 
 
 def test_few_fixed_points_close_nothing(spec_fig3a, spec_fig4):
-    assert build_submanifolds([], spec_fig4) == []
+    assert build_submanifolds([]) == []
     one = find_fixed_points(spec_fig3a)[:1]
-    assert build_submanifolds(one, spec_fig3a) == []
+    assert build_submanifolds(one) == []
 
 
 def test_sign_rules_and_alternation_fig3a(spec_fig3a):
@@ -69,7 +69,7 @@ def test_same_kind_gives_zero_fig6(spec_fig6):
 
 
 def test_grid_refinement_stability(spec_fig3b):
-    sub = build_submanifolds(find_fixed_points(spec_fig3b), spec_fig3b)[0]
+    sub = build_submanifolds(find_fixed_points(spec_fig3b))[0]
     values = {
         n: chern_riemann(sub, spec_fig3b, n, n).rounded for n in (128, 256, 512)
     }
@@ -100,7 +100,7 @@ def test_methods_agree_on_random_quenches(rng):
             fps = find_fixed_points(spec, 256)
             if len(fps) < 2:
                 continue
-            subs = build_submanifolds(fps, spec)
+            subs = build_submanifolds(fps)
             total = 0
             for sub in subs:
                 r = chern_riemann(sub, spec, 128, 128)
@@ -117,7 +117,7 @@ def test_methods_agree_on_random_quenches(rng):
 def test_skyrmion_coverage_iff_nonzero(spec_fig3b, spec_fig6):
     """Nonzero submanifold Chern number means n3 attains both signs inside."""
     for spec, expect_cover in ((spec_fig3b, True), (spec_fig6, False)):
-        subs = build_submanifolds(find_fixed_points(spec), spec)
+        subs = build_submanifolds(find_fixed_points(spec))
         from ptwalk.chern import _bloch_grid, _field_columns
 
         for sub in subs:
@@ -147,6 +147,6 @@ def test_degenerate_triangle_raises():
 
 
 def test_riemann_grid_precondition(spec_fig3a):
-    sub = build_submanifolds(find_fixed_points(spec_fig3a), spec_fig3a)[0]
+    sub = build_submanifolds(find_fixed_points(spec_fig3a))[0]
     with pytest.raises(ValueError):
         chern_riemann(sub, spec_fig3a, 32, 32)

@@ -201,6 +201,84 @@ def test_bad_size_flags_are_config_errors(args, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--theta1", "pi/4", "--theta2", "pi/4", "--p", "1.0"],
+        ["spectrum", "--theta1", "pi/4", "--theta2", "pi/4", "--p", "1.5"],
+        # broken initial operator with a lower-band (eigenstate) start
+        ["quench", "--theta1=-pi/2", "--theta2=(pi - arccos(1/alpha))/2",
+         "--theta1-f=0.3", "--theta2-f=0.4", "--p", "0.36"],
+        # initial eigenstate depends on momentum: no localized walker
+        ["reconstruct", "--theta1=0.4", "--theta2=0.3", "--theta1-f=0.3",
+         "--theta2-f=0.4", "--tmax", "2"],
+    ],
+    ids=" ".join,
+)
+def test_library_preconditions_are_config_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("kgrid", ["1", "8", "63"])
+def test_fixed_points_reject_a_coarse_grid(kgrid, capsys):
+    # fig3b has 4 fixed points; grids up to 16 points find only 2 of them.
+    code, out, err = run_cli(["fixed-points", "--preset", "fig3b", "--kgrid", kgrid], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
+    # Im E = 0.0966 for fig4, so |ct_+|^2 overflows once t is past ~3700.
+    code, out, err = run_cli(
+        ["preset", "fig4", "--tmax", "4000", "--tgrid", "2", "--kgrid", "8"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "SingularNormalization"
+
+
+# Digests of the parent implementation's output before the solver and the
+# quench core were merged; the merged code must reproduce every byte.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["preset", "fig3b"],
+         "10b15c1b28b8af0344b5d7ab2715ab067ed685835eae1d8e23fd63a599ca88d9"),
+        (["fixed-points", "--preset", "fig6"],
+         "0291df5d231e2cfc791292b70174436f6298099d0927f228ac90b7d133da5a11"),
+        (["chern", "--preset", "fig3b"],
+         "f47680376b51b48e3b5e19edb08467af7e6d1be9dcb6a3dcee431739a3ab2aaf"),
+        (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
+         "be85f90bed99b8dccc8a769d81de1186f3e734769b96b8020c2383a11f66b298"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
+)
+def test_quench_outputs_are_pinned(args, digest, capsys):
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
+    dump = tmp_path / "probs.csv"
+    code, out, _ = run_cli(
+        ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
+         "--seed", "7", "--dump-probs", str(dump)],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "7b8cc58b2a9622ee3deb851443c028bec2360f803446db9e0d7e221f578d5eb4"
+    )
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "8c168724b5c4d7cac3a3a053f0687664ce9080abb85a3602f9983fd53716ae47"
+    )
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"theta1": "-pi/2", "theta2": "pi/3", "kgrid": 16}))

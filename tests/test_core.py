@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eig_oracle import eig_biorthogonal
 from ptwalk.core import (
+    GAP_TOL,
     PAULI,
     SIGMA_3,
-    eig_biorthogonal,
     eig_biorthogonal_grid,
     pauli_assemble,
     pauli_expand,
@@ -29,11 +32,11 @@ def random_matrix(rng, scale=1.0):
 
 def test_identity_is_degenerate():
     with pytest.raises(DegenerateSpectrum):
-        eig_biorthogonal(np.eye(2, dtype=complex))
+        eig_biorthogonal_grid(np.eye(2, dtype=complex))
 
 
 def test_sigma3_hermitian_diagonal():
-    system = eig_biorthogonal(SIGMA_3)
+    system = eig_biorthogonal_grid(SIGMA_3)
     assert np.allclose(sorted(system.values.real), [-1, 1])
     # lambda = +1 (eps = 0) is the plus band; basis vectors, left = right
     assert np.allclose(np.abs(system.psi_plus), [1, 0])
@@ -45,7 +48,7 @@ def test_sigma3_hermitian_diagonal():
 def test_walk_operator_biorthonormality_and_oracle():
     params = CoinParams(-np.pi / 2, np.pi / 3, 0.36)
     m = momentum_operator_closed(params, 0.3)
-    system = eig_biorthogonal(m)
+    system = eig_biorthogonal_grid(m)
     # biorthonormality <chi_mu|psi_nu> = delta
     gram = system.left @ system.right.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
@@ -62,7 +65,7 @@ def test_spectral_reconstruction(rng):
     for _ in range(100):
         m = random_matrix(rng)
         try:
-            system = eig_biorthogonal(m)
+            system = eig_biorthogonal_grid(m)
         except DegenerateSpectrum:
             continue
         rebuilt = sum(
@@ -78,8 +81,8 @@ def test_scale_consistency(rng):
         if abs(c) < 0.1:
             continue
         try:
-            base = eig_biorthogonal(m)
-            scaled = eig_biorthogonal(c * m)
+            base = eig_biorthogonal_grid(m)
+            scaled = eig_biorthogonal_grid(c * m)
         except DegenerateSpectrum:
             continue
         # same eigenvalue set scaled by c
@@ -102,7 +105,7 @@ def test_left_eigenvector_definition(rng):
     for _ in range(20):
         m = random_matrix(rng)
         try:
-            system = eig_biorthogonal(m)
+            system = eig_biorthogonal_grid(m)
         except DegenerateSpectrum:
             continue
         for b in range(2):
@@ -129,6 +132,80 @@ def test_grid_solver_matches_scalar(rng):
                 np.outer(system.right[b], system.left[b]),
                 atol=1e-10,
             )
+
+
+# Zero or at least 1e-3 in size: LAPACK (the oracle) loses the eigenvectors of
+# a matrix whose entries span dozens of orders of magnitude.
+_ENTRY = st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@st.composite
+def matrix_batches(draw):
+    """Batches of 1-5 complex 2x2 matrices, half of them pushed toward GAP_TOL.
+
+    A pushed matrix is c I + d m: its eigenvalue gap is d times that of m,
+    with d down to 1e-10, so draws land on both sides of the gap tolerance.
+    """
+    n = draw(st.integers(1, 5))
+    mats = []
+    for _ in range(n):
+        parts = [draw(_ENTRY) for _ in range(8)]
+        m = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+        if draw(st.booleans()):
+            d = 10.0 ** draw(st.floats(-10.0, 0.0))
+            m = complex(draw(_ENTRY), draw(_ENTRY)) * np.eye(2) + d * m
+        mats.append(m)
+    shape = draw(st.sampled_from([(n,), (1, n), (n, 1)]))
+    return np.array(mats).reshape(shape + (2, 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) of singular draws
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(matrix_batches())
+def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(batch):
+    members = batch.reshape(-1, 2, 2)
+    systems = []
+    for m in members:
+        try:
+            systems.append(eig_biorthogonal_grid(m))
+        except DegenerateSpectrum:
+            with pytest.raises(DegenerateSpectrum):
+                eig_biorthogonal_grid(batch)
+            return
+    batched = eig_biorthogonal_grid(batch)
+    assert batched.values.shape == batch.shape[:-1]
+    assert batched.right.shape == batch.shape
+    for i, (m, system) in enumerate(zip(members, systems)):
+        assert system.values.shape == (2,) and system.left.shape == (2, 2)
+        for field in ("values", "quasienergies", "right", "left"):
+            whole = getattr(batched, field)
+            got = whole.reshape((-1,) + whole.shape[batch.ndim - 2 :])[i]
+            assert got.tobytes() == getattr(system, field).tobytes(), field
+
+        # 1e-10 on well-separated spectra; near the gap tolerance both solvers
+        # lose digits as eps |m|^2 / gap (eigenvalues) and / gap^2 (projectors),
+        # so they may also disagree on which side of GAP_TOL a gap lies.
+        gap = abs(system.values[0] - system.values[1])
+        cond = 1e-13 * np.abs(m).max() ** 2 / gap
+        try:
+            oracle = eig_biorthogonal(m)
+        except DegenerateSpectrum:
+            assert gap <= GAP_TOL + 2 * (1e-10 + cond)
+            continue
+        assert np.abs(system.values - oracle.values).max() <= 1e-10 + cond
+        for b in range(2):
+            proj = np.outer(system.right[b], system.left[b])
+            proj_oracle = np.outer(oracle.right[b], oracle.left[b])
+            assert np.abs(proj - proj_oracle).max() <= 1e-10 + cond / gap
+
+
+def test_solver_rejects_bad_shapes_and_non_finite_entries():
+    with pytest.raises(ValueError):
+        eig_biorthogonal_grid(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        eig_biorthogonal_grid(np.array([[1.0, np.nan], [0.0, 2.0]]))
+    with pytest.raises(DegenerateSpectrum):
+        eig_biorthogonal_grid(np.stack([SIGMA_3, np.zeros((2, 2)), SIGMA_3]))
 
 
 def test_grid_solver_biorthonormal_on_walk_operators(rng):

@@ -17,7 +17,7 @@ from ptwalk.measurement import (
     sample_shot_noise,
     to_nonhermitian,
 )
-from ptwalk.core import eig_biorthogonal
+from eig_oracle import eig_biorthogonal
 from ptwalk.quench import QuenchSpec, bloch_field, initial_spinors
 from ptwalk.walksim import PositionState, evolve, fourier
 

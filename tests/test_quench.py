@@ -9,6 +9,7 @@ from ptwalk.quench import (
     FixedPointKind,
     QuenchSpec,
     bloch_field,
+    bloch_from_coefficients,
     bloch_from_density,
     bloch_vector,
     density_matrix,
@@ -340,6 +341,26 @@ def test_no_fixed_points_for_broken_final(spec_fig4):
     assert find_fixed_points(spec_fig4, 256) == []
 
 
+def test_fixed_point_grid_below_64_is_rejected(spec_fig3b):
+    # fig3b has 4 fixed points; grids of up to 16 points find 2 of them.
+    for n_k in (1, 8, 16, 63):
+        with pytest.raises(ValueError):
+            find_fixed_points(spec_fig3b, n_k)
+    assert len(find_fixed_points(spec_fig3b, 64)) == 4
+
+
+def test_overflowing_dressed_weights_raise(spec_fig4):
+    """|ct_+|^2 overflows once Im(E) t passes ~355; no NaN row comes back."""
+    from ptwalk.errors import SingularNormalization
+
+    field = bloch_field(spec_fig4, n_k=8, ts=np.array([0.0, 3000.0]))
+    assert np.isfinite(field.n).all()
+    with pytest.raises(SingularNormalization):
+        bloch_field(spec_fig4, n_k=8, ts=np.array([0.0, 4000.0]))
+    with pytest.raises(SingularNormalization):
+        bloch_from_coefficients(np.zeros(3), np.zeros(3))
+
+
 def test_oscillation_periods(spec_fig3a, spec_fig3b, spec_fig4, spec_fig6, rng):
     for spec in (spec_fig3a, spec_fig3b):
         for k in rng.uniform(-PI, PI, size=8):
@@ -375,6 +396,5 @@ def test_overlaps_raise_at_band_touching():
 def test_lower_band_initial_requires_unbroken():
     alpha = CoinParams(0, 0, 0.36).alpha
     broken = CoinParams(-np.pi / 2, (np.pi - float(np.arccos(1 / alpha))) / 2, 0.36)
-    spec = QuenchSpec(initial=broken, final=CoinParams(0.3, 0.4, 0.36))
     with pytest.raises(ValueError):
-        initial_spinors(spec, np.array([0.0]))
+        QuenchSpec(initial=broken, final=CoinParams(0.3, 0.4, 0.36))

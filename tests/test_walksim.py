@@ -7,8 +7,14 @@ from ptwalk.core import KET_H
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import initial_spinors
-from ptwalk.walksim import PositionState, evolve, fourier, inverse_fourier, step_position
+from ptwalk.walksim import PositionState, evolve, fourier, step_position
 from conftest import random_coin_params
+
+
+def inverse_fourier(spinors_k, ks, xs):
+    """Recover site spinors from momentum samples on a uniform k grid."""
+    phases = np.exp(1j * np.multiply.outer(xs.astype(float), np.asarray(ks)))
+    return np.einsum("xk,kc->xc", phases, spinors_k) / len(ks)
 
 
 def test_double_left_shift_of_h():
