@@ -24,6 +24,7 @@ from .errors import (
     ExceptionalPoint,
     ImaginaryEnergy,
     NonQuantized,
+    SingularMatrix,
     SingularNormalization,
     WalkError,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "PhaseDiagramCell",
     "PositionState",
     "QuenchSpec",
+    "SingularMatrix",
     "SingularNormalization",
     "Submanifold",
     "WalkError",

@@ -21,23 +21,13 @@ from . import __version__
 from .chern import build_submanifolds, chern_riemann, chern_solid_angle
 from .errors import ConfigError, WalkError
 from .floquet import CoinParams
-from .measurement import (
-    all_pair_probabilities,
-    reconstruct_bloch_field,
-    sample_shot_noise,
-)
+from .measurement import PairIntensities, reconstruct_bloch_field
 from .presets import PRESETS, Preset, build_spec, final_params, preset_names
 from .quench import QuenchSpec, bloch_field, find_fixed_points, initial_spinors
 from .spectrum import band_structure, phase_diagram, pt_classify
 from .walksim import evolve
 
 __all__ = ["main"]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _say(args, text: str) -> None:
@@ -49,8 +39,12 @@ def _say(args, text: str) -> None:
 def _write_output(args, columns: list[str], rows: list[tuple], meta: dict) -> None:
     fmt = args.format
     if fmt == "csv":
+        # One %-format for every row, from the value types of the first row;
+        # '%.17g' % v == format(v, '.17g') for every float.
+        first = rows[0] if rows else ()
+        row_fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first)
         lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [row_fmt % row for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
@@ -178,12 +172,10 @@ def _initial_state(text: str) -> tuple[str, str] | None:
 
 def _bloch_rows(field) -> list[tuple]:
     rows = []
-    for i, k in enumerate(field.ks):
-        regime = "real" if field.real_regime[i] else "imaginary"
-        for j, t in enumerate(field.ts):
-            n1, n2, n3 = field.n[i, j]
-            rows.append((float(k), float(t), float(n1), float(n2), float(n3),
-                         regime, field.source))
+    ts = field.ts.tolist()
+    for k, real, n_k in zip(field.ks.tolist(), field.real_regime.tolist(), field.n.tolist()):
+        regime = "real" if real else "imaginary"
+        rows += [(k, t, n1, n2, n3, regime, field.source) for t, (n1, n2, n3) in zip(ts, n_k)]
     return rows
 
 
@@ -296,16 +288,22 @@ def cmd_chern(args) -> int:
 def cmd_reconstruct(args) -> int:
     _defaults(args, kgrid=256, tmax=6, seed=0)
     spec = _quench_spec(args)
+    dump = ["t,x1,x2,j,p_l,p_d"]
+
+    def record(t, site, pairs):
+        dump.extend(_pair_lines(t, pairs))
+
     field = reconstruct_bloch_field(
         spec,
         t_max=args.tmax,
         n_k=args.kgrid,
         n_samples=args.samples or None,
         seed=args.seed,
+        on_step=record if args.dump_probs else None,
     )
     meta = _meta(args, "reconstruct", eigenstate_initial=bool(field.eigenstate_initial))
     if args.dump_probs:
-        _dump_probabilities(args, spec)
+        Path(args.dump_probs).write_text("\n".join(dump) + "\n", encoding="utf-8")
     if args.dump_amps:
         _dump_amplitudes(args, spec)
     _write_output(args, _BLOCH_COLUMNS, _bloch_rows(field), meta)
@@ -316,29 +314,21 @@ def _dump_amplitudes(args, spec: QuenchSpec) -> None:
     coin = initial_spinors(spec, np.array([0.0]))[0]
     lines = ["t,x,re_a,im_a,re_b,im_b"]
     for t, state in enumerate(evolve(coin, spec.final, args.tmax)):
-        for x, (a, b) in zip(state.sites, state.amplitudes):
-            lines.append(
-                ",".join(_fmt(v) for v in (t, int(x), a.real, a.imag, b.real, b.imag))
-            )
+        for x, (a, b) in zip(state.sites.tolist(), state.amplitudes.tolist()):
+            lines.append("%d,%d,%.17g,%.17g,%.17g,%.17g" % (t, x, a.real, a.imag, b.real, b.imag))
     Path(args.dump_amps).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _dump_probabilities(args, spec: QuenchSpec) -> None:
-    coin = initial_spinors(spec, np.array([0.0]))[0]
-    rows = []
-    for t, state in enumerate(evolve(coin, spec.final, args.tmax)):
-        pairs = all_pair_probabilities(state)
-        if args.samples:
-            pairs = [
-                sample_shot_noise(p, args.samples, seed=args.seed * 1000003 + t)
-                for p in pairs
-            ]
-        for pair in pairs:
-            for j in range(4):
-                rows.append((t, pair.x1, pair.x2, j + 1, pair.p_l[j], pair.p_d[j]))
-    lines = ["t,x1,x2,j,p_l,p_d"]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(args.dump_probs).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _pair_lines(t: int, pairs: PairIntensities) -> list[str]:
+    """Dump rows of one step: pairs x1 != x2 in row-major order, then j = 1..4."""
+    n = len(pairs.p_l)
+    distinct = ~np.eye(n, dtype=bool)
+    i1, i2 = np.nonzero(distinct)
+    lines = []
+    for x1, x2, p_l, p_d in zip((i1 + pairs.x_min).tolist(), (i2 + pairs.x_min).tolist(),
+                                pairs.p_l[distinct].tolist(), pairs.p_d[distinct].tolist()):
+        lines += ["%d,%d,%d,%d,%.17g,%.17g" % (t, x1, x2, j + 1, p_l[j], p_d[j]) for j in range(4)]
+    return lines
 
 
 def cmd_preset(args) -> int:

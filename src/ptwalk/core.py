@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, SingularMatrix
 
 __all__ = [
     "PAULI",
@@ -103,6 +103,8 @@ def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenSyst
         If the trailing axes are not (2, 2) or an entry is not finite.
     DegenerateSpectrum
         If an eigenvalue gap is at or below ``gap_tol`` (exceptional point).
+    SingularMatrix
+        If an eigenvalue is exactly zero, so it has no quasienergy.
     """
     ms = np.asarray(ms, dtype=complex)
     if ms.shape[-2:] != (2, 2):
@@ -122,6 +124,8 @@ def eig_biorthogonal_grid(ms: np.ndarray, gap_tol: float = GAP_TOL) -> EigenSyst
         raise DegenerateSpectrum(
             f"eigenvalue gap {gap.min():.3e} <= {gap_tol:.1e} somewhere on the grid"
         )
+    if np.any(lam_a == 0) or np.any(lam_b == 0):
+        raise SingularMatrix("zero eigenvalue somewhere on the grid: no quasienergy")
     eps_a, eps_b = 1j * np.log(lam_a), 1j * np.log(lam_b)
     keep = _order_plus_first(eps_a, eps_b)
     lam = np.stack([np.where(keep, lam_a, lam_b), np.where(keep, lam_b, lam_a)], axis=-1)

@@ -20,18 +20,25 @@ matrix rho'(k) = |psi_k><psi_k| is assembled, and the trace-normalized product
 with sum_mu |chi^f_mu><chi^f_mu| recovers the non-Hermitian density matrix of
 the quench, independent of the overall decayed norm.
 
-Optional multinomial shot noise emulates finite photon counting per
-measurement configuration with deterministic, configuration-keyed seeding.
+Each walk step is measured as whole arrays: the pair intensities of every
+ordered site pair at once, the identities as array algebra, and rho' from
+sums along the diagonals x1 - x2 of the table.  The one-pair functions
+(``interference_probabilities``, ``all_pair_probabilities``) define the same
+numbers pair by pair and serve as the test oracle.
+
+Optional shot noise emulates finite photon counting per measurement
+configuration, with one deterministic stream per (seed, step, configuration
+family).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
-from .core import KET_D, KET_L, PAULI, EigenSystem
+from .core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
 from .errors import SingularNormalization
 from .quench import (
     EIGENSTATE_TOL,
@@ -49,10 +56,12 @@ from .walksim import PositionState, evolve
 __all__ = [
     "SiteProbabilities",
     "PairProbabilities",
+    "PairIntensities",
     "MatrixElementTable",
     "onsite_probabilities",
     "interference_probabilities",
     "all_pair_probabilities",
+    "pair_intensities",
     "reconstruct_matrix_elements",
     "matrix_elements_direct",
     "assemble_hermitian_density",
@@ -82,6 +91,20 @@ class PairProbabilities:
     x2: int
     p_l: np.ndarray  # (4,)
     p_d: np.ndarray  # (4,)
+
+
+@dataclass(frozen=True)
+class PairIntensities:
+    """Interference intensities of every ordered pair of window sites.
+
+    ``p_l[i1, i2, j - 1]`` and ``p_d[i1, i2, j - 1]`` belong to the pair
+    (x_min + i1, x_min + i2) and preparation j; the diagonal i1 == i2 is not
+    a measurement and holds zeros.
+    """
+
+    x_min: int
+    p_l: np.ndarray  # (n_sites, n_sites, 4)
+    p_d: np.ndarray  # (n_sites, n_sites, 4)
 
 
 @dataclass(frozen=True)
@@ -133,40 +156,62 @@ def all_pair_probabilities(state: PositionState) -> list[PairProbabilities]:
     ]
 
 
+def pair_intensities(state: PositionState) -> PairIntensities:
+    """Two-site {L, D} interference intensities of every ordered pair at once.
+
+    Gives the same numbers, bit for bit, as :func:`interference_probabilities`
+    on each pair of distinct sites.
+    """
+    amps = state.amplitudes
+    n = len(amps)
+    a, b = amps[:, 0], amps[:, 1]
+    phis = np.empty((n, n, 4, 2), dtype=complex)
+    phis[:, :, 0, 0], phis[:, :, 0, 1] = a[:, None], a[None, :]
+    phis[:, :, 1, 0], phis[:, :, 1, 1] = b[:, None], -b[None, :]
+    phis[:, :, 2, 0], phis[:, :, 2, 1] = b[:, None], a[None, :]
+    phis[:, :, 3, 0], phis[:, :, 3, 1] = a[:, None], b[None, :]
+    p_l = np.abs(phis @ KET_L.conj()) ** 2
+    p_d = np.abs(phis @ KET_D.conj()) ** 2
+    diag = np.arange(n)
+    p_l[diag, diag] = p_d[diag, diag] = 0.0
+    return PairIntensities(x_min=state.x_min, p_l=p_l, p_d=p_d)
+
+
 def reconstruct_matrix_elements(
-    site: SiteProbabilities, pairs: Iterable[PairProbabilities]
+    site: SiteProbabilities, pairs: PairIntensities
 ) -> MatrixElementTable:
     """Matrix elements <psi_x2|sigma_j|psi_x1> from probabilities alone.
 
     Diagonal entries use the four on-site identities, e.g.
     <sigma_1> = 2 P_D - P_H - P_V; off-diagonal entries apply the eight
-    Re/Im combinations of pair and on-site intensities verbatim.
+    Re/Im combinations of pair and on-site intensities verbatim, over all
+    pairs at once.
     """
     n = len(site.probs)
-    ph, pv = site.probs[:, 0], site.probs[:, 1]
-    pl, pd = site.probs[:, 2], site.probs[:, 3]
-    table = np.zeros((n, n, 4), dtype=complex)
-
+    if pairs.x_min != site.x_min or pairs.p_l.shape != (n, n, 4):
+        raise ValueError("pair and site intensities cover different site windows")
+    ph, pv, pl, pd = site.probs.T
+    ph1, ph2, pv1, pv2 = ph[:, None], ph[None, :], pv[:, None], pv[None, :]
+    p1l, p2l, p3l, p4l = np.moveaxis(pairs.p_l, -1, 0)
+    p1d, p2d, p3d, p4d = np.moveaxis(pairs.p_d, -1, 0)
+    sum_minus = (ph1 + ph2 - pv1 - pv2) / 2
+    sum_plus = (ph1 + ph2 + pv1 + pv2) / 2
+    sum_cross = (pv1 + ph2 + ph1 + pv2) / 2
+    skew = (pv1 + ph2 - ph1 - pv2) / 2
+    table = np.stack(
+        [
+            (p1d - p2d - sum_minus) + 1j * (p1l - p2l - sum_minus),
+            (p3d + p4d - sum_cross) + 1j * (p3l + p4l - sum_cross),
+            (p3l - p4l - skew) + 1j * (p4d - p3d + skew),
+            (p1d + p2d - sum_plus) + 1j * (p1l + p2l - sum_plus),
+        ],
+        axis=-1,
+    )
     diag = np.arange(n)
     table[diag, diag, 0] = ph + pv
     table[diag, diag, 1] = 2 * pd - ph - pv
     table[diag, diag, 2] = -2 * pl + ph + pv
     table[diag, diag, 3] = ph - pv
-
-    for pair in pairs:
-        i1, i2 = pair.x1 - site.x_min, pair.x2 - site.x_min
-        if not (0 <= i1 < n and 0 <= i2 < n):
-            raise ValueError(f"pair ({pair.x1}, {pair.x2}) outside the site window")
-        p1l, p2l, p3l, p4l = pair.p_l
-        p1d, p2d, p3d, p4d = pair.p_d
-        sum_minus = (ph[i1] + ph[i2] - pv[i1] - pv[i2]) / 2
-        sum_plus = (ph[i1] + ph[i2] + pv[i1] + pv[i2]) / 2
-        sum_cross = (pv[i1] + ph[i2] + ph[i1] + pv[i2]) / 2
-        skew = (pv[i1] + ph[i2] - ph[i1] - pv[i2]) / 2
-        table[i1, i2, 0] = (p1d - p2d - sum_minus) + 1j * (p1l - p2l - sum_minus)
-        table[i1, i2, 1] = (p3d + p4d - sum_cross) + 1j * (p3l + p4l - sum_cross)
-        table[i1, i2, 2] = (p3l - p4l - skew) + 1j * (p4d - p3d + skew)
-        table[i1, i2, 3] = (p1d + p2d - sum_plus) + 1j * (p1l + p2l - sum_plus)
     return MatrixElementTable(x_min=site.x_min, table=table)
 
 
@@ -181,12 +226,16 @@ def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
     """rho'(k) = 1/2 sum_j sum_{x1,x2} e^{-ik(x1-x2)} table[x1,x2,j] sigma_j.
 
     Equals |psi_k><psi_k| for a noiseless table; shape (..., 2, 2) following k.
+    The table is first summed along its 2n - 1 diagonals d = x1 - x2, so the
+    momentum transform runs over d alone.
     """
     k = np.asarray(k, dtype=float)
-    xs = table.sites.astype(float)
-    dx = xs[:, None] - xs[None, :]
-    phases = np.exp(-1j * np.multiply.outer(k, dx))
-    return 0.5 * np.einsum("...xy,xyj,jab->...ab", phases, table.table, PAULI)
+    n = len(table.table)
+    by_offset = np.zeros((2 * n - 1, 4), dtype=complex)  # row d + n - 1 sums x1 - x2 = d
+    offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
+    np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
+    phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
+    return 0.5 * pauli_assemble(phases @ by_offset)
 
 
 def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
@@ -225,14 +274,24 @@ def _multinomial_fraction(rng, probs: np.ndarray, n_samples: int) -> np.ndarray:
     return counts[:-1] / n_samples
 
 
+def _binomial_fraction(rng, probs: np.ndarray, n_samples: int) -> np.ndarray:
+    """Resample many one-outcome configurations at once; the rest is lost flux."""
+    probs = np.clip(probs, 0.0, None)
+    worst = probs.max(initial=0.0)
+    if worst > 1.0 + 1e-9:
+        raise ValueError(f"probability {worst:.6f} > 1; not a sub-distribution")
+    return rng.binomial(n_samples, np.minimum(probs, 1.0)) / n_samples
+
+
 def sample_shot_noise(probabilities, n_samples: int, seed: int):
     """Multinomial counting noise per measurement configuration.
 
     Site data use three configurations (the H/V analysis, the L setting, and
-    the D setting, each over all sites with a lost-flux outcome); pair data
-    use one configuration per preparation and analysis basis.  Streams are
-    keyed by (seed, configuration), so resampling is deterministic and safe
-    to parallelize.
+    the D setting, each over all sites with a lost-flux outcome).  Pair data
+    use one configuration per pair, preparation and analysis basis, each with
+    a single outcome besides lost flux; all {L} configurations share one
+    stream and all {D} configurations another.  Streams are keyed by
+    (seed, configuration family), so resampling is deterministic.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -248,18 +307,12 @@ def sample_shot_noise(probabilities, n_samples: int, seed: int):
                 _resolve_rng(seed, 0, tag), probs[:, col], n_samples
             )
         return replace(probabilities, probs=out)
-    if isinstance(probabilities, PairProbabilities):
-        base = 1 << 16  # site indices can be negative
-        new = {}
-        for name, values, tag in (("p_l", probabilities.p_l, 0), ("p_d", probabilities.p_d, 1)):
-            sampled = np.empty(4)
-            for j in range(4):
-                rng = _resolve_rng(
-                    seed, 1, probabilities.x1 + base, probabilities.x2 + base, j, tag
-                )
-                sampled[j] = _multinomial_fraction(rng, values[j : j + 1], n_samples)[0]
-            new[name] = sampled
-        return replace(probabilities, **new)
+    if isinstance(probabilities, PairIntensities):
+        return replace(
+            probabilities,
+            p_l=_binomial_fraction(_resolve_rng(seed, 1, 0), probabilities.p_l, n_samples),
+            p_d=_binomial_fraction(_resolve_rng(seed, 1, 1), probabilities.p_d, n_samples),
+        )
     raise TypeError(f"cannot resample {type(probabilities).__name__}")
 
 
@@ -269,12 +322,15 @@ def reconstruct_bloch_field(
     n_k: int = 256,
     n_samples: int | None = None,
     seed: int = 0,
+    on_step: Callable[[int, SiteProbabilities, PairIntensities], None] | None = None,
 ) -> BlochField:
     """Full pipeline: walk, measure, reconstruct rho', recover n(k,t).
 
     Runs the position-space walk from a localized site, so the initial coin
     state must be momentum-independent (an explicit state, or a lower-band
-    eigenstate of a coin operator with cos(theta2) = 0).
+    eigenstate of a coin operator with cos(theta2) = 0).  The noise of step t
+    is keyed by ``seed * 1000003 + t``.  ``on_step(t, site, pairs)``, if
+    given, receives the intensities each step is reconstructed from.
     """
     coin = initial_spinors(spec, np.array([0.0]))[0]
     # eigenstate residual of the one localized coin state across all sectors
@@ -292,14 +348,12 @@ def reconstruct_bloch_field(
     ts = np.arange(t_max + 1, dtype=float)
     n_field = np.empty((n_k, t_max + 1, 3))
     for t, state in enumerate(states):
-        site = onsite_probabilities(state)
-        pairs = all_pair_probabilities(state)
+        site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
-            pairs = [
-                sample_shot_noise(pair, n_samples, seed=seed * 1000003 + t)
-                for pair in pairs
-            ]
+            pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
+        if on_step is not None:
+            on_step(t, site, pairs)
         table = reconstruct_matrix_elements(site, pairs)
         rho = to_nonhermitian(assemble_hermitian_density(table, ks), final)
         n_field[:, t, :] = bloch_from_density(rho, final)

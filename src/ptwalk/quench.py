@@ -25,7 +25,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .core import PAULI, EigenSystem
 from .errors import ImaginaryEnergy, SingularNormalization
@@ -310,6 +309,9 @@ def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
     """
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
+    # Imported here so that loading the package does not pay for scipy.
+    from scipy import optimize
+
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     cp, cm, final = overlap_grid(spec, ks)
     energy = final.quasienergies[:, 0]

@@ -20,9 +20,9 @@ from ptwalk.floquet import (
     momentum_operator_direct,
 )
 from ptwalk.measurement import (
-    all_pair_probabilities,
     matrix_elements_direct,
     onsite_probabilities,
+    pair_intensities,
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
 )
@@ -274,7 +274,7 @@ def test_criterion_8_reconstruction_identities():
         amps = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         state = PositionState(x_min=0, amplitudes=0.5 * amps / np.linalg.norm(amps))
         table = reconstruct_matrix_elements(
-            onsite_probabilities(state), all_pair_probabilities(state)
+            onsite_probabilities(state), pair_intensities(state)
         )
         worst = max(worst, float(np.abs(table.table - matrix_elements_direct(state).table).max()))
     ok = worst < 1e-12

@@ -241,8 +241,10 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "SingularNormalization"
 
 
-# Digests of the parent implementation's output before the solver and the
-# quench core were merged; the merged code must reproduce every byte.
+# Digests of the output before the solver and the quench core were merged;
+# the merged code must reproduce every byte.  The reconstruct digest was
+# re-pinned when rho' assembly moved to diagonal sums, which sum in another
+# order (max |dn| against the einsum assembly was 5e-15).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -253,7 +255,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["chern", "--preset", "fig3b"],
          "f47680376b51b48e3b5e19edb08467af7e6d1be9dcb6a3dcee431739a3ab2aaf"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "be85f90bed99b8dccc8a769d81de1186f3e734769b96b8020c2383a11f66b298"),
+         "4cd78130755b27a74c2e9d849ac38737be9804f8aa024152c1d4c3cd495f2f3f"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -264,6 +266,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 
 
 def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
+    # Pins the pair noise stream: one generator per (seed, step, basis).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -272,11 +275,52 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "7b8cc58b2a9622ee3deb851443c028bec2360f803446db9e0d7e221f578d5eb4"
+        "243b4dd5ac714a46a0a0cc0672400cdba22fc9292760d43ff08689bf44b9e9da"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "8c168724b5c4d7cac3a3a053f0687664ce9080abb85a3602f9983fd53716ae47"
+        "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"
     )
+
+
+def test_noiseless_dump_is_pinned(tmp_path, capsys):
+    # Digest of the dump written by the scalar, one-pair-at-a-time
+    # measurement; the array intensities must reproduce every byte.
+    dump = tmp_path / "probs.csv"
+    code, _, _ = run_cli(
+        ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--dump-probs", str(dump),
+         "--out", str(tmp_path / "n.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "f6b0d65069cc4b2ab35c4b9e280829cbcc89fc17005e0929c5a946290bd372dc"
+    )
+
+
+def test_dump_holds_the_intensities_the_reconstruction_used(tmp_path, capsys):
+    from ptwalk.measurement import reconstruct_bloch_field
+    from ptwalk.presets import PRESETS, build_spec
+
+    dump = tmp_path / "probs.csv"
+    code, _, _ = run_cli(
+        ["reconstruct", "--preset", "fig3a", "--tmax", "3", "--kgrid", "8", "--samples",
+         "500", "--seed", "9", "--dump-probs", str(dump), "--out", str(tmp_path / "n.csv")],
+        capsys,
+    )
+    assert code == 0
+    used = {}
+    reconstruct_bloch_field(
+        build_spec(PRESETS["fig3a"]), t_max=3, n_k=8, n_samples=500, seed=9,
+        on_step=lambda t, site, pairs: used.setdefault(t, pairs),
+    )
+    rows = read_csv(dump.read_text())
+    assert len(rows) == sum(4 * len(p.p_l) * (len(p.p_l) - 1) for p in used.values())
+    for r in rows:
+        pairs = used[int(r["t"])]
+        i1, i2, j = int(r["x1"]) - pairs.x_min, int(r["x2"]) - pairs.x_min, int(r["j"]) - 1
+        assert i1 != i2
+        assert float(r["p_l"]) == pairs.p_l[i1, i2, j]
+        assert float(r["p_d"]) == pairs.p_d[i1, i2, j]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Biorthogonal eigensolver and Pauli-basis round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from ptwalk.core import (
     pauli_assemble,
     pauli_expand,
 )
-from ptwalk.errors import DegenerateSpectrum
+from ptwalk.errors import DegenerateSpectrum, SingularMatrix
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 
 
@@ -159,19 +161,21 @@ def matrix_batches(draw):
     return np.array(mats).reshape(shape + (2, 2))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # log(0) of singular draws
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(matrix_batches())
 def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(batch):
     members = batch.reshape(-1, 2, 2)
-    systems = []
+    systems, errors = [], set()
     for m in members:
         try:
             systems.append(eig_biorthogonal_grid(m))
-        except DegenerateSpectrum:
-            with pytest.raises(DegenerateSpectrum):
-                eig_biorthogonal_grid(batch)
-            return
+        except (DegenerateSpectrum, SingularMatrix) as exc:
+            errors.add(type(exc))
+    if errors:
+        # A batch reports a degenerate member before a singular one.
+        with pytest.raises(DegenerateSpectrum if DegenerateSpectrum in errors else SingularMatrix):
+            eig_biorthogonal_grid(batch)
+        return
     batched = eig_biorthogonal_grid(batch)
     assert batched.values.shape == batch.shape[:-1]
     assert batched.right.shape == batch.shape
@@ -206,6 +210,16 @@ def test_solver_rejects_bad_shapes_and_non_finite_entries():
         eig_biorthogonal_grid(np.array([[1.0, np.nan], [0.0, 2.0]]))
     with pytest.raises(DegenerateSpectrum):
         eig_biorthogonal_grid(np.stack([SIGMA_3, np.zeros((2, 2)), SIGMA_3]))
+
+
+def test_singular_matrix_has_no_quasienergy():
+    singular = np.array([[0, 0], [0, 1j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix):
+            eig_biorthogonal_grid(singular)
+        with pytest.raises(SingularMatrix):
+            eig_biorthogonal_grid(np.stack([SIGMA_3, singular, SIGMA_3]))
 
 
 def test_grid_solver_biorthonormal_on_walk_operators(rng):

@@ -1,7 +1,11 @@
 """Measurement emulation and the probability-only reconstruction pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwalk.core import KET_D, KET_L, PAULI
 from ptwalk.errors import SingularNormalization
@@ -12,12 +16,15 @@ from ptwalk.measurement import (
     interference_probabilities,
     matrix_elements_direct,
     onsite_probabilities,
+    pair_intensities,
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
     sample_shot_noise,
     to_nonhermitian,
 )
 from eig_oracle import eig_biorthogonal
+from measurement_oracle import assemble_einsum, matrix_elements_from_pairs
+from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import QuenchSpec, bloch_field, initial_spinors
 from ptwalk.walksim import PositionState, evolve, fourier
 
@@ -94,7 +101,7 @@ def test_eight_identities_random_states(rng):
     for _ in range(1000):
         state = random_two_site_state(rng)
         table = reconstruct_matrix_elements(
-            onsite_probabilities(state), all_pair_probabilities(state)
+            onsite_probabilities(state), pair_intensities(state)
         )
         direct = matrix_elements_direct(state)
         worst = max(worst, np.abs(table.table - direct.table).max())
@@ -104,7 +111,7 @@ def test_eight_identities_random_states(rng):
 def test_zero_state_zero_table():
     state = PositionState(x_min=-1, amplitudes=np.zeros((3, 2)))
     table = reconstruct_matrix_elements(
-        onsite_probabilities(state), all_pair_probabilities(state)
+        onsite_probabilities(state), pair_intensities(state)
     )
     np.testing.assert_array_equal(table.table, 0)
 
@@ -112,7 +119,7 @@ def test_zero_state_zero_table():
 def test_table_hermitian_symmetry(rng):
     state = random_two_site_state(rng)
     table = reconstruct_matrix_elements(
-        onsite_probabilities(state), all_pair_probabilities(state)
+        onsite_probabilities(state), pair_intensities(state)
     ).table
     for j in (0, 1, 3):
         np.testing.assert_allclose(table[..., j], table[..., j].conj().T, atol=1e-12)
@@ -124,7 +131,7 @@ def test_rho_prime_is_momentum_projector(rng):
     params = CoinParams(0.8, -0.5, 0.36)
     state = evolve([0.76, 0.65j], params, 4)[-1]
     table = reconstruct_matrix_elements(
-        onsite_probabilities(state), all_pair_probabilities(state)
+        onsite_probabilities(state), pair_intensities(state)
     )
     ks = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     rho_p = assemble_hermitian_density(table, ks)
@@ -185,6 +192,73 @@ def test_pipeline_rejects_momentum_dependent_initial():
 
 
 # ---------------------------------------------------------------------------
+# the array pipeline against the one-pair oracle
+
+
+@st.composite
+def position_states(draw):
+    """Windows of 1-12 sites with exact zeros and amplitudes down to 1e-150.
+
+    Either sublattice may be emptied, as the walk leaves every other site
+    unoccupied.
+    """
+    n = draw(st.integers(1, 12))
+    component = st.one_of(
+        st.just(0j),
+        st.builds(
+            lambda exponent, phase: 10.0**exponent * complex(np.cos(phase), np.sin(phase)),
+            st.floats(-150.0, 0.0),
+            st.floats(-np.pi, np.pi),
+        ),
+    )
+    amps = np.array(draw(st.lists(st.tuples(component, component), min_size=n, max_size=n)))
+    empty = draw(st.sampled_from([None, 0, 1]))
+    if empty is not None:
+        amps[empty::2] = 0
+    return PositionState(x_min=draw(st.integers(-40, 40)), amplitudes=amps)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(position_states())
+def test_array_pipeline_matches_the_pair_oracle(state):
+    n = len(state.amplitudes)
+    site, pairs = onsite_probabilities(state), pair_intensities(state)
+    oracle_pairs = all_pair_probabilities(state)
+    assert len(oracle_pairs) == n * (n - 1)
+    for pair in oracle_pairs:
+        i1, i2 = pair.x1 - state.x_min, pair.x2 - state.x_min
+        assert pairs.p_l[i1, i2].tobytes() == pair.p_l.tobytes()
+        assert pairs.p_d[i1, i2].tobytes() == pair.p_d.tobytes()
+    diag = np.arange(n)
+    assert not pairs.p_l[diag, diag].any() and not pairs.p_d[diag, diag].any()
+
+    table = reconstruct_matrix_elements(site, pairs)
+    oracle = matrix_elements_from_pairs(site, oracle_pairs)
+    assert table.table.tobytes() == oracle.table.tobytes()
+
+    ks = np.linspace(-np.pi, np.pi, 33)
+    scale = np.abs(table.table).max()
+    error = np.abs(assemble_hermitian_density(table, ks) - assemble_einsum(table, ks)).max()
+    assert error <= 1e-13 * scale
+
+
+def test_table_rejects_pairs_of_another_window():
+    state = PositionState(x_min=0, amplitudes=[[1, 0], [0, 1]])
+    shifted = PositionState(x_min=1, amplitudes=state.amplitudes)
+    with pytest.raises(ValueError):
+        reconstruct_matrix_elements(onsite_probabilities(state), pair_intensities(shifted))
+
+
+@pytest.mark.parametrize("t_max", [6, 10, 20])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_noiseless_reconstruction_matches_the_field(name, t_max):
+    spec = build_spec(PRESETS[name])
+    rec = reconstruct_bloch_field(spec, t_max=t_max, n_k=64)
+    ana = bloch_field(spec, n_k=64, ts=rec.ts)
+    assert np.abs(rec.n - ana.n).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
 # shot noise
 
 
@@ -196,10 +270,10 @@ def test_noise_determinism(rng):
     np.testing.assert_array_equal(a.probs, b.probs)
     c = sample_shot_noise(site, 10_000, seed=8)
     assert np.any(a.probs != c.probs)
-    pair = interference_probabilities(state, 0, 1)
+    pairs = pair_intensities(state)
     np.testing.assert_array_equal(
-        sample_shot_noise(pair, 5000, seed=1).p_l,
-        sample_shot_noise(pair, 5000, seed=1).p_l,
+        sample_shot_noise(pairs, 5000, seed=1).p_l,
+        sample_shot_noise(pairs, 5000, seed=1).p_l,
     )
 
 
@@ -250,3 +324,47 @@ def test_noisy_pipeline_convergence(spec_fig3b):
         errs[n] = np.abs(unit - ana.n).max()
     assert errs[1_000_000] < errs[10_000] / 3
     assert errs[1_000_000] < 0.02
+
+
+def test_pair_noise_streams_are_keyed_and_exact_at_zero():
+    amps = np.array([[0.3, 0.2j], [0, 0], [0.1 - 0.4j, 0.25], [0, 0], [0.2j, -0.3]])
+    pairs = pair_intensities(PositionState(x_min=-2, amplitudes=amps))
+    a = sample_shot_noise(pairs, 1000, seed=11)
+    b = sample_shot_noise(pairs, 1000, seed=11)
+    c = sample_shot_noise(pairs, 1000, seed=12)
+    assert a.p_l.tobytes() == b.p_l.tobytes() and a.p_d.tobytes() == b.p_d.tobytes()
+    assert np.any(a.p_l != c.p_l) and np.any(a.p_d != c.p_d)
+    for noisy, exact in ((a.p_l, pairs.p_l), (a.p_d, pairs.p_d)):
+        zero = exact == 0
+        assert zero.any() and not noisy[zero].any()
+        np.testing.assert_array_equal(noisy * 1000, np.round(noisy * 1000))
+
+
+def test_pair_noise_rejects_an_intensity_above_one():
+    pairs = pair_intensities(PositionState(x_min=0, amplitudes=[[0.5, 0], [0.5, 0]]))
+    edge = replace(pairs, p_d=np.where(pairs.p_d > 0, 1.0 + 1e-10, 0.0))
+    np.testing.assert_array_equal(sample_shot_noise(edge, 50, seed=1).p_d, edge.p_d > 0)
+    over = replace(pairs, p_d=np.where(pairs.p_d > 0, 1.0 + 2e-9, 0.0))
+    with pytest.raises(ValueError):
+        sample_shot_noise(over, 50, seed=1)
+
+
+def test_noisy_steps_use_the_step_keyed_streams(spec_fig3b):
+    seen = {}
+    rec = reconstruct_bloch_field(
+        spec_fig3b, t_max=3, n_k=16, n_samples=1000, seed=5,
+        on_step=lambda t, site, pairs: seen.setdefault(t, (site, pairs)),
+    )
+    again = reconstruct_bloch_field(spec_fig3b, t_max=3, n_k=16, n_samples=1000, seed=5)
+    other = reconstruct_bloch_field(spec_fig3b, t_max=3, n_k=16, n_samples=1000, seed=6)
+    assert rec.n.tobytes() == again.n.tobytes()
+    assert np.any(rec.n != other.n)
+    coin = initial_spinors(spec_fig3b, np.array([0.0]))[0]
+    for t, state in enumerate(evolve(coin, spec_fig3b.final, 3)):
+        site, pairs = seen[t]
+        key = 5 * 1000003 + t
+        want_site = sample_shot_noise(onsite_probabilities(state), 1000, seed=key)
+        want_pairs = sample_shot_noise(pair_intensities(state), 1000, seed=key)
+        assert site.probs.tobytes() == want_site.probs.tobytes()
+        assert pairs.p_l.tobytes() == want_pairs.p_l.tobytes()
+        assert pairs.p_d.tobytes() == want_pairs.p_d.tobytes()

@@ -1,6 +1,9 @@
 """Structure guard: one eigen-solver path and no private cross-module imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,14 @@ def test_module_keeps_one_solver_path_and_public_imports(path):
 
 def test_every_module_is_checked():
     assert len(MODULES) >= 11
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy is only needed by the fixed-point search, which imports it itself.
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ptwalk.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
