@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import PAULI, EigenSystem
 from .errors import ImaginaryEnergy, SingularNormalization
-from .floquet import CoinParams, momentum_operator_closed
-from .spectrum import PTPhase, pt_classify, quasienergies, walk_eigensystem
+from .floquet import CoinParams, d_coefficients, momentum_operator_closed
+from .spectrum import EP_TOL, PTPhase, pt_classify, quasienergies, walk_eigensystem
 
 __all__ = [
     "QuenchSpec",
@@ -55,6 +55,14 @@ REAL_E_TOL = 1e-10          # |Im E| up to which a quasienergy counts as real
 FIXED_POINT_RESIDUAL = 1e-10
 EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
 NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
+_W_DEGREE = 2               # degree of w = h_a x h_f in theta = 2k; g = w.w has twice that
+_G_SAMPLES = 16             # samples in theta; more than 4 * _W_DEGREE + 1, so no aliasing
+_COEFF_FLOOR = 1e-13        # end coefficients below this times the largest are rounding
+_COMMUTING_FLOOR = 1e-12    # |w| below this times |h_a| |h_f| everywhere: w = 0 to rounding
+_UNIT_CIRCLE_TOL = 1e-3     # |log |z|| up to which a root is a candidate momentum
+_NEWTON_STEPS = 9           # most Gauss-Newton steps per root
+_ROOT_TOL = 1e-11           # distance in theta up to which a polished angle is a zero
+_W_ROUNDING = 1e-14         # |W| below this times |h_a|^2 |h_f| is zero to rounding
 
 
 @dataclass(frozen=True)
@@ -292,65 +300,161 @@ def bloch_field(
     )
 
 
-def _wrap_zone(k: float) -> float:
-    """Wrap a momentum into [-pi, pi)."""
-    return float((k + np.pi) % (2 * np.pi) - np.pi)
+def _wrap_zone(k):
+    """Wrap momenta into [-pi, pi)."""
+    return (k + np.pi) % (2 * np.pi) - np.pi
+
+
+def _bloch_axes(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h_a, h_f), shape (n_k, 3): the vectors h of the operators d0 - i h.sigma.
+
+    h_f = (d1, d2, d3) of the final operator.  h_a is that of the initial
+    operator for an eigenstate start, and the constant Bloch vector v^dag sigma v
+    of an explicit coin state v, whose eigenvectors are v and the state
+    orthogonal to it.
+    """
+    h_f = d_coefficients(spec.final, ks)[:, 1:]
+    if spec.initial_state is None:
+        return d_coefficients(spec.initial, ks)[:, 1:], h_f
+    v = np.array(spec.initial_state, dtype=complex)
+    h_a = np.einsum("c,jcd,d->j", v.conj(), PAULI[1:], v)
+    return np.broadcast_to(h_a, h_f.shape), h_f
+
+
+def _trig_poly(coeffs: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
+    """d^order/dtheta^order of sum_m a_m e^{i m theta} at each theta.
+
+    ``coeffs`` holds a_m on axis 0 in FFT order; trailing axes are carried.
+    """
+    m = np.fft.fftfreq(len(coeffs), 1.0 / len(coeffs))
+    return np.tensordot(np.exp(1j * np.outer(theta, m)) * (1j * m) ** order, coeffs, axes=1)
+
+
+def _unit_circle_angles(samples: np.ndarray, degree: int, floor: float) -> np.ndarray:
+    """Angles of the zeros on or near the unit circle of a sampled trigonometric
+    polynomial of ``degree`` in theta, one ``np.roots`` call.
+
+    Empty when no coefficient exceeds ``floor``: the polynomial is zero to
+    rounding and has no isolated zero.
+    """
+    coeffs = np.fft.fft(samples) / len(samples)
+    ascending = coeffs[np.arange(-degree, degree + 1)]
+    size = np.abs(ascending)
+    if size.max() <= floor:
+        return np.empty(0)
+    kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
+    roots = np.roots(ascending[kept[0]:kept[-1] + 1][::-1])
+    return np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
+
+
+def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.ndarray:
+    """Refine candidate angles to the zeros of W = h_a x w + i m w; drop the others.
+
+    W = 0 iff the start is an eigenvector of the final operator B = h_f.sigma:
+    with P = (1 + h_a.sigma / m) / 2 the projector on the start,
+    (1 - P) B P = 0 reduces to W = 0 by Pauli algebra.  Here m =
+    sign * sqrt(h_a.h_a) is the start's eigenvalue of h_a.sigma (sign -1 for
+    the lower band, +1 for an explicit state), and ``h_coeffs`` (n, 2, 3)
+    holds the Fourier coefficients of h_a and h_f in theta.
+
+    W has a simple zero at each root of the start, also where g has a double
+    root, so Gauss-Newton steps reach full precision.  An angle is kept if,
+    before the last step, it lies within ``_ROOT_TOL`` of a zero of W in theta
+    (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
+    """
+    for _ in range(_NEWTON_STEPS):
+        (h_a, h_f), (dh_a, dh_f) = (_trig_poly(h_coeffs, theta, order).transpose(1, 0, 2)
+                                    for order in (0, 1))
+        w = np.cross(h_a, h_f)
+        dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
+        m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dm = np.sum(h_a * dh_a, axis=1, keepdims=True) / m
+            big_w = np.cross(h_a, w) + 1j * m * w
+            d_big_w = np.cross(dh_a, w) + np.cross(h_a, dw) + 1j * (dm * w + m * dw)
+            slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
+            step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
+        step = np.where(np.isfinite(step), step, 0.0)
+        theta = theta - step
+        if np.all(np.abs(step) <= 1e-15):
+            break
+    size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
+    rounding = (_W_ROUNDING * size) ** 2
+    return theta[np.sum(np.abs(big_w) ** 2, axis=1) <= _ROOT_TOL**2 * slope + rounding]
+
+
+def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
+    """Angles theta = 2k in one period where the start is an eigenvector of
+    the final operator.
+
+    Two 2x2 matrices share an eigenvector iff their commutator is singular
+    (Shemesh, Linear Algebra Appl. 62, 1984).  For a.sigma and b.sigma the
+    commutator is 2i (a x b).sigma, so the condition is g = w.w = 0 with
+    w = h_a x h_f.  d1 = i beta is constant and d2, d3 are affine in
+    (cos 2k, sin 2k), so g is a trigonometric polynomial of degree <= 4 in
+    theta: 16 samples give its coefficients by FFT, and its zeros are the
+    unit-circle roots of a polynomial of degree <= 8 in z = e^{i theta}.
+
+    Where w is real (beta = 0 on both sides) g = |w|^2 has only double roots,
+    at the common zeros of the components of w; the roots of the largest
+    component, which are simple, are the candidates then.  g = 0 also where
+    the shared vector is the start's partner.  :func:`_polish_on_start` keeps
+    the roots of the start alone and polishes them.
+    """
+    thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
+    h_a, h_f = _bloch_axes(spec, thetas / 2)
+    w = np.cross(h_a, h_f)
+    scale = np.max(np.linalg.norm(h_a, axis=1) * np.linalg.norm(h_f, axis=1))
+    if np.any(w.imag):
+        g = np.einsum("kc,kc->k", w, w)
+        theta = _unit_circle_angles(g, 2 * _W_DEGREE, (_COMMUTING_FLOOR * scale) ** 2)
+    else:
+        largest = w[:, np.argmax(np.sum(w.real**2, axis=0))]
+        theta = _unit_circle_angles(largest, _W_DEGREE, _COMMUTING_FLOOR * scale)
+    h_coeffs = np.fft.fft(np.stack([h_a, h_f], axis=1), axis=0) / _G_SAMPLES
+    return _polish_on_start(h_coeffs, -1 if spec.initial_state is None else 1, theta)
 
 
 def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
     """Momenta where one overlap coefficient vanishes, sorted over [-pi, pi).
 
-    Scans |c_+-|^2 on a uniform grid, brackets local minima (with periodic
-    wraparound), and refines each bracket by golden-section minimization.
-    Only momenta with a real quasienergy can host fixed points; sectors in
-    the broken regime are skipped, so a fully broken final operator yields an
-    empty list.  A grid below 64 points is rejected: it can miss whole
-    k, k + pi pairs of fixed points without any sign of it.
+    Closed form, no search: a fixed point is a momentum where the start is an
+    eigenvector of the final operator.  :func:`_shared_eigenvector_angles`
+    finds every such theta = 2k by one polynomial root solve and polishes it
+    to rounding; each theta gives k = theta/2 and k + pi.  One batched
+    :func:`overlap_grid` at these momenta then keeps a pair where the
+    quasienergy is real and one coefficient has |c|^2 below
+    ``FIXED_POINT_RESIDUAL``; that coefficient gives the kind.  Roots at a
+    band touching of the final operator (|d0^2 - 1| <= ``EP_TOL``), where
+    c_+- are undefined, are dropped.
+
+    A fully broken final operator yields an empty list, and so does a quench
+    whose operators commute at every momentum, where no fixed point is
+    isolated.  The roots are exact to rounding, so ``n_k`` no longer limits
+    the accuracy: it is kept for callers, and a value below 64 is still
+    rejected.
     """
     if n_k < 64:
         raise ValueError("n_k must be >= 64")
-    # Imported here so that loading the package does not pay for scipy.
-    from scipy import optimize
-
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    theta = _shared_eigenvector_angles(spec)
+    d0 = d_coefficients(spec.final, theta / 2)[:, 0].real
+    theta = theta[np.abs(d0 * d0 - 1.0) > EP_TOL]
+    if theta.size == 0:
+        return []
+    ks = _wrap_zone(np.concatenate([theta / 2, theta / 2 + np.pi]))
     cp, cm, final = overlap_grid(spec, ks)
-    energy = final.quasienergies[:, 0]
-    real_regime = np.abs(energy.imag) <= REAL_E_TOL
-    dk = 2 * np.pi / n_k
-
-    found: list[FixedPoint] = []
-    for kind, values in (
-        (FixedPointKind.C_PLUS_ZERO, np.abs(cp) ** 2),
-        (FixedPointKind.C_MINUS_ZERO, np.abs(cm) ** 2),
-    ):
-        def objective(k: float, _idx=0 if kind is FixedPointKind.C_PLUS_ZERO else 1) -> float:
-            c = overlap_grid(spec, np.array([k]))[_idx]
-            return float(np.abs(c[0]) ** 2)
-
-        for i in range(n_k):
-            if not real_regime[i]:
-                continue
-            left, right = values[(i - 1) % n_k], values[(i + 1) % n_k]
-            if not (values[i] <= left and values[i] < right and values[i] < 1e-2):
-                continue
-            bracket = (ks[i] - dk, ks[i], ks[i] + dk)
-            try:
-                result = optimize.minimize_scalar(
-                    objective, bracket=bracket, method="golden", options={"xtol": 1e-12}
-                )
-            except ValueError:
-                # Grid tie at the bracket edge; Brent on the bounds instead.
-                result = optimize.minimize_scalar(
-                    objective,
-                    bounds=(bracket[0], bracket[2]),
-                    method="bounded",
-                    options={"xatol": 1e-12},
-                )
-            k_star = _wrap_zone(result.x)
-            residual = float(result.fun)
-            if residual < FIXED_POINT_RESIDUAL:
-                found.append(FixedPoint(k=k_star, kind=kind, residual=residual))
-
+    weights = np.abs(np.stack([cp, cm], axis=1)) ** 2
+    # The k and k + pi of one root are one operator, so they are decided together.
+    band = np.tile(np.argmin(weights[: len(theta)], axis=1), 2)
+    residual = weights[np.arange(len(ks)), band]
+    ok = (np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL) & (residual < FIXED_POINT_RESIDUAL)
+    ok = np.tile(ok.reshape(2, -1).all(axis=0), 2)
+    kinds = (FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO)
+    found = [
+        FixedPoint(k=k, kind=kinds[b], residual=r)
+        for k, b, r, keep in zip(ks.tolist(), band.tolist(), residual.tolist(), ok.tolist())
+        if keep
+    ]
     found.sort(key=lambda fp: fp.k)
     deduped: list[FixedPoint] = []
     for fp in found:

@@ -78,13 +78,20 @@ def test_grid_refinement_stability(spec_fig3b):
     assert set(solid.values()) == set(values.values())
 
 
+def pole(kind):
+    """n3 at a fixed point: +1 (north) where c_- = 0, -1 (south) where c_+ = 0."""
+    return 1 if kind is FixedPointKind.C_MINUS_ZERO else -1
+
+
 def test_methods_agree_on_random_quenches(rng):
     """Rounded Riemann values equal the exactly-integer solid angles, 100 specs.
 
     Thin submanifolds converge slowly at 128x128 (observed worst residual
     ~0.12), so the cross-validation contract here is agreement after
     rounding plus the zone sum rule; tight residuals are pinned on the
-    reference configurations above.
+    reference configurations above.  Both must also equal the exact degree
+    (s_hi - s_lo) / 2, with s the pole that n is pinned to at each end: in
+    rescaled time n rotates rigidly about the z axis, so only the poles count.
     """
     from ptwalk.errors import WalkError
     from ptwalk.spectrum import PTPhase, pt_classify
@@ -107,6 +114,7 @@ def test_methods_agree_on_random_quenches(rng):
                 s = chern_solid_angle(sub, spec, 96, 96)
                 assert r.rounded == s.rounded, (spec, sub, r.value, s.value)
                 assert r.residual < 0.3
+                assert r.rounded == (pole(sub.kind_hi) - pole(sub.kind_lo)) // 2, (spec, sub)
                 total += r.rounded
             assert total == 0, spec
         except WalkError:

@@ -244,16 +244,18 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # Digests of the output before the solver and the quench core were merged;
 # the merged code must reproduce every byte.  The reconstruct digest was
 # re-pinned when rho' assembly moved to diagonal sums, which sum in another
-# order (max |dn| against the einsum assembly was 5e-15).
+# order (max |dn| against the einsum assembly was 5e-15).  The fixed-points
+# and chern digests were re-pinned when the closed-form root solve replaced
+# the grid scan with golden section (max |dk| against the search 5.6e-13).
 @pytest.mark.parametrize(
     "args, digest",
     [
         (["preset", "fig3b"],
          "10b15c1b28b8af0344b5d7ab2715ab067ed685835eae1d8e23fd63a599ca88d9"),
         (["fixed-points", "--preset", "fig6"],
-         "0291df5d231e2cfc791292b70174436f6298099d0927f228ac90b7d133da5a11"),
+         "e5d50ccfb5a8c8f8421073fb5110bdfbbaa3df53c8f2d3ac7bc9203c4bc94240"),
         (["chern", "--preset", "fig3b"],
-         "f47680376b51b48e3b5e19edb08467af7e6d1be9dcb6a3dcee431739a3ab2aaf"),
+         "900e712090071b477cd7b2fba04850a17afa358dd8fb18c59d3ea88b0759da38"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "4cd78130755b27a74c2e9d849ac38737be9804f8aa024152c1d4c3cd495f2f3f"),
     ],

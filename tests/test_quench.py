@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ptwalk.errors import ImaginaryEnergy
-from ptwalk.floquet import CoinParams
+from fixed_point_oracle import grid_fixed_points
+from ptwalk.errors import ImaginaryEnergy, WalkError
+from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.quench import (
+    FIXED_POINT_RESIDUAL,
     FixedPointKind,
     QuenchSpec,
     bloch_field,
@@ -18,10 +22,11 @@ from ptwalk.quench import (
     initial_spinors,
     initial_state_residual,
     oscillation_period,
+    overlap_grid,
     overlaps,
     tau_basis,
 )
-from ptwalk.spectrum import quasienergies
+from ptwalk.spectrum import PTPhase, pt_classify, quasienergies
 from conftest import random_coin_params
 
 PI = np.pi
@@ -347,6 +352,139 @@ def test_fixed_point_grid_below_64_is_rejected(spec_fig3b):
         with pytest.raises(ValueError):
             find_fixed_points(spec_fig3b, n_k)
     assert len(find_fixed_points(spec_fig3b, 64)) == 4
+
+
+def zone_distance(a, b):
+    return abs((a - b + PI) % (2 * PI) - PI)
+
+
+ANGLES = st.floats(-PI, PI)
+LOSSES = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+
+
+@st.composite
+def quenches(draw):
+    """Lossy or unitary quenches from the lower band or from an explicit state.
+
+    Explicit states are drawn with a relative phase of i half the time: their
+    Bloch vector then lies in the 2-3 plane, the family whose states meet
+    lossy final eigenvectors on isolated momenta.
+    """
+    final = CoinParams(draw(ANGLES), draw(ANGLES), draw(LOSSES))
+    if draw(st.booleans()):
+        initial = CoinParams(draw(ANGLES), draw(ANGLES), draw(LOSSES))
+        assume(pt_classify(initial) is PTPhase.UNBROKEN)
+        return QuenchSpec(initial=initial, final=final)
+    mix = draw(ANGLES)
+    phase = draw(st.one_of(st.just(1j), ANGLES.map(lambda phi: np.exp(1j * phi))))
+    state = (complex(np.cos(mix)), complex(phase * np.sin(mix)))
+    return QuenchSpec(initial=final, final=final, initial_state=state)
+
+
+def clear_of_band_touching(spec, k):
+    """1 - d0^2 >= 1e-6 at k for the final operator, and for the initial one
+    under an eigenstate start.
+
+    Closer to a band touching the eigenvectors lose digits, so |c|^2 at a
+    root is only held to ``FIXED_POINT_RESIDUAL``, and the grid scan's golden
+    section cannot follow the dip of |c| there.
+    """
+    operators = [spec.final] + ([spec.initial] if spec.initial_state is None else [])
+    d0 = np.array([d_coefficients(params, k)[0].real for params in operators])
+    return bool(np.all(1 - d0 * d0 >= 1e-6))
+
+
+def depth_of_minimum(spec, fp):
+    """|c| / |dc/dk| after three Newton steps on c from a scan point.
+
+    About 1e-16 at a zero of c; at a near miss, where |c| has a small
+    nonzero minimum, the depth of that minimum in units of k.
+    """
+    band = 0 if fp.kind is FixedPointKind.C_PLUS_ZERO else 1
+    k, h = fp.k, 1e-7
+    for _ in range(3):
+        c, ahead, behind = overlap_grid(spec, np.array([k, k + h, k - h]))[band]
+        if c == 0:
+            return 0.0
+        if ahead == behind:
+            return np.inf
+        ratio = c * 2 * h / (ahead - behind)
+        k -= ratio.real
+    return abs(ratio)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(quenches())
+def test_fixed_points_are_exact_pi_closed_and_cover_the_grid_search(spec):
+    """Every point is a zero, its k + pi twin is there, and the scan finds no other.
+
+    A scan point is owed only where c has a zero there: the scan's 1e-10 cut
+    also passes near misses, such as the 2.9e-21 minimum of |c_+|^2 from the
+    state (1, 1e-10 e^i) into (1, 0, p = 0), where c never vanishes.
+    """
+    try:
+        expected = grid_fixed_points(spec, 512)
+    except WalkError:
+        assume(False)  # the scan grid sits on a band touching
+    cp, cm, _ = overlap_grid(spec, np.linspace(-PI, PI, 512, endpoint=False))
+    # Operators that commute at every momentum pin the whole zone: no isolated point.
+    assume(np.minimum(np.abs(cp), np.abs(cm)).max() > 1e-6)
+    fps = find_fixed_points(spec)
+    for fp in fps:
+        pair = overlaps(spec, fp.k)
+        c = pair.c_plus if fp.kind is FixedPointKind.C_PLUS_ZERO else pair.c_minus
+        bound = 1e-20 if clear_of_band_touching(spec, fp.k) else FIXED_POINT_RESIDUAL
+        assert abs(c) ** 2 <= bound, (spec, fp)
+        twins = [zone_distance(o.k, fp.k + PI) for o in fps if o.kind is fp.kind]
+        assert min(twins) <= 1e-12, (spec, fp)
+    for want in expected:
+        if clear_of_band_touching(spec, want.k) and depth_of_minimum(spec, want) <= 1e-13:
+            near = [zone_distance(fp.k, want.k) for fp in fps if fp.kind is want.kind]
+            assert near and min(near) < 1e-6, (spec, want, fps)
+
+
+NEAR_COMMUTING = QuenchSpec(
+    initial=CoinParams(2.4022143578701058, 2.6622718067689037, 0.22109003065873159),
+    final=CoinParams(-0.90144427841236041, -0.31764905069588423, 0.22109003065873159),
+)
+
+
+def test_a_root_shared_by_the_partner_band_is_not_a_fixed_point():
+    """|h_a x h_f| is about 1e-5 near k = 0, so g has two close real roots.
+
+    At k = +2.46e-6 the start is the shared eigenvector; at k = -2.46e-6 it is
+    the upper initial band, yet |c_+|^2 = 9.3e-11 there passes the residual
+    cut.  Only the first is a fixed point.
+    """
+    fps = find_fixed_points(NEAR_COMMUTING)
+    assert len(fps) == 8
+    assert all(zone_distance(fp.k, -2.4627e-6) > 1e-6 for fp in fps)
+    near_zero = [fp for fp in fps if abs(fp.k) < 1e-5]
+    assert len(near_zero) == 1 and near_zero[0].k == pytest.approx(2.4627e-6, abs=1e-9)
+    assert abs(overlaps(NEAR_COMMUTING, -2.4627e-6).c_plus) ** 2 < FIXED_POINT_RESIDUAL
+
+
+NEAR_EXCEPTIONAL = QuenchSpec(
+    initial=CoinParams(1.9836359223531348, -1.2601778077210952, 0.32351857298293757),
+    final=CoinParams(1.4565490957949168, -1.4366393689142958, 0.32351857298293757),
+)
+
+
+def test_a_fixed_point_next_to_a_band_touching_is_reported():
+    """|c_-|^2 drops to ~4e-20 inside a dip about 1e-7 wide, where 1 - d0^2 = 6.6e-8.
+
+    A grid scan misses it even at 8192 points.
+    """
+    fps = find_fixed_points(NEAR_EXCEPTIONAL)
+    hits = [fp for fp in fps if zone_distance(fp.k, -2.74470) < 1e-5]
+    assert len(hits) == 1
+    fp = hits[0]
+    assert fp.kind is FixedPointKind.C_MINUS_ZERO and fp.residual <= 1e-19
+    d0 = d_coefficients(NEAR_EXCEPTIONAL.final, fp.k)[0].real
+    assert 1 - d0 * d0 < 1e-7
+    for step in (-1e-7, 1e-7):
+        assert abs(overlaps(NEAR_EXCEPTIONAL, fp.k + step).c_minus) ** 2 > 1e-4
+    assert any(zone_distance(o.k, fp.k + PI) < 1e-12 for o in fps if o is not fp)
 
 
 def test_overflowing_dressed_weights_raise(spec_fig4):

@@ -1,4 +1,4 @@
-"""Structure guard: one eigen-solver path and no private cross-module imports."""
+"""Structure guard: one eigen-solver path, no private cross-module imports, no scipy."""
 
 import ast
 import os
@@ -66,6 +66,35 @@ def test_module_keeps_one_solver_path_and_public_imports(path):
 
 def test_every_module_is_checked():
     assert len(MODULES) >= 11
+
+
+def scipy_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: imports {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_scipy_guard_sees_every_import_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy, scipy.linalg\n"
+        "def f():\n"
+        "    from scipy import optimize\n"
+        "    from .scipy_like import x\n"
+    )
+    assert scipy_imports(bad) == ["line 1: imports scipy.linalg", "line 3: imports scipy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_import_scipy(path):
+    assert scipy_imports(path) == []
 
 
 def test_importing_the_cli_does_not_load_scipy():
