@@ -267,6 +267,44 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Digests of the JSON written by the row-at-a-time writer (one
+# json.dumps(indent=2, sort_keys=True) over the whole payload); the
+# column-wise encoder must reproduce every byte, NaN and empty tables included.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["quench", "--preset", "fig3b"],
+         "ebe722d7a78ed19c62f4c527c1b2eaa129cbbeb678fbe2122a34fe47e7ce37d0"),
+        (["phase-diagram", "--p", "0.36"],
+         "89874b254eacd6ff522f57d8a5e05a801c6c43a54ef4207bfe0b9354cdc4e185"),
+        (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
+         "aa49574d5b33f71668872c8aea13d4074cabd8cbabe3f3cc65745562f2c115a2"),
+        (["chern", "--preset", "fig6"],
+         "843a9c62e292a129e0b6eea349e0a17fd3f9ea5cc801d9ad60f22ad91ad56812"),
+        (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
+         "b22e5f8990069f797a5298a2324e5cfb5ceffe028761f665d671e5558ce960c2"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
+)
+def test_json_outputs_are_pinned(args, digest, capsys):
+    code, out, _ = run_cli([*args, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_amplitude_dump_is_pinned(tmp_path, capsys):
+    amps = tmp_path / "amps.csv"
+    code, _, _ = run_cli(
+        ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--dump-amps", str(amps),
+         "--out", str(tmp_path / "n.csv")],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(amps.read_bytes()).hexdigest() == (
+        "0f3fffd5b75b2871887a26006d6733f4379ec5a88d92b5229d314c826dd39b2c"
+    )
+
+
 def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     # Pins the pair noise stream: one generator per (seed, step, basis).
     dump = tmp_path / "probs.csv"
