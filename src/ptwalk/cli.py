@@ -10,8 +10,10 @@ identical configurations and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,29 +38,76 @@ def _say(args, text: str) -> None:
     print(text, file=stream)
 
 
-def _write_output(args, columns: list[str], rows: list[tuple], meta: dict) -> None:
-    fmt = args.format
+# Cell text per format.  CSV writes floats with '%.17g' and every other value
+# with str(), so bools read True/False.  JSON writes what json.dumps writes:
+# float.__repr__ with NaN/Infinity/-Infinity, true/false, ASCII-escaped strings.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_cells(values, fmt: str) -> list[str]:
+    # Each distinct bit pattern is formatted once (k and t repeat through a
+    # Bloch table); bits, not values, so that -0.0 keeps its sign.
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
     if fmt == "csv":
-        # One %-format for every row, from the value types of the first row;
-        # '%.17g' % v == format(v, '.17g') for every float.
-        first = rows[0] if rows else ()
-        row_fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first)
-        lines = [",".join(columns)]
-        lines += [row_fmt % row for row in rows]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        payload = {
-            "meta": meta,
-            "columns": columns,
-            "rows": [list(row) for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = list(map("%.17g".__mod__, distinct.tolist()))
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        text = list(map(float.__repr__, distinct.tolist()))
+        if not np.isfinite(distinct).all():
+            text = [_JSON_NONFINITE.get(s, s) for s in text]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _column_cells(values: Sequence, fmt: str) -> list[str]:
+    """The text of every cell of one column; a column holds one value type."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return _float_cells(values, fmt)
+        values = values.tolist()
+    elif len(values) and isinstance(values[0], float):
+        return _float_cells(values, fmt)
+    encode = str if fmt == "csv" else json.dumps
+    text = {v: encode(v) for v in set(values)}
+    return list(map(text.__getitem__, values))
+
+
+def _csv_text(columns: dict[str, Sequence]) -> str:
+    cells = [_column_cells(values, "csv") for values in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json_text(columns: dict[str, Sequence], meta: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) of the table, byte for byte."""
+    text = json.dumps({"meta": meta, "columns": list(columns), "rows": []},
+                      indent=2, sort_keys=True)
+    cells = [_column_cells(values, "json") for values in columns.values()]
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+    if rows:
+        # "rows" sorts last, so the payload ends with its empty list: '[]\n}'.
+        text = text[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
+    return text + "\n"
+
+
+def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
+    if fmt == "csv":
+        return _csv_text(columns)
+    if fmt == "json":
+        return _json_text(columns, meta)
+    raise ConfigError(f"unknown format {fmt!r}")
+
+
+def _write_output(args, columns: dict[str, Sequence], meta: dict) -> None:
+    text = _table_text(args.format, columns, meta)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _rows_to_columns(names: list[str], rows: list[tuple]) -> dict[str, Sequence]:
+    """Columns of a table of a few rows (fixed points, submanifolds)."""
+    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
 
 
 def _meta(args, command: str, **extra) -> dict:
@@ -71,7 +120,9 @@ def _meta(args, command: str, **extra) -> dict:
     return meta
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _merge_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
     """Fill unset (None) flags from the optional JSON config file."""
     if not getattr(args, "config", None):
         return args
@@ -81,13 +132,48 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object of flag values")
+    actions = _command_actions(parser, args.command)
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"config key {key!r} does not match any flag")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if value is None:
+            continue
+        value = _config_value(key, value, action)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
     return args
+
+
+def _command_actions(
+    parser: argparse.ArgumentParser, command: str
+) -> dict[str, argparse.Action]:
+    """The flags of one subcommand by destination, without --help."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value as its flag would hold it; text goes through the flag's type.
+
+    A JSON number stays as it is where the flag takes one (any number for a
+    float flag, an integer for an int flag); anything else is a ConfigError.
+    """
+    kind = action.type or str
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"config key {key!r}: {value!r} is not a valid {kind.__name__}"
+            ) from None
+    elif not (type(value) is kind or kind is float and type(value) is int):
+        raise ConfigError(
+            f"config key {key!r} takes a {kind.__name__}, got {type(value).__name__} {value!r}"
+        )
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
 # The smallest value of each size flag; --tgrid 0 means stroboscopic times and
@@ -170,28 +256,32 @@ def _initial_state(text: str) -> tuple[str, str] | None:
     return parts[0], parts[1]
 
 
-def _bloch_rows(field) -> list[tuple]:
-    rows = []
-    ts = field.ts.tolist()
-    for k, real, n_k in zip(field.ks.tolist(), field.real_regime.tolist(), field.n.tolist()):
-        regime = "real" if real else "imaginary"
-        rows += [(k, t, n1, n2, n3, regime, field.source) for t, (n1, n2, n3) in zip(ts, n_k)]
-    return rows
-
-
-_BLOCH_COLUMNS = ["k", "t", "n1", "n2", "n3", "regime", "source"]
+def _bloch_columns(field) -> dict[str, Sequence]:
+    """The n(k, t) table, k-major: n_t rows per momentum."""
+    n_k, n_t = field.n.shape[:2]
+    regime = np.where(field.real_regime, "real", "imaginary")
+    return {
+        "k": np.repeat(field.ks, n_t),
+        "t": np.tile(field.ts, n_k),
+        "n1": field.n[..., 0],
+        "n2": field.n[..., 1],
+        "n3": field.n[..., 2],
+        "regime": np.repeat(regime, n_t),
+        "source": [field.source] * (n_k * n_t),
+    }
 
 
 def cmd_spectrum(args) -> int:
     _defaults(args, kgrid=512)
     params = _single_params(args)
     bands = band_structure(params, np.linspace(-np.pi, np.pi, args.kgrid, endpoint=False))
-    rows = [
-        (float(k), float(e.real), float(e.imag), bool(m))
-        for k, e, m in zip(bands.ks, bands.energies, bands.pt_broken_mask)
-    ]
-    meta = _meta(args, "spectrum", pt_phase=pt_classify(params).value)
-    _write_output(args, ["k", "re_energy", "im_energy", "pt_broken"], rows, meta)
+    columns = {
+        "k": bands.ks,
+        "re_energy": bands.energies.real,
+        "im_energy": bands.energies.imag,
+        "pt_broken": bands.pt_broken_mask,
+    }
+    _write_output(args, columns, _meta(args, "spectrum", pt_phase=pt_classify(params).value))
     return 0
 
 
@@ -200,18 +290,14 @@ def cmd_phase_diagram(args) -> int:
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
-    rows = [
-        (
-            c.theta1,
-            c.theta2,
-            float("nan") if c.nu is None else float(c.nu),
-            c.pt_broken,
-            c.min_gap,
-        )
-        for c in cells
-    ]
-    meta = _meta(args, "phase-diagram", res=args.res)
-    _write_output(args, ["theta1", "theta2", "nu", "pt_broken", "min_gap"], rows, meta)
+    columns = {
+        "theta1": np.array([c.theta1 for c in cells]),
+        "theta2": np.array([c.theta2 for c in cells]),
+        "nu": np.array([np.nan if c.nu is None else c.nu for c in cells], dtype=float),
+        "pt_broken": np.array([c.pt_broken for c in cells]),
+        "min_gap": np.array([c.min_gap for c in cells]),
+    }
+    _write_output(args, columns, _meta(args, "phase-diagram", res=args.res))
     return 0
 
 
@@ -225,7 +311,7 @@ def cmd_quench(args) -> int:
     )
     field = bloch_field(spec, n_k=args.kgrid, ts=ts)
     meta = _meta(args, "quench", eigenstate_initial=bool(field.eigenstate_initial))
-    _write_output(args, _BLOCH_COLUMNS, _bloch_rows(field), meta)
+    _write_output(args, _bloch_columns(field), meta)
     return 0
 
 
@@ -238,8 +324,8 @@ def cmd_fixed_points(args) -> int:
     if not points:
         _say(args, "no fixed points found")
     rows = [(fp.k, fp.k / np.pi, fp.kind.value, fp.residual) for fp in points]
-    meta = _meta(args, "fixed-points", count=len(points))
-    _write_output(args, ["k", "k_over_pi", "kind", "residual"], rows, meta)
+    columns = _rows_to_columns(["k", "k_over_pi", "kind", "residual"], rows)
+    _write_output(args, columns, _meta(args, "fixed-points", count=len(points)))
     return 0
 
 
@@ -274,24 +360,22 @@ def cmd_chern(args) -> int:
         )
     if not subs:
         _say(args, "fewer than two fixed points: no submanifolds")
-    meta = _meta(args, "chern", submanifolds=len(subs))
-    _write_output(
-        args,
+    columns = _rows_to_columns(
         ["k_lo", "k_hi", "kind_lo", "kind_hi", "c_riemann", "c_riemann_rounded",
          "c_solid_angle", "c_solid_angle_rounded"],
         rows,
-        meta,
     )
+    _write_output(args, columns, _meta(args, "chern", submanifolds=len(subs)))
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     _defaults(args, kgrid=256, tmax=6, seed=0)
     spec = _quench_spec(args)
-    dump = ["t,x1,x2,j,p_l,p_d"]
+    steps = []
 
     def record(t, site, pairs):
-        dump.extend(_pair_lines(t, pairs))
+        steps.append(_pair_columns(t, pairs))
 
     field = reconstruct_bloch_field(
         spec,
@@ -303,32 +387,41 @@ def cmd_reconstruct(args) -> int:
     )
     meta = _meta(args, "reconstruct", eigenstate_initial=bool(field.eigenstate_initial))
     if args.dump_probs:
-        Path(args.dump_probs).write_text("\n".join(dump) + "\n", encoding="utf-8")
+        dump = {name: np.concatenate([step[name] for step in steps]) for name in steps[0]}
+        Path(args.dump_probs).write_text(_csv_text(dump), encoding="utf-8")
     if args.dump_amps:
         _dump_amplitudes(args, spec)
-    _write_output(args, _BLOCH_COLUMNS, _bloch_rows(field), meta)
+    _write_output(args, _bloch_columns(field), meta)
     return 0
 
 
 def _dump_amplitudes(args, spec: QuenchSpec) -> None:
     coin = initial_spinors(spec, np.array([0.0]))[0]
-    lines = ["t,x,re_a,im_a,re_b,im_b"]
-    for t, state in enumerate(evolve(coin, spec.final, args.tmax)):
-        for x, (a, b) in zip(state.sites.tolist(), state.amplitudes.tolist()):
-            lines.append("%d,%d,%.17g,%.17g,%.17g,%.17g" % (t, x, a.real, a.imag, b.real, b.imag))
-    Path(args.dump_amps).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    states = evolve(coin, spec.final, args.tmax)
+    amps = np.concatenate([state.amplitudes for state in states])
+    columns = {
+        "t": np.repeat(np.arange(len(states)), [len(state.amplitudes) for state in states]),
+        "x": np.concatenate([state.sites for state in states]),
+        "re_a": amps[:, 0].real,
+        "im_a": amps[:, 0].imag,
+        "re_b": amps[:, 1].real,
+        "im_b": amps[:, 1].imag,
+    }
+    Path(args.dump_amps).write_text(_csv_text(columns), encoding="utf-8")
 
 
-def _pair_lines(t: int, pairs: PairIntensities) -> list[str]:
+def _pair_columns(t: int, pairs: PairIntensities) -> dict[str, np.ndarray]:
     """Dump rows of one step: pairs x1 != x2 in row-major order, then j = 1..4."""
-    n = len(pairs.p_l)
-    distinct = ~np.eye(n, dtype=bool)
+    distinct = ~np.eye(len(pairs.p_l), dtype=bool)
     i1, i2 = np.nonzero(distinct)
-    lines = []
-    for x1, x2, p_l, p_d in zip((i1 + pairs.x_min).tolist(), (i2 + pairs.x_min).tolist(),
-                                pairs.p_l[distinct].tolist(), pairs.p_d[distinct].tolist()):
-        lines += ["%d,%d,%d,%d,%.17g,%.17g" % (t, x1, x2, j + 1, p_l[j], p_d[j]) for j in range(4)]
-    return lines
+    return {
+        "t": np.full(4 * len(i1), t),
+        "x1": np.repeat(i1 + pairs.x_min, 4),
+        "x2": np.repeat(i2 + pairs.x_min, 4),
+        "j": np.tile(np.arange(1, 5), len(i1)),
+        "p_l": pairs.p_l[distinct].reshape(-1),
+        "p_d": pairs.p_d[distinct].reshape(-1),
+    }
 
 
 def cmd_preset(args) -> int:
@@ -407,11 +500,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         _check_sizes(args)
         try:
             return args.func(args)

@@ -418,3 +418,63 @@ def test_dump_probs_and_amps(tmp_path, capsys):
     assert set(amp_rows[0]) == {"t", "x", "re_a", "im_a", "re_b", "im_b"}
     # light cone: |x| <= 2t on every row
     assert all(abs(int(r["x"])) <= 2 * int(r["t"]) for r in amp_rows)
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [({"kgrid": "64"}, ["--kgrid", "64"]), ({"p": "0.3"}, ["--p", "0.3"])],
+    ids=["kgrid", "p"],
+)
+def test_config_text_goes_through_the_flag_type(config, flags, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["spectrum", "--preset", "fig4", "--config", str(path)], capsys)
+    assert code == 0, err
+    assert out == run_cli(["spectrum", "--preset", "fig4", *flags], capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"theta1": 1.0}, ["spectrum", "--theta2", "0.3"]),
+        ({"kgrid": "sixty-four"}, ["spectrum", "--preset", "fig4"]),
+        ({"kgrid": 64.0}, ["spectrum", "--preset", "fig4"]),
+        ({"kgrid": True}, ["spectrum", "--preset", "fig4"]),
+        ({"p": [0.3]}, ["spectrum", "--preset", "fig4"]),
+        ({"format": "xml"}, ["spectrum", "--preset", "fig4"]),
+        ({"func": "x"}, ["spectrum", "--preset", "fig4"]),
+    ],
+    ids=["theta1-number", "kgrid-text", "kgrid-float", "kgrid-bool", "p-list", "format-choice",
+         "not-a-flag"],
+)
+def test_bad_config_value_is_a_config_error_naming_the_key(config, argv, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert repr(next(iter(config))) in payload["message"]
+
+
+def test_the_parser_keeps_no_state_between_calls(capsys):
+    argv = ["spectrum", "--preset", "fig4", "--kgrid", "16"]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["meta"]["preset"] == "fig4"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith("k,re_energy,im_energy,pt_broken\n")
+
+    angles = ["--theta1=0.4", "--theta2=0.3", "--theta1-f=0.3", "--theta2-f=0.4"]
+    flags = ["--kgrid", "8", "--format", "json"]
+    code, _, _ = run_cli(["quench", "--preset", "fig3b", *flags], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["quench", *angles, *flags], capsys)
+    assert code == 0
+    assert "preset" not in json.loads(out)["meta"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "ptwalk.cli", "quench", *angles, *flags],
+        capture_output=True, text=True, check=True,
+    )
+    assert out == fresh.stdout

@@ -98,7 +98,7 @@ def test_module_does_not_import_scipy(path):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # scipy is only needed by the fixed-point search, which imports it itself.
+    # numpy is the only runtime dependency: nothing the CLI imports may pull scipy in.
     paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
