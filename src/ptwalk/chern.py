@@ -18,6 +18,17 @@ field costs one eigensystem.
 differences; ``chern_solid_angle`` sums exact signed spherical-triangle areas
 over grid plaquettes, which yields an exactly integer total for any admissible
 grid.  The two must agree after rounding.
+
+One tau row stands for all ``n_t`` of them.  The phase e^{i pi tau} turns
+n1 + i n2 = 2 conj(c_+) c_- e^{2 pi i tau} / n0 and leaves n3 alone, so row
+tau of the grid is R_z(2 pi tau) applied to row 0 (C. Yang, L. Li and S. Chen,
+PRB 97, 060304(R) (2018)).  Both summands are built from dot and triple
+products of the field and its differences, which a rotation leaves unchanged,
+so every row of the ``n_k`` x ``n_t`` sum adds the same number.  Each
+integrator therefore evaluates the rows its stencil touches at tau = 0 and
+multiplies by ``n_t``: the same lattice, differences and triangulation as the
+full grid, equal to it up to rounding.  The full-grid sums are kept in the
+tests as the oracle.
 """
 
 from __future__ import annotations
@@ -111,17 +122,17 @@ def chern_riemann(
         raise ValueError("integration grid must be at least 64x64")
     dk = (sub.k_hi - sub.k_lo) / n_k
     dt = 1.0 / n_t
-    # Midpoint lattice plus one halo column/row for the centered derivatives;
-    # tau halo rows need no wrapping because the field is exactly 1-periodic.
+    # Midpoint lattice plus one halo column for the centered k derivative.  Of
+    # the n_t midpoint rows only the first, tau = dt/2, is evaluated, with its
+    # two neighbours for the centered tau derivative: every row has the same sum.
     ks = sub.k_lo + (np.arange(-1, n_k + 1) + 0.5) * dk
-    taus = (np.arange(-1, n_t + 1) + 0.5) * dt
+    taus = (np.arange(-1, 2) + 0.5) * dt
     cp, cm = _field_columns(spec, ks)
     n = _bloch_grid(cp, cm, taus)
-    dn_dk = (n[2:, 1:-1] - n[:-2, 1:-1]) / (2 * dk)
-    dn_dt = (n[1:-1, 2:] - n[1:-1, :-2]) / (2 * dt)
-    core = n[1:-1, 1:-1]
-    density = np.einsum("ktc,ktc->kt", np.cross(core, dn_dt), dn_dk)
-    value = float(density.sum() * dk * dt / (4 * np.pi))
+    dn_dk = (n[2:, 1] - n[:-2, 1]) / (2 * dk)
+    dn_dt = (n[1:-1, 2] - n[1:-1, 0]) / (2 * dt)
+    density = np.einsum("kc,kc->k", np.cross(n[1:-1, 1], dn_dt), dn_dk)
+    value = float(n_t * density.sum() * dk * dt / (4 * np.pi))
     rounded = int(round(value))
     return ChernResult(value=value, rounded=rounded, residual=abs(value - rounded), method="riemann")
 
@@ -155,16 +166,15 @@ def chern_solid_angle(
     if n_k < 8 or n_t < 8:
         raise ValueError("triangulation grid must be at least 8x8")
     ks = np.linspace(sub.k_lo, sub.k_hi, n_k + 1)
-    taus = np.arange(n_t) / n_t
+    # The strip of plaquettes between tau = 0 and 1/n_t; each of the n_t
+    # strips around the period covers the same area.
     cp, cm = _field_columns(spec, ks)
-    n = _bloch_grid(cp, cm, taus)
-    v00 = n[:-1, :]
-    v10 = n[1:, :]
-    v11 = np.roll(n[1:, :], -1, axis=1)
-    v01 = np.roll(n[:-1, :], -1, axis=1)
+    n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
+    v00, v01 = n[:-1, 0], n[:-1, 1]
+    v10, v11 = n[1:, 0], n[1:, 1]
     # Orientation (t, k): matches the [n x dn/dt].dn/dk integrand sign.
     total = _triangle_areas(v00, v01, v11).sum() + _triangle_areas(v00, v11, v10).sum()
-    value = float(total / (4 * np.pi))
+    value = float(n_t * total / (4 * np.pi))
     rounded = int(round(value))
     return ChernResult(
         value=value, rounded=rounded, residual=abs(value - rounded), method="solid_angle"

@@ -450,7 +450,8 @@ def _add_common(parser: argparse.ArgumentParser, *, quench_params: bool) -> None
     parser.add_argument("--samples", type=int, help="shot-noise samples per configuration")
     parser.add_argument("--seed", type=int, help="noise seed")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    # No default here: a config file may set it; main() falls back to csv.
+    parser.add_argument("--format", choices=("csv", "json"), help="csv (default) or json")
     parser.add_argument("--config", help="JSON file of flag values (flags override)")
 
 
@@ -511,6 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, parser)
+        args.format = args.format or "csv"
         _check_sizes(args)
         try:
             return args.func(args)

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ptwalk.chern import build_submanifolds, chern_riemann, chern_solid_angle
+from ptwalk.chern import Submanifold, build_submanifolds, chern_riemann, chern_solid_angle
+from ptwalk.errors import WalkError
+from ptwalk.floquet import CoinParams
 from ptwalk.quench import FixedPointKind, QuenchSpec, find_fixed_points
+from ptwalk.spectrum import PTPhase, pt_classify
 from conftest import random_coin_params
 
 PI = np.pi
@@ -93,9 +98,6 @@ def test_methods_agree_on_random_quenches(rng):
     (s_hi - s_lo) / 2, with s the pole that n is pinned to at each end: in
     rescaled time n rotates rigidly about the z axis, so only the poles count.
     """
-    from ptwalk.errors import WalkError
-    from ptwalk.spectrum import PTPhase, pt_classify
-
     checked = 0
     while checked < 100:
         initial = random_coin_params(rng, 0.6)
@@ -158,3 +160,153 @@ def test_riemann_grid_precondition(spec_fig3a):
     sub = build_submanifolds(find_fixed_points(spec_fig3a))[0]
     with pytest.raises(ValueError):
         chern_riemann(sub, spec_fig3a, 32, 32)
+
+
+def rotation_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def invariance_cases(rng):
+    """(spec, submanifold) on the presets plus a few random unbroken quenches."""
+    from ptwalk.presets import PRESETS, build_spec
+
+    specs = [build_spec(PRESETS[name]) for name in ("fig3a", "fig3b", "fig6")]
+    while len(specs) < 8:
+        initial, final = random_coin_params(rng, 0.6), random_coin_params(rng, 0.6)
+        if PTPhase.BROKEN not in (pt_classify(initial), pt_classify(final)):
+            specs.append(QuenchSpec(initial=initial, final=final))
+    for spec in specs:
+        for sub in build_submanifolds(find_fixed_points(spec))[:2]:
+            yield spec, sub
+
+
+def test_bloch_rows_are_rigid_z_rotations_of_row_zero(rng):
+    """n(k, tau) = R_z(2 pi tau) n(k, 0): the identity the one-row integrators rest on."""
+    from ptwalk.chern import _bloch_grid, _field_columns
+
+    taus = np.concatenate([np.arange(37) / 37, rng.uniform(-1.0, 2.0, size=8)])
+    for spec, sub in invariance_cases(rng):
+        cp, cm = _field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, 65))
+        n = _bloch_grid(cp, cm, taus)
+        assert n.shape == (65, len(taus), 3)
+        for j, tau in enumerate(taus):
+            rotated = n[:, 0] @ rotation_z(2 * PI * tau).T
+            np.testing.assert_allclose(n[:, j], rotated, rtol=0, atol=1e-14)
+
+
+def test_every_row_of_the_full_grid_adds_the_same_chern_share(rng):
+    """Each tau row of the Riemann density and of the triangle areas sums to the same.
+
+    Shares are in units of C: a row's sum times the other grid factors, so
+    that one row stands for the whole integral.
+    """
+    from chern_oracle import riemann_density_grid, triangle_area_grid
+
+    for spec, sub in invariance_cases(rng):
+        n_k, n_t = 97, 65
+        dk = (sub.k_hi - sub.k_lo) / n_k
+        rows = riemann_density_grid(sub, spec, n_k, n_t).sum(axis=0) * dk / (4 * PI)
+        np.testing.assert_allclose(rows, rows[0], rtol=0, atol=1e-13)
+        n_k, n_t = 40, 33
+        rows = triangle_area_grid(sub, spec, n_k, n_t).sum(axis=(0, 1)) * n_t / (4 * PI)
+        np.testing.assert_allclose(rows, rows[0], rtol=0, atol=1e-13)
+
+
+ANGLES = st.floats(-PI, PI)
+LOSSES = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+
+
+@st.composite
+def chern_cases(draw):
+    """A quench, a submanifold of it and the two integration grids.
+
+    Quenches start from the lower band of an unbroken operator or from an
+    explicit state, with a relative phase of i half the time (the family with
+    isolated fixed points); a broken final operator is kept, so both sides
+    must raise ``ExceptionalPoint``.  The submanifold is one between adjacent
+    fixed points or, a quarter of the time or where there are none, any
+    interval down to 1e-4 wide.  Grids run from the minimum (64 for Riemann,
+    8 for solid angle) through odd sizes, with n_k and n_t drawn apart.
+    """
+    final = CoinParams(draw(ANGLES), draw(ANGLES), draw(LOSSES))
+    if draw(st.booleans()):
+        initial = CoinParams(draw(ANGLES), draw(ANGLES), draw(LOSSES))
+        assume(pt_classify(initial) is PTPhase.UNBROKEN)
+        spec = QuenchSpec(initial=initial, final=final)
+    else:
+        mix = draw(ANGLES)
+        phase = draw(st.one_of(st.just(1j), ANGLES.map(lambda phi: np.exp(1j * phi))))
+        spec = QuenchSpec(
+            initial=final, final=final,
+            initial_state=(complex(np.cos(mix)), complex(phase * np.sin(mix))),
+        )
+    try:
+        subs = build_submanifolds(find_fixed_points(spec))
+    except WalkError:
+        subs = []
+    if subs and draw(st.integers(0, 3)):
+        sub = subs[draw(st.integers(0, len(subs) - 1))]
+    else:
+        k_lo = draw(ANGLES)
+        width = 10.0 ** draw(st.floats(-4.0, np.log10(2 * PI)))
+        sub = Submanifold(k_lo, k_lo + width, FixedPointKind.C_PLUS_ZERO,
+                          FixedPointKind.C_MINUS_ZERO)
+    riemann = (draw(st.integers(64, 161)), draw(st.integers(64, 161)))
+    solid = (draw(st.integers(8, 97)), draw(st.integers(8, 97)))
+    return spec, sub, riemann, solid
+
+
+def solid_angle_rounding_bound(sub, spec, n_k, n_t):
+    """How far rounding alone can move the one-strip sum from the full-grid sum.
+
+    A triangle's area is 2 atan2(numer, denom).  Rotated rows round numer and
+    denom differently, by a few ulps (taken as 4 eps), and atan2 scales an
+    input error by 1 / hypot(numer, denom); rows differ in nothing else.
+    Beside a band touching the eigenbasis flips, adjacent nodes turn almost
+    antipodal, hypot falls toward 0 and the bound rises far above 1e-12.
+    """
+    from ptwalk.chern import _bloch_grid, _field_columns
+
+    cp, cm = _field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, n_k + 1))
+    n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
+    v00, v01, v10, v11 = n[:-1, 0], n[:-1, 1], n[1:, 0], n[1:, 1]
+    inverse_hypot = 0.0
+    for a, b, c in ((v00, v01, v11), (v00, v11, v10)):
+        numer = np.einsum("kc,kc->k", a, np.cross(b, c))
+        denom = 1 + np.einsum("kc,kc->k", a, b) + np.einsum("kc,kc->k", b, c)
+        denom += np.einsum("kc,kc->k", c, a)
+        inverse_hypot += np.sum(1 / np.hypot(numer, denom))
+    return n_t * 8 * np.finfo(float).eps * inverse_hypot / (4 * PI)
+
+
+def outcome(integrator, *args):
+    """The ChernResult, or the type of the WalkError raised instead."""
+    try:
+        return integrator(*args)
+    except WalkError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(chern_cases())
+def test_one_row_integrators_match_the_full_grid_oracle(case):
+    from chern_oracle import chern_riemann_full, chern_solid_angle_full
+
+    spec, sub, riemann, solid = case
+    pairs = [
+        (outcome(chern_riemann, sub, spec, *riemann),
+         outcome(chern_riemann_full, sub, spec, *riemann)),
+        (outcome(chern_solid_angle, sub, spec, *solid),
+         outcome(chern_solid_angle_full, sub, spec, *solid)),
+    ]
+    for got, want in pairs:
+        if isinstance(got, type) or isinstance(want, type):
+            assert got == want, (spec, sub, got, want)
+            continue
+        tol = 1e-12
+        if got.method == "solid_angle":
+            tol = max(tol, solid_angle_rounding_bound(sub, spec, *solid))
+        assert abs(got.value - want.value) <= tol, (spec, sub, got, want, tol)
+        assert got.rounded == want.rounded, (spec, sub, got, want)
+        assert got.method == want.method

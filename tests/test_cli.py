@@ -247,6 +247,9 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # order (max |dn| against the einsum assembly was 5e-15).  The fixed-points
 # and chern digests were re-pinned when the closed-form root solve replaced
 # the grid scan with golden section (max |dk| against the search 5.6e-13).
+# The chern digest was re-pinned again when the integrators came to sum one
+# tau row times n_t (max |dC| against the full grid 4.4e-16 Riemann, 5.6e-16
+# solid angle; every other column byte-identical).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -255,7 +258,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["fixed-points", "--preset", "fig6"],
          "e5d50ccfb5a8c8f8421073fb5110bdfbbaa3df53c8f2d3ac7bc9203c4bc94240"),
         (["chern", "--preset", "fig3b"],
-         "900e712090071b477cd7b2fba04850a17afa358dd8fb18c59d3ea88b0759da38"),
+         "756a051c09f5f5542a1ab109e2cd885fbb5c5d4def90cee2c47cd1a11e5e8663"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "4cd78130755b27a74c2e9d849ac38737be9804f8aa024152c1d4c3cd495f2f3f"),
     ],
@@ -270,6 +273,8 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # Digests of the JSON written by the row-at-a-time writer (one
 # json.dumps(indent=2, sort_keys=True) over the whole payload); the
 # column-wise encoder must reproduce every byte, NaN and empty tables included.
+# The chern digest was re-pinned when the integrators came to sum one tau row
+# times n_t (max |dC| 4.7e-17 Riemann, 2.3e-16 solid angle).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -280,7 +285,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
          "aa49574d5b33f71668872c8aea13d4074cabd8cbabe3f3cc65745562f2c115a2"),
         (["chern", "--preset", "fig6"],
-         "843a9c62e292a129e0b6eea349e0a17fd3f9ea5cc801d9ad60f22ad91ad56812"),
+         "55fce5c538c4bc3035f262a585aec0150b6e53c848c39ff35a10017be35d76e8"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "b22e5f8990069f797a5298a2324e5cfb5ceffe028761f665d671e5558ce960c2"),
     ],
@@ -373,6 +378,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         ["spectrum", "--config", str(config), "--kgrid", "8"], capsys
     )
     assert len(read_csv(out)) == 8
+
+
+def test_config_file_sets_the_format_and_the_flag_beats_it(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"format": "json"}))
+    argv = ["spectrum", "--preset", "fig4", "--kgrid", "4"]
+    code, out, _ = run_cli([*argv, "--config", str(config)], capsys)
+    assert code == 0
+    assert out == run_cli([*argv, "--format", "json"], capsys)[1]
+    assert json.loads(out)["meta"]["preset"] == "fig4"
+    code, out, _ = run_cli([*argv, "--config", str(config), "--format", "csv"], capsys)
+    assert code == 0
+    assert out == run_cli(argv, capsys)[1]
+    assert out.startswith("k,re_energy,im_energy,pt_broken\n")
 
 
 def test_error_is_machine_readable(capsys):
