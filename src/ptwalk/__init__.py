@@ -16,7 +16,7 @@ from .chern import (
     chern_riemann,
     chern_solid_angle,
 )
-from .core import EigenSystem, eig_biorthogonal_grid, pauli_assemble, pauli_expand
+from .core import EigenSystem, pauli_assemble, pauli_expand
 from .errors import (
     ConfigError,
     DegenerateSpectrum,
@@ -24,7 +24,6 @@ from .errors import (
     ExceptionalPoint,
     ImaginaryEnergy,
     NonQuantized,
-    SingularMatrix,
     SingularNormalization,
     WalkError,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "PhaseDiagramCell",
     "PositionState",
     "QuenchSpec",
-    "SingularMatrix",
     "SingularNormalization",
     "Submanifold",
     "WalkError",
@@ -105,7 +103,6 @@ __all__ = [
     "chern_solid_angle",
     "d_coefficients",
     "density_matrix",
-    "eig_biorthogonal_grid",
     "evolve",
     "find_fixed_points",
     "fourier",

@@ -17,10 +17,6 @@ class ExceptionalPoint(DegenerateSpectrum):
     """Band touching of the non-unitary operator (|d0| = 1 at some momentum)."""
 
 
-class SingularMatrix(WalkError):
-    """A zero eigenvalue: lambda = 0 has no quasienergy eps = i log(lambda)."""
-
-
 class NonQuantized(WalkError):
     """A quantity expected to round to an integer failed its residual check."""
 

@@ -218,9 +218,8 @@ def bloch_from_coefficients(ct_plus, ct_minus) -> np.ndarray:
 
 def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     """n(k,t) as a real unit 3-vector; t is continuous and >= 0 is not required."""
-    pair = overlaps(spec, k)
-    energy, _ = quasienergies(spec.final, k)
-    ct_p, ct_m = _dressed_coefficients(pair.c_plus, pair.c_minus, energy, t)
+    cp, cm, final = overlap_grid(spec, np.array([k]))
+    ct_p, ct_m = _dressed_coefficients(cp[0], cm[0], final.quasienergies[0, 0], t)
     return bloch_from_coefficients(ct_p, ct_m)
 
 
@@ -249,9 +248,7 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     system = final_eigensystem(spec, k)
     psi_i = initial_spinors(spec, np.array([k]))[0]
     c = system.left @ psi_i  # (c_+, c_-)
-    energy, _ = quasienergies(spec.final, k)
-    eps = np.array([energy, -energy])
-    ct = c * np.exp(-1j * eps * t)
+    ct = c * np.exp(-1j * system.quasienergies * t)
     psi_t = ct @ system.right
     chi_t = ct.conj() @ system.left
     denom = chi_t @ psi_t

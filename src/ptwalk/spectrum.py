@@ -1,13 +1,15 @@
 """Quasienergy bands, PT classification, generalized Zak phases, and windings.
 
 The rescaled operator has unit determinant, so its eigenvalues pair up as
-lambda_{k,+-} = d0 -+ i sqrt(1 - d0^2) with quasienergies
-eps_{k,+-} = i log(lambda) = +-E_k.  While d0^2 < 1 the spectrum is entirely
-real with E_k = arccos(d0) (unbroken symmetry); once d0^2 > 1 the pair splits
-into growing and decaying modes and the + band is the growing one, Im E > 0
-(with Re E = -pi on the d0 < -1 branch of the principal logarithm).  d0 is an
-affine function of cos(2k), so its extrema sit at k = 0 and k = pi/2, which
-makes the broken/unbroken classification exact.
+lambda_{k,+-} = e^{-+iE_k} = d0 -+ i sin E_k with quasienergies
+eps_{k,+-} = +-E_k.  While d0^2 < 1 the spectrum is entirely real with
+E_k = arccos(d0) (unbroken symmetry); once d0^2 > 1 the pair splits into
+growing and decaying modes and the + band is the growing one, Im E > 0 (with
+Re E = -pi on the d0 < -1 branch of the principal logarithm).  Every path
+takes E from d0 by that one rule, the biorthogonal eigensystem
+(:func:`walk_eigensystem`) included, which is built in closed form from the
+d coefficients.  d0 is an affine function of cos(2k), so its extrema sit at
+k = 0 and k = pi/2, which makes the broken/unbroken classification exact.
 
 Winding numbers are global Berry phases: the sum of the two bands' generalized
 Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  Each Zak phase
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenSystem, eig_biorthogonal_grid
-from .errors import DegenerateSpectrum, ExceptionalPoint, NonQuantized
-from .floquet import CoinParams, d_coefficients, momentum_operator_closed
+from .core import PAULI, SIGMA_0, EigenSystem
+from .errors import ExceptionalPoint, NonQuantized
+from .floquet import CoinParams, d_coefficients
 
 __all__ = [
     "PTPhase",
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 EP_TOL = 1e-12
+GAP_TOL = 1e-9              # smallest eigenvalue gap |lambda_+ - lambda_-| a solve accepts
 QUANTIZATION_TOL = 0.05
 
 
@@ -178,15 +181,62 @@ def pt_classify(params: CoinParams, n_k: int = 512) -> PTPhase:
 def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     """Biorthogonal eigensystem of Ut_k at every momentum of ``k`` (any shape).
 
+    Closed form from the d coefficients, with no general 2x2 solve:
+    Ut_k = d0 - i h.sigma with h = (d1, d2, d3), so the eigenvectors are those
+    of h.sigma.  The + band has eps_+ = E from :func:`_energy_plus_from_d0`
+    and lambda_+ = e^{-iE}.  Its eigenvalue of h.sigma is mu = sin E, so that
+    lambda_+ = d0 - i mu on every branch: mu^2 = h.h = 1 - d0^2, and mu is
+    the principal sqrt(h.h) except on the d0 < -1 branch, where it is minus
+    that.  It is taken from h.h rather than from d0, so that the projectors
+    match h.sigma to rounding next to a band touching.  Each band's vectors
+    are the larger-norm column (ket) and row (bra) of its spectral projector
+    (1 + h.sigma / m) / 2, m = +-mu, whose scale also fixes their phase; right
+    vectors are unit-norm and left vectors rescaled so that
+    <chi_b|psi_b> = 1.  Each momentum's result does not depend on the batch
+    it sits in.
+
     Raises
     ------
+    ValueError
+        If a momentum is not finite.
     ExceptionalPoint
-        If two eigenvalues meet at some momentum (band touching).
+        If the eigenvalue gap |lambda_+ - lambda_-| = 2 |sin E| = 2 |mu|
+        (the smaller of the two roundings) is at or below ``GAP_TOL`` at some
+        momentum (band touching).
     """
-    try:
-        return eig_biorthogonal_grid(momentum_operator_closed(params, k))
-    except DegenerateSpectrum as exc:
-        raise ExceptionalPoint(str(exc)) from exc
+    k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momenta must be finite")
+    # Numpy's 0-d (scalar) arithmetic rounds differently from its array loops,
+    # so every batch, shape () included, is solved as a flat 1-D batch.
+    batch = k.shape
+    d = d_coefficients(params, k.reshape(-1))
+    d0 = d[:, 0].real
+    energy = _energy_plus_from_d0(d0)
+    eps = np.stack([energy, -energy], axis=-1)
+    lam = np.exp(-1j * eps)
+    h = d[:, 1:]
+    mu = np.where(d0 < -1.0, -1.0, 1.0) * np.sqrt(np.einsum("kj,kj->k", h, h))
+    gap = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), 2 * np.abs(mu))
+    if np.any(gap <= GAP_TOL):
+        raise ExceptionalPoint(
+            f"eigenvalue gap {gap.min():.3e} <= {GAP_TOL:.1e} somewhere on the grid"
+        )
+    h_sigma = np.einsum("kj,jab->kab", h, PAULI[1:])
+    right = np.empty((len(d0), 2, 2), dtype=complex)
+    left = np.empty_like(right)
+    for b, m in enumerate((mu, -mu)):
+        proj = (SIGMA_0 + h_sigma / m[:, None, None]) / 2
+        col = np.argmax(np.abs(proj).sum(axis=-2), axis=-1)
+        row = np.argmax(np.abs(proj).sum(axis=-1), axis=-1)
+        psi = np.take_along_axis(proj, col[:, None, None], axis=-1)[..., 0]
+        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+        bra = np.take_along_axis(proj, row[:, None, None], axis=-2)[:, 0, :]
+        bra = bra / np.einsum("kc,kc->k", bra, psi)[:, None]
+        right[:, b, :] = psi
+        left[:, b, :] = bra
+    vec, mat = batch + (2,), batch + (2, 2)
+    return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
 
 
 def _wilson_phases(params: CoinParams, n_k: int, k_offset: float) -> tuple[float, float]:

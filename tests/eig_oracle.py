@@ -1,16 +1,20 @@
 """np.linalg.eig-based biorthogonal eigensolver: the oracle for the package's solver.
 
-It shares no code with ``ptwalk.core.eig_biorthogonal_grid`` (quadratic
-formula plus spectral projectors) beyond the result type and the band rule,
-which it restates: if the two quasienergies eps = i log(lambda) have distinct
+It shares no code with ``ptwalk.spectrum.walk_eigensystem`` (closed form from
+the d coefficients) beyond the result type and the gap tolerance.  Its band
+rule is generic: if the two quasienergies eps = i log(lambda) have distinct
 imaginary parts, the "+" band is the one with the larger Im(eps); otherwise
-the "+" band has the larger real part.
+the "+" band has the larger real part.  On a walk operator that is the
+package's rule except where d0 < -1: there i log of the negative eigenvalue
+lands on Re eps = +-pi by the sign of a rounding zero, and the package fixes
+Re E = -pi, so callers compare eps modulo 2 pi.
 """
 
 import numpy as np
 
-from ptwalk.core import GAP_TOL, EigenSystem
+from ptwalk.core import EigenSystem
 from ptwalk.errors import DegenerateSpectrum
+from ptwalk.spectrum import GAP_TOL
 
 IM_SPLIT_TOL = 1e-12
 

@@ -249,18 +249,21 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # the grid scan with golden section (max |dk| against the search 5.6e-13).
 # The chern digest was re-pinned again when the integrators came to sum one
 # tau row times n_t (max |dC| against the full grid 4.4e-16 Riemann, 5.6e-16
-# solid angle; every other column byte-identical).
+# solid angle; every other column byte-identical).  All four were re-pinned
+# when the walk eigensystem came to be built from the d coefficients instead
+# of a general 2x2 solve (max |dn| 5.3e-15, |dC| 4.4e-16, fixed-point k
+# byte-identical and residuals moved by 4.9e-32).
 @pytest.mark.parametrize(
     "args, digest",
     [
         (["preset", "fig3b"],
-         "10b15c1b28b8af0344b5d7ab2715ab067ed685835eae1d8e23fd63a599ca88d9"),
+         "cfddacc3d4c4d07e2cd7d90274313427a9785872c87b29e9ae0b0ed0d7fc68d6"),
         (["fixed-points", "--preset", "fig6"],
-         "e5d50ccfb5a8c8f8421073fb5110bdfbbaa3df53c8f2d3ac7bc9203c4bc94240"),
+         "653ce58775b006c434b7ff479b866ef3f9df5b6636b426025181b7069e1f4a31"),
         (["chern", "--preset", "fig3b"],
-         "756a051c09f5f5542a1ab109e2cd885fbb5c5d4def90cee2c47cd1a11e5e8663"),
+         "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "4cd78130755b27a74c2e9d849ac38737be9804f8aa024152c1d4c3cd495f2f3f"),
+         "312e16e973a5225d9922b6c41d298304143f5da668b4d7dc8f00739ee9f8d254"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -274,20 +277,22 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # json.dumps(indent=2, sort_keys=True) over the whole payload); the
 # column-wise encoder must reproduce every byte, NaN and empty tables included.
 # The chern digest was re-pinned when the integrators came to sum one tau row
-# times n_t (max |dC| 4.7e-17 Riemann, 2.3e-16 solid angle).
+# times n_t (max |dC| 4.7e-17 Riemann, 2.3e-16 solid angle).  The quench,
+# chern and reconstruct digests were re-pinned when the walk eigensystem came
+# to be built from the d coefficients (max |dn| 5.3e-15, |dC| 1.1e-16).
 @pytest.mark.parametrize(
     "args, digest",
     [
         (["quench", "--preset", "fig3b"],
-         "ebe722d7a78ed19c62f4c527c1b2eaa129cbbeb678fbe2122a34fe47e7ce37d0"),
+         "c064beea15bce8a45341b230fea184754e99883fc5563bb2d2b9a9b2aaf6f3be"),
         (["phase-diagram", "--p", "0.36"],
          "89874b254eacd6ff522f57d8a5e05a801c6c43a54ef4207bfe0b9354cdc4e185"),
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
          "aa49574d5b33f71668872c8aea13d4074cabd8cbabe3f3cc65745562f2c115a2"),
         (["chern", "--preset", "fig6"],
-         "55fce5c538c4bc3035f262a585aec0150b6e53c848c39ff35a10017be35d76e8"),
+         "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "b22e5f8990069f797a5298a2324e5cfb5ceffe028761f665d671e5558ce960c2"),
+         "c18ebdff9f771bf3eed0b3c011aa1d6022a45651498f10f324c2683258cf9966"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -311,7 +316,9 @@ def test_amplitude_dump_is_pinned(tmp_path, capsys):
 
 
 def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
-    # Pins the pair noise stream: one generator per (seed, step, basis).
+    # Pins the pair noise stream: one generator per (seed, step, basis).  The
+    # table was re-pinned when the walk eigensystem came to be built from the
+    # d coefficients (the dump did not change).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -320,7 +327,7 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "243b4dd5ac714a46a0a0cc0672400cdba22fc9292760d43ff08689bf44b9e9da"
+        "fd97143d79c5edfd151add0b054190c3d596dd7dbc9d3a5ac8b35ebb69e89276"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"

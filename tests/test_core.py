@@ -1,23 +1,16 @@
-"""Biorthogonal eigensolver and Pauli-basis round trips."""
-
-import warnings
+"""The walk's closed-form biorthogonal eigensystem and Pauli-basis round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_coin_params
 from eig_oracle import eig_biorthogonal
-from ptwalk.core import (
-    GAP_TOL,
-    PAULI,
-    SIGMA_3,
-    eig_biorthogonal_grid,
-    pauli_assemble,
-    pauli_expand,
-)
-from ptwalk.errors import DegenerateSpectrum, SingularMatrix
+from ptwalk.core import PAULI, pauli_assemble, pauli_expand
+from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
 from ptwalk.floquet import CoinParams, momentum_operator_closed
+from ptwalk.spectrum import GAP_TOL, walk_eigensystem
 
 
 def quadratic_eigenvalues(m):
@@ -28,29 +21,26 @@ def quadratic_eigenvalues(m):
     return tr / 2 + disc, tr / 2 - disc
 
 
-def random_matrix(rng, scale=1.0):
-    return scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+def random_walk(rng):
+    """A random lossy walk (p up to 0.99, so both broken branches occur) and a momentum."""
+    return random_coin_params(rng, p_max=0.99), float(rng.uniform(-np.pi, np.pi))
 
 
 def test_identity_is_degenerate():
-    with pytest.raises(DegenerateSpectrum):
-        eig_biorthogonal_grid(np.eye(2, dtype=complex))
-
-
-def test_sigma3_hermitian_diagonal():
-    system = eig_biorthogonal_grid(SIGMA_3)
-    assert np.allclose(sorted(system.values.real), [-1, 1])
-    # lambda = +1 (eps = 0) is the plus band; basis vectors, left = right
-    assert np.allclose(np.abs(system.psi_plus), [1, 0])
-    assert np.allclose(np.abs(system.psi_minus), [0, 1])
-    np.testing.assert_allclose(np.abs(system.left), np.abs(system.right), atol=1e-12)
-    np.testing.assert_allclose(system.left @ system.right.T, np.eye(2), atol=1e-14)
+    # Ut_0 is the identity at theta1 = theta2 = p = 0.  With theta2 = -theta1
+    # it is d0 I with d0 one ulp below 1: 2 |sin E| reads 3e-8 there, but
+    # h = 0, so the gap is taken from h as well.
+    cases = ((CoinParams(0.0, 0.0, 0.0), 1.0), (CoinParams(0.25, -0.25, 0.0), 1 - 2**-53))
+    for params, d0 in cases:
+        np.testing.assert_array_equal(momentum_operator_closed(params, 0.0), d0 * np.eye(2))
+        with pytest.raises(DegenerateSpectrum):
+            walk_eigensystem(params, 0.0)
 
 
 def test_walk_operator_biorthonormality_and_oracle():
     params = CoinParams(-np.pi / 2, np.pi / 3, 0.36)
     m = momentum_operator_closed(params, 0.3)
-    system = eig_biorthogonal_grid(m)
+    system = walk_eigensystem(params, 0.3)
     # biorthonormality <chi_mu|psi_nu> = delta
     gram = system.left @ system.right.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
@@ -65,51 +55,26 @@ def test_walk_operator_biorthonormality_and_oracle():
 
 def test_spectral_reconstruction(rng):
     for _ in range(100):
-        m = random_matrix(rng)
+        params, k = random_walk(rng)
         try:
-            system = eig_biorthogonal_grid(m)
+            system = walk_eigensystem(params, k)
         except DegenerateSpectrum:
             continue
         rebuilt = sum(
             system.values[b] * np.outer(system.right[b], system.left[b]) for b in range(2)
         )
-        np.testing.assert_allclose(rebuilt, m, atol=1e-10)
-
-
-def test_scale_consistency(rng):
-    for _ in range(25):
-        m = random_matrix(rng)
-        c = complex(rng.normal(), rng.normal())
-        if abs(c) < 0.1:
-            continue
-        try:
-            base = eig_biorthogonal_grid(m)
-            scaled = eig_biorthogonal_grid(c * m)
-        except DegenerateSpectrum:
-            continue
-        # same eigenvalue set scaled by c
-        got = sorted(scaled.values, key=lambda z: (z.real, z.imag))
-        want = sorted(c * base.values, key=lambda z: (z.real, z.imag))
-        np.testing.assert_allclose(got, want, atol=1e-10)
-        # identical projector rays, band labels aside
-        proj = lambda s, b: np.outer(s.right[b], s.left[b])
-        base_projs = {0: proj(base, 0), 1: proj(base, 1)}
-        for b in range(2):
-            match = min(
-                np.abs(base_projs[0] - proj(scaled, b)).max(),
-                np.abs(base_projs[1] - proj(scaled, b)).max(),
-            )
-            assert match < 1e-10
+        np.testing.assert_allclose(rebuilt, momentum_operator_closed(params, k), atol=1e-10)
 
 
 def test_left_eigenvector_definition(rng):
     """U^dag |chi> = lambda^* |chi>, i.e. <chi| U = lambda <chi|."""
     for _ in range(20):
-        m = random_matrix(rng)
+        params, k = random_walk(rng)
         try:
-            system = eig_biorthogonal_grid(m)
+            system = walk_eigensystem(params, k)
         except DegenerateSpectrum:
             continue
+        m = momentum_operator_closed(params, k)
         for b in range(2):
             np.testing.assert_allclose(
                 system.left[b] @ m, system.values[b] * system.left[b], atol=1e-10
@@ -117,78 +82,113 @@ def test_left_eigenvector_definition(rng):
 
 
 def test_grid_solver_matches_scalar(rng):
-    mats, systems = [], []
-    while len(mats) < 64:
-        m = random_matrix(rng)
-        try:
-            systems.append(eig_biorthogonal(m))
-        except DegenerateSpectrum:
-            continue
-        mats.append(m)
-    grid = eig_biorthogonal_grid(np.array(mats))
-    for i, system in enumerate(systems):
-        np.testing.assert_allclose(grid.values[i], system.values, atol=1e-10)
-        for b in range(2):
-            np.testing.assert_allclose(
-                np.outer(grid.right[i, b], grid.left[i, b]),
-                np.outer(system.right[b], system.left[b]),
-                atol=1e-10,
-            )
+    for _ in range(4):
+        params = random_coin_params(rng, p_max=0.99)
+        ks = rng.uniform(-np.pi, np.pi, 64)
+        grid = walk_eigensystem(params, ks)
+        for i, k in enumerate(ks):
+            system = eig_biorthogonal(momentum_operator_closed(params, k))
+            np.testing.assert_allclose(grid.values[i], system.values, atol=1e-10)
+            for b in range(2):
+                np.testing.assert_allclose(
+                    np.outer(grid.right[i, b], grid.left[i, b]),
+                    np.outer(system.right[b], system.left[b]),
+                    atol=1e-10,
+                )
 
 
-# Zero or at least 1e-3 in size: LAPACK (the oracle) loses the eigenvectors of
-# a matrix whose entries span dozens of orders of magnitude.
-_ENTRY = st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+_ANGLE = st.floats(-np.pi, np.pi)
+# Up to p = 0.99 (alpha = 1.74), so both broken branches are wide.
+_LOSS = st.floats(0.0, 0.99)
+
+
+def _d0_targets(closest: float):
+    """d0 = +-(1 +- 10^u): both broken branches (out to |d0| = 2) and the
+    unbroken band down to d0 = 0, with |1 - |d0|| from 10^closest to 1."""
+    return st.tuples(
+        st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]), st.floats(closest, 0.0)
+    ).map(lambda v: v[0] * (1.0 + v[1] * 10.0 ** v[2]))
 
 
 @st.composite
-def matrix_batches(draw):
-    """Batches of 1-5 complex 2x2 matrices, half of them pushed toward GAP_TOL.
+def walk_batches(draw):
+    """A walk and a batch of 1-5 momenta, most of them aimed at a chosen d0.
 
-    A pushed matrix is c I + d m: its eigenvalue gap is d times that of m,
-    with d down to 1e-10, so draws land on both sides of the gap tolerance.
+    d0 = alpha (cos 2k c1 c2 - s1 s2) is affine in x = cos 2k, so a target d0
+    fixes x; a target out of reach is clipped to x = +-1, an extreme of d0.
+
+    Half the walks are unitary.  Their operators are normal, so the error
+    model below holds up to the band touching, and targets come within one
+    ulp of d0 = +-1 (gap 2 sqrt|1 - d0^2| ~ 3e-8, a few tens of GAP_TOL).
+    Two thirds of the walks have theta2 = +-theta1, exactly or up to 0.5.
+    Exactly, d0 = alpha at k = 0 or d0 = -alpha at k = pi/2: a band touching
+    of a unitary walk (d0 exactly 1 or one ulp off, so draws land on both
+    sides of the gap tolerance) and the far end of a broken branch of a lossy
+    one.  Near it, max |d0| = alpha max |cos(theta1 -+ theta2)| is at least
+    alpha cos 0.5, so at larger losses both broken branches stay in reach of
+    the targets.  A lossy walk's band touching is an exceptional point, where
+    the projectors of any solver in double precision lose digits as
+    1 / gap^3 rather than 1 / gap^2 (at p = 0.9 the oracle's error is already
+    0.4 of the bound 3e-6 from |d0| = 1); its targets stay 1e-4 from
+    |d0| = 1 (gap >= 0.028).
     """
-    n = draw(st.integers(1, 5))
-    mats = []
-    for _ in range(n):
-        parts = [draw(_ENTRY) for _ in range(8)]
-        m = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
-        if draw(st.booleans()):
-            d = 10.0 ** draw(st.floats(-10.0, 0.0))
-            m = complex(draw(_ENTRY), draw(_ENTRY)) * np.eye(2) + d * m
-        mats.append(m)
-    shape = draw(st.sampled_from([(n,), (1, n), (n, 1)]))
-    return np.array(mats).reshape(shape + (2, 2))
+    theta1 = draw(_ANGLE)
+    unitary = draw(st.booleans())
+    pairing = draw(st.sampled_from(["free", "exact", "near"]))
+    if pairing == "free":
+        theta2 = draw(_ANGLE)
+    else:
+        theta2 = draw(st.sampled_from([-1.0, 1.0])) * theta1
+        if pairing == "near":
+            theta2 += draw(st.floats(-0.5, 0.5))
+    params = CoinParams(theta1, theta2, 0.0 if unitary else draw(_LOSS))
+    targets = _d0_targets(-16.0 if unitary else -4.0)
+    c1, s1 = np.cos(params.theta1), np.sin(params.theta1)
+    c2, s2 = np.cos(params.theta2), np.sin(params.theta2)
+    ks = []
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(["uniform", "target", "target", "target", "end"]))
+        if how == "uniform":
+            ks.append(draw(_ANGLE))
+        elif how == "end":
+            ks.append(draw(st.sampled_from([0.0, np.pi / 2])))
+        else:
+            x = (draw(targets) / params.alpha + s1 * s2) / (c1 * c2) if c1 * c2 else 0.0
+            half = np.arccos(np.clip(x, -1.0, 1.0)) / 2
+            ks.append(float(draw(st.sampled_from([1, -1])) * half))
+    shape = draw(st.sampled_from([(len(ks),), (1, len(ks)), (len(ks), 1)]))
+    return params, np.array(ks).reshape(shape)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(matrix_batches())
-def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(batch):
-    members = batch.reshape(-1, 2, 2)
-    systems, errors = [], set()
-    for m in members:
+@given(walk_batches())
+def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(draw):
+    params, batch = draw
+    members = batch.reshape(-1)
+    systems, raised = [], False
+    for k in members:
         try:
-            systems.append(eig_biorthogonal_grid(m))
-        except (DegenerateSpectrum, SingularMatrix) as exc:
-            errors.add(type(exc))
-    if errors:
-        # A batch reports a degenerate member before a singular one.
-        with pytest.raises(DegenerateSpectrum if DegenerateSpectrum in errors else SingularMatrix):
-            eig_biorthogonal_grid(batch)
+            systems.append(walk_eigensystem(params, float(k)))
+        except ExceptionalPoint:
+            raised = True
+    if raised:
+        with pytest.raises(ExceptionalPoint):
+            walk_eigensystem(params, batch)
         return
-    batched = eig_biorthogonal_grid(batch)
-    assert batched.values.shape == batch.shape[:-1]
-    assert batched.right.shape == batch.shape
-    for i, (m, system) in enumerate(zip(members, systems)):
+    batched = walk_eigensystem(params, batch)
+    assert batched.values.shape == batch.shape + (2,)
+    assert batched.right.shape == batch.shape + (2, 2)
+    for i, (k, system) in enumerate(zip(members, systems)):
         assert system.values.shape == (2,) and system.left.shape == (2, 2)
         for field in ("values", "quasienergies", "right", "left"):
             whole = getattr(batched, field)
-            got = whole.reshape((-1,) + whole.shape[batch.ndim - 2 :])[i]
+            got = whole.reshape((-1,) + whole.shape[batch.ndim :])[i]
             assert got.tobytes() == getattr(system, field).tobytes(), field
 
         # 1e-10 on well-separated spectra; near the gap tolerance both solvers
         # lose digits as eps |m|^2 / gap (eigenvalues) and / gap^2 (projectors),
         # so they may also disagree on which side of GAP_TOL a gap lies.
+        m = momentum_operator_closed(params, k)
         gap = abs(system.values[0] - system.values[1])
         cond = 1e-13 * np.abs(m).max() ** 2 / gap
         try:
@@ -203,29 +203,17 @@ def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(batch):
             assert np.abs(proj - proj_oracle).max() <= 1e-10 + cond / gap
 
 
-def test_solver_rejects_bad_shapes_and_non_finite_entries():
-    with pytest.raises(ValueError):
-        eig_biorthogonal_grid(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        eig_biorthogonal_grid(np.array([[1.0, np.nan], [0.0, 2.0]]))
-    with pytest.raises(DegenerateSpectrum):
-        eig_biorthogonal_grid(np.stack([SIGMA_3, np.zeros((2, 2)), SIGMA_3]))
-
-
-def test_singular_matrix_has_no_quasienergy():
-    singular = np.array([[0, 0], [0, 1j]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SingularMatrix):
-            eig_biorthogonal_grid(singular)
-        with pytest.raises(SingularMatrix):
-            eig_biorthogonal_grid(np.stack([SIGMA_3, singular, SIGMA_3]))
+def test_walk_eigensystem_rejects_non_finite_momenta():
+    params = CoinParams(0.7, -1.1, 0.36)
+    for bad in (np.nan, np.inf, np.array([0.1, -np.inf])):
+        with pytest.raises(ValueError):
+            walk_eigensystem(params, bad)
 
 
 def test_grid_solver_biorthonormal_on_walk_operators(rng):
     ks = np.linspace(-np.pi, np.pi, 128, endpoint=False)
     params = CoinParams(0.7, -1.1, 0.36)
-    grid = eig_biorthogonal_grid(momentum_operator_closed(params, ks))
+    grid = walk_eigensystem(params, ks)
     gram = np.einsum("kbc,kdc->kbd", grid.left, grid.right)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), atol=1e-12)
     # completeness: sum_b |psi_b><chi_b| = 1
@@ -242,7 +230,7 @@ def test_quasienergies_come_in_opposite_pairs(rng):
         params = CoinParams(
             float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(-np.pi, np.pi)), p
         )
-        grid = eig_biorthogonal_grid(momentum_operator_closed(params, ks))
+        grid = walk_eigensystem(params, ks)
         total = grid.quasienergies.sum(axis=-1)
         wrapped = (total.real + np.pi) % (2 * np.pi) - np.pi
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-10)

@@ -26,7 +26,14 @@ from ptwalk.quench import (
     overlaps,
     tau_basis,
 )
-from ptwalk.spectrum import PTPhase, pt_classify, quasienergies
+from ptwalk.spectrum import (
+    PTPhase,
+    _energy_plus_from_d0,
+    band_structure,
+    pt_classify,
+    quasienergies,
+    walk_eigensystem,
+)
 from conftest import random_coin_params
 
 PI = np.pi
@@ -536,3 +543,48 @@ def test_lower_band_initial_requires_unbroken():
     broken = CoinParams(-np.pi / 2, (np.pi - float(np.arccos(1 / alpha))) / 2, 0.36)
     with pytest.raises(ValueError):
         QuenchSpec(initial=broken, final=CoinParams(0.3, 0.4, 0.36))
+
+
+ALPHA36 = CoinParams(0, 0, 0.36).alpha
+# Explicit-state quenches at p = 0.36 whose final operator has d0 < -1
+# sectors: everywhere (d0 = -alpha sin theta2 is flat), around k = +-pi/2,
+# and a generic pair of angles.
+BELOW_MINUS_ONE = [
+    QuenchSpec(initial=final, final=final, initial_state=state)
+    for final, state in (
+        (CoinParams(PI / 2, (PI - float(np.arccos(1 / ALPHA36))) / 2, 0.36), (1, 0)),
+        (CoinParams(0.3, 0.3, 0.36), (1 / np.sqrt(2), 1j / np.sqrt(2))),
+        (CoinParams(1.4, 1.3, 0.36), (np.cos(0.4), np.exp(0.9j) * np.sin(0.4))),
+    )
+]
+
+
+@pytest.mark.parametrize("spec", BELOW_MINUS_ONE, ids=["flat", "near-pi/2", "generic"])
+def test_d0_below_minus_one_is_on_the_minus_pi_branch_on_every_path(spec):
+    """Re E = -pi and Im E > 0 wherever d0 < -1, whichever path computes E.
+
+    i log of the negative growing eigenvalue may land on +pi or -pi by the
+    sign of a rounding zero; at integer t the two agree, but at non-integer t
+    n1 and n2 move by O(1), so the texture must follow the one documented
+    branch.
+    """
+    ks = np.linspace(-PI, PI, 256, endpoint=False)
+    ts = np.linspace(0.0, 6.0, 61)
+    d0 = d_coefficients(spec.final, ks)[:, 0].real
+    below = d0 < -1
+    assert below.sum() >= 8
+    paths = {
+        "quasienergies": np.array([quasienergies(spec.final, k)[0] for k in ks[below]]),
+        "band_structure": band_structure(spec.final, ks).energies[below],
+        "walk_eigensystem": walk_eigensystem(spec.final, ks).quasienergies[below, 0],
+    }
+    for name, energy in paths.items():
+        assert np.all(energy.real == -PI), name
+        assert np.all(energy.imag > 0), name
+
+    field = bloch_field(spec, n_k=256, ts=ts)
+    cp, cm, _ = overlap_grid(spec, ks)
+    energy = _energy_plus_from_d0(d0)[:, None]
+    want = bloch_from_coefficients(cp[:, None] * np.exp(-1j * energy * ts),
+                                   cm[:, None] * np.exp(1j * energy * ts))
+    np.testing.assert_allclose(field.n, want, rtol=0, atol=1e-13)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwalk.core import eig_biorthogonal_grid
 from ptwalk.errors import ExceptionalPoint, NonQuantized
-from ptwalk.floquet import CoinParams, d_coefficients, momentum_operator_closed
+from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.spectrum import (
     EP_TOL,
     PTPhase,
@@ -18,6 +17,7 @@ from ptwalk.spectrum import (
     phase_diagram,
     pt_classify,
     quasienergies,
+    walk_eigensystem,
     winding_number,
     zak_phase,
 )
@@ -88,7 +88,7 @@ def hermitian_berry_phase(params: CoinParams, band: int, n_k: int) -> float:
     """Ordinary Wilson loop with unit-norm right eigenvectors (p = 0 oracle)."""
     assert params.p == 0.0
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    grid = eig_biorthogonal_grid(momentum_operator_closed(params, ks))
+    grid = walk_eigensystem(params, ks)
     b = 0 if band == +1 else 1
     psi = grid.right[:, b, :]
     links = np.einsum("kc,kc->k", psi.conj(), np.roll(psi, -1, axis=0))
