@@ -136,7 +136,9 @@ def _merge_config(
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise ConfigError(f"config key {key!r} does not match any flag")
+            raise ConfigError(
+                f"config key {key!r} is not a flag a config file can set for {args.command}"
+            )
         if value is None:
             continue
         value = _config_value(key, value, action)
@@ -148,9 +150,14 @@ def _merge_config(
 def _command_actions(
     parser: argparse.ArgumentParser, command: str
 ) -> dict[str, argparse.Action]:
-    """The flags of one subcommand by destination, without --help."""
+    """The flags a config file can set for one subcommand, by destination.
+
+    Not --help, not --config itself and not a positional, which the command
+    line always sets.
+    """
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
+    return {a.dest: a for a in commands.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")}
 
 
 def _config_value(key: str, value, action: argparse.Action):
@@ -316,9 +323,8 @@ def cmd_quench(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    _defaults(args, kgrid=512)
     spec = _quench_spec(args)
-    points = find_fixed_points(spec, n_k=args.kgrid)
+    points = find_fixed_points(spec)
     for fp in points:
         _say(args, f"k/pi = {fp.k / np.pi:+.6f}  {fp.kind.value}  |c|^2 = {fp.residual:.3e}")
     if not points:
@@ -332,7 +338,7 @@ def cmd_fixed_points(args) -> int:
 def cmd_chern(args) -> int:
     _defaults(args, kgrid=256, tgrid=256)
     spec = _quench_spec(args)
-    points = find_fixed_points(spec, n_k=512)
+    points = find_fixed_points(spec)
     subs = build_submanifolds(points)
     rows = []
     for sub in subs:
@@ -431,28 +437,53 @@ def cmd_preset(args) -> int:
     return cmd_quench(args)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, quench_params: bool) -> None:
-    parser.add_argument("--theta1", help="initial coin angle 1 (expression)")
-    parser.add_argument("--theta2", help="initial coin angle 2 (expression)")
-    if quench_params:
-        parser.add_argument("--theta1-f", dest="theta1_f", help="final coin angle 1")
-        parser.add_argument("--theta2-f", dest="theta2_f", help="final coin angle 2")
-        parser.add_argument(
-            "--initial-state",
-            dest="initial_state",
-            help="'eigenstate' (default) or two comma-separated amplitude expressions",
-        )
-        parser.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
-    parser.add_argument("--p", type=float, help="loss probability in [0, 1)")
-    parser.add_argument("--kgrid", type=int, help="momentum grid size")
-    parser.add_argument("--tgrid", type=int, help="time grid size")
-    parser.add_argument("--tmax", type=int, help="number of walk steps")
-    parser.add_argument("--samples", type=int, help="shot-noise samples per configuration")
-    parser.add_argument("--seed", type=int, help="noise seed")
-    parser.add_argument("--out", help="output path (default: stdout)")
+# Every argument once, with its add_argument keywords; argparse derives the dest.
+_FLAGS = {
+    "name": {"choices": preset_names(), "help": "bundled configuration"},
+    "--theta1": {"help": "initial coin angle 1 (expression)"},
+    "--theta2": {"help": "initial coin angle 2 (expression)"},
+    "--theta1-f": {"help": "final coin angle 1 (expression)"},
+    "--theta2-f": {"help": "final coin angle 2 (expression)"},
+    "--initial-state": {"help": "'eigenstate' (default) or 'a,b': two amplitude expressions"},
+    "--preset": {"help": f"one of: {', '.join(preset_names())}"},
+    "--p": {"type": float, "help": "loss probability in [0, 1)"},
+    "--kgrid": {"type": int, "help": "momentum grid size"},
+    "--tgrid": {"type": int, "help": "time grid size"},
+    "--tmax": {"type": int, "help": "number of walk steps"},
+    "--samples": {"type": int, "help": "shot-noise samples per configuration"},
+    "--seed": {"type": int, "help": "noise seed"},
+    "--res": {"type": int, "help": "cells per angle axis (>= 32)"},
+    "--dump-probs": {"help": "also write raw pair intensities"},
+    "--dump-amps": {"help": "also write per-step walk amplitudes"},
+    "--out": {"help": "output path (default: stdout)"},
     # No default here: a config file may set it; main() falls back to csv.
-    parser.add_argument("--format", choices=("csv", "json"), help="csv (default) or json")
-    parser.add_argument("--config", help="JSON file of flag values (flags override)")
+    "--format": {"choices": ("csv", "json"), "help": "csv (default) or json"},
+    "--config": {"help": "JSON file of flag values (flags override)"},
+}
+_QUENCH_FLAGS = ("--theta1", "--theta2", "--theta1-f", "--theta2-f", "--initial-state", "--p")
+_OUTPUT_FLAGS = ("--out", "--format", "--config")
+# Per subcommand: handler, help, the arguments it reads and any per-command help.
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "quasienergy bands over the momentum zone",
+                 ("--theta1", "--theta2", "--preset", "--p", "--kgrid", *_OUTPUT_FLAGS),
+                 {"--theta1": "coin angle 1 of the operator (expression)",
+                  "--theta2": "coin angle 2 of the operator (expression)",
+                  "--preset": "take the final-operator angles and p from one of: "
+                             + ", ".join(preset_names())}),
+    "phase-diagram": (cmd_phase_diagram, "winding numbers over the coin-angle plane",
+                      ("--p", "--kgrid", "--res", *_OUTPUT_FLAGS), {}),
+    "quench": (cmd_quench, "Bloch-vector texture n(k, t)",
+               (*_QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", "--tmax", *_OUTPUT_FLAGS), {}),
+    "fixed-points": (cmd_fixed_points, "momenta where one overlap vanishes",
+                     (*_QUENCH_FLAGS, "--preset", *_OUTPUT_FLAGS), {}),
+    "chern": (cmd_chern, "dynamic Chern numbers per submanifold",
+              (*_QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", *_OUTPUT_FLAGS), {}),
+    "reconstruct": (cmd_reconstruct, "walk, measure, and rebuild n(k, t) from probabilities",
+                    (*_QUENCH_FLAGS, "--preset", "--kgrid", "--tmax", "--samples", "--seed",
+                     "--dump-probs", "--dump-amps", *_OUTPUT_FLAGS), {}),
+    "preset": (cmd_preset, "run a bundled configuration end to end",
+               ("name", *_QUENCH_FLAGS, "--kgrid", "--tgrid", "--tmax", *_OUTPUT_FLAGS), {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,42 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ptwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = sub.add_parser("spectrum", help="quasienergy bands over the momentum zone")
-    _add_common(p_spec, quench_params=False)
-    p_spec.add_argument("--preset", help="take final-operator angles from a preset")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_diag = sub.add_parser("phase-diagram", help="winding numbers over the coin-angle plane")
-    _add_common(p_diag, quench_params=False)
-    p_diag.add_argument("--preset", help=argparse.SUPPRESS)
-    p_diag.add_argument("--res", type=int, help="cells per angle axis (>= 32)")
-    p_diag.set_defaults(func=cmd_phase_diagram)
-
-    p_quench = sub.add_parser("quench", help="Bloch-vector texture n(k, t)")
-    _add_common(p_quench, quench_params=True)
-    p_quench.set_defaults(func=cmd_quench)
-
-    p_fp = sub.add_parser("fixed-points", help="momenta where one overlap vanishes")
-    _add_common(p_fp, quench_params=True)
-    p_fp.set_defaults(func=cmd_fixed_points)
-
-    p_chern = sub.add_parser("chern", help="dynamic Chern numbers per submanifold")
-    _add_common(p_chern, quench_params=True)
-    p_chern.set_defaults(func=cmd_chern)
-
-    p_rec = sub.add_parser(
-        "reconstruct", help="walk, measure, and rebuild n(k, t) from probabilities"
-    )
-    _add_common(p_rec, quench_params=True)
-    p_rec.add_argument("--dump-probs", dest="dump_probs", help="also write raw pair intensities")
-    p_rec.add_argument("--dump-amps", dest="dump_amps", help="also write per-step walk amplitudes")
-    p_rec.set_defaults(func=cmd_reconstruct)
-
-    p_preset = sub.add_parser("preset", help="run a bundled configuration end to end")
-    p_preset.add_argument("name", choices=preset_names())
-    _add_common(p_preset, quench_params=True)
-    p_preset.set_defaults(func=cmd_preset)
+    for command, (func, text, flags, helps) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        for flag in flags:
+            keywords = _FLAGS[flag] | {"help": helps.get(flag, _FLAGS[flag]["help"])}
+            cmd.add_argument(flag, **keywords)
+        cmd.set_defaults(func=func)
     return parser
 
 

@@ -55,6 +55,7 @@ REAL_E_TOL = 1e-10          # |Im E| up to which a quasienergy counts as real
 FIXED_POINT_RESIDUAL = 1e-10
 EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
 NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
+_RESIDUAL_SAMPLES = 64      # momenta at which initial_state_residual probes the start
 _W_DEGREE = 2               # degree of w = h_a x h_f in theta = 2k; g = w.w has twice that
 _G_SAMPLES = 16             # samples in theta; more than 4 * _W_DEGREE + 1, so no aliasing
 _COEFF_FLOOR = 1e-13        # end coefficients below this times the largest are rounding
@@ -132,7 +133,7 @@ def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
     return walk_eigensystem(spec.initial, ks).right[:, 1, :]
 
 
-def initial_state_residual(spec: QuenchSpec, n_k: int = 64) -> float:
+def initial_state_residual(spec: QuenchSpec) -> float:
     """Worst-case eigenstate residual of the initial state over a k grid.
 
     Zero (to rounding) when the initial state really is an eigenstate of the
@@ -140,7 +141,7 @@ def initial_state_residual(spec: QuenchSpec, n_k: int = 64) -> float:
     start such as a quench into the broken regime from an arbitrary coin
     state.
     """
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    ks = np.linspace(-np.pi, np.pi, _RESIDUAL_SAMPLES, endpoint=False)
     psi = initial_spinors(spec, ks)
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     u = momentum_operator_closed(spec.initial, ks)
@@ -412,7 +413,7 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     return _polish_on_start(h_coeffs, -1 if spec.initial_state is None else 1, theta)
 
 
-def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
+def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
     """Momenta where one overlap coefficient vanishes, sorted over [-pi, pi).
 
     Closed form, no search: a fixed point is a momentum where the start is an
@@ -427,12 +428,8 @@ def find_fixed_points(spec: QuenchSpec, n_k: int = 512) -> list[FixedPoint]:
 
     A fully broken final operator yields an empty list, and so does a quench
     whose operators commute at every momentum, where no fixed point is
-    isolated.  The roots are exact to rounding, so ``n_k`` no longer limits
-    the accuracy: it is kept for callers, and a value below 64 is still
-    rejected.
+    isolated.
     """
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
     theta = _shared_eigenvector_angles(spec)
     d0 = d_coefficients(spec.final, theta / 2)[:, 0].real
     theta = theta[np.abs(d0 * d0 - 1.0) > EP_TOL]

@@ -99,7 +99,7 @@ def test_criterion_1_operator_identity():
 def test_criterion_2_flat_unitary_quench():
     spec = build_spec(PRESETS["fig3a"])
     start = time.perf_counter()
-    fps = find_fixed_points(spec, 512)
+    fps = find_fixed_points(spec)
     worst_k = match_sets([fp.k for fp in fps], [-PI, -PI / 2, 0.0, PI / 2], 1e-6 * PI)
     t0 = oscillation_period(spec, 0.37)
     field = bloch_field(spec, n_k=256, ts=np.linspace(0.0, 6.0, 61))
@@ -128,7 +128,7 @@ def test_criterion_3_fixed_points_literal_fixture():
     -0.0099 / 0.9901 pi.
     """
     spec = build_spec(PRESETS["fig3b"])
-    fps = find_fixed_points(spec, 512)
+    fps = find_fixed_points(spec)
     # 0.5601 was once mistyped as 0.5901, which has no pi partner in the list;
     # 0.5601 is the k + pi partner of the list's own -0.4399.
     worst = match_sets(
@@ -151,7 +151,7 @@ def test_criterion_3_fixed_points_literal_fixture():
 
 def _chern_table(name, n_k=256, n_t=256):
     spec = build_spec(PRESETS[name])
-    fps = find_fixed_points(spec, 512)
+    fps = find_fixed_points(spec)
     subs = build_submanifolds(fps)
     riemann = [chern_riemann(sub, spec, n_k, n_t) for sub in subs]
     solid = [chern_solid_angle(sub, spec, 128, 128) for sub in subs]
@@ -192,7 +192,7 @@ def test_criterion_4_fig6_fixed_points_literal_fixture():
     -0.0319 / 0.9681 pi.
     """
     spec = build_spec(PRESETS["fig6"])
-    fps = find_fixed_points(spec, 512)
+    fps = find_fixed_points(spec)
     # 0.4931 was once mistyped as 0.4913, a digit transposition with no pi
     # partner in the list; 0.4931 is the k + pi partner of the list's -0.5069.
     worst = match_sets(
@@ -239,7 +239,7 @@ def test_criterion_6_broken_steady_state():
     re_max = np.abs(bands.energies.real).max()
     field = bloch_field(spec, n_k=256, ts=np.array([12.0]))
     n3_dev = np.abs(field.n[:, 0, 2] - 1.0).max()
-    fps = find_fixed_points(spec, 256)
+    fps = find_fixed_points(spec)
     ok = re_max < 1e-10 and n3_dev < 0.05 and not fps
     assert report(
         "criterion 6 (broken-regime steady state)",
@@ -319,7 +319,7 @@ def test_criterion_9_property_suite():
     sum_rule = 0
     for name in ("fig3a", "fig3b", "fig6"):
         spec = build_spec(PRESETS[name])
-        subs = build_submanifolds(find_fixed_points(spec, 256))
+        subs = build_submanifolds(find_fixed_points(spec))
         sum_rule += abs(sum(chern_riemann(s, spec, 128, 128).rounded for s in subs))
 
     # pipeline scale invariance under amplitude rescaling

@@ -16,7 +16,7 @@ PI = np.pi
 
 
 def all_cherns(spec, n_k=128, n_t=128):
-    fps = find_fixed_points(spec, 256)
+    fps = find_fixed_points(spec)
     subs = build_submanifolds(fps)
     return subs, [chern_riemann(s, spec, n_k, n_t) for s in subs], [
         chern_solid_angle(s, spec, min(n_k, 128), min(n_t, 128)) for s in subs
@@ -106,7 +106,7 @@ def test_methods_agree_on_random_quenches(rng):
             continue
         spec = QuenchSpec(initial=initial, final=final)
         try:
-            fps = find_fixed_points(spec, 256)
+            fps = find_fixed_points(spec)
             if len(fps) < 2:
                 continue
             subs = build_submanifolds(fps)

@@ -1,5 +1,6 @@
 """Command-line interface: exports, presets, determinism, error mapping."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptwalk.cli import main
+from ptwalk.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -23,6 +24,55 @@ def read_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, "empty table"
     return rows
+
+
+# The flags each subcommand reads, and no other: 78 settable values in all.
+QUENCH_FLAGS = {"--theta1", "--theta2", "--theta1-f", "--theta2-f", "--initial-state", "--p"}
+OUTPUT_FLAGS = {"--out", "--format", "--config"}
+COMMAND_FLAGS = {
+    "spectrum": {"--theta1", "--theta2", "--preset", "--p", "--kgrid", *OUTPUT_FLAGS},
+    "phase-diagram": {"--p", "--kgrid", "--res", *OUTPUT_FLAGS},
+    "quench": {*QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", "--tmax", *OUTPUT_FLAGS},
+    "fixed-points": {*QUENCH_FLAGS, "--preset", *OUTPUT_FLAGS},
+    "chern": {*QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", *OUTPUT_FLAGS},
+    "reconstruct": {*QUENCH_FLAGS, "--preset", "--kgrid", "--tmax", "--samples", "--seed",
+                    "--dump-probs", "--dump-amps", *OUTPUT_FLAGS},
+    "preset": {"name", *QUENCH_FLAGS, "--kgrid", "--tgrid", "--tmax", *OUTPUT_FLAGS},
+}
+# Flags a subcommand does not read: each is a usage error there.
+UNREAD_FLAGS = {
+    "spectrum": ("--tgrid", "--tmax", "--samples", "--seed"),
+    "phase-diagram": ("--theta1", "--theta2", "--preset", "--tgrid", "--tmax", "--samples",
+                      "--seed"),
+    "quench": ("--samples", "--seed"),
+    "fixed-points": ("--kgrid", "--tgrid", "--tmax", "--samples", "--seed"),
+    "chern": ("--tmax", "--samples", "--seed"),
+    "reconstruct": ("--tgrid",),
+    "preset": ("--preset", "--samples", "--seed"),
+}
+UNREAD = [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {a.option_strings[-1] if a.option_strings else a.dest
+               for a in command._actions if a.dest != "help"}
+        for name, command in commands.choices.items()
+    }
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 78
+    assert len(UNREAD) == 25
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[" ".join(pair) for pair in UNREAD])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, capsys):
+    argv = [command, *(["fig3b"] if command == "preset" else []), flag, "1"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_quench_preset_export(tmp_path, capsys):
@@ -38,7 +88,7 @@ def test_quench_preset_export(tmp_path, capsys):
 
 
 def test_fixed_points_preset_stdout(capsys):
-    code, out, err = run_cli(["fixed-points", "--preset", "fig3a", "--kgrid", "256"], capsys)
+    code, out, err = run_cli(["fixed-points", "--preset", "fig3a"], capsys)
     assert code == 0
     printed = [line for line in err.splitlines() if line.startswith("k/pi")]
     assert len(printed) == 4
@@ -188,7 +238,6 @@ def test_phase_diagram_default_csv_is_pinned(args, digest, capsys):
         ["chern", "--preset", "fig6", "--kgrid", "0"],
         ["reconstruct", "--preset", "fig3a", "--tmax", "-1"],
         ["reconstruct", "--preset", "fig3a", "--samples", "-5"],
-        ["fixed-points", "--preset", "fig3a", "--kgrid", "0"],
         ["quench", "--preset", "fig3a", "--tmax", "-2"],
         ["quench", "--preset", "fig3a", "--tgrid", "-1"],
     ],
@@ -217,15 +266,6 @@ def test_bad_size_flags_are_config_errors(args, capsys):
 )
 def test_library_preconditions_are_config_errors(args, capsys):
     code, out, err = run_cli(args, capsys)
-    assert code == 1
-    assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
-
-
-@pytest.mark.parametrize("kgrid", ["1", "8", "63"])
-def test_fixed_points_reject_a_coarse_grid(kgrid, capsys):
-    # fig3b has 4 fixed points; grids up to 16 points find only 2 of them.
-    code, out, err = run_cli(["fixed-points", "--preset", "fig3b", "--kgrid", kgrid], capsys)
     assert code == 1
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
@@ -279,7 +319,10 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # The chern digest was re-pinned when the integrators came to sum one tau row
 # times n_t (max |dC| 4.7e-17 Riemann, 2.3e-16 solid angle).  The quench,
 # chern and reconstruct digests were re-pinned when the walk eigensystem came
-# to be built from the d coefficients (max |dn| 5.3e-15, |dC| 1.1e-16).
+# to be built from the d coefficients (max |dn| 5.3e-15, |dC| 1.1e-16).  The
+# fixed-points digest was re-pinned when the command lost its --kgrid flag,
+# which the closed-form root solve never read: its meta no longer holds
+# "kgrid": 512, and every other byte is the same.
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -288,7 +331,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["phase-diagram", "--p", "0.36"],
          "89874b254eacd6ff522f57d8a5e05a801c6c43a54ef4207bfe0b9354cdc4e185"),
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
-         "aa49574d5b33f71668872c8aea13d4074cabd8cbabe3f3cc65745562f2c115a2"),
+         "4b55eb1999e2b7b29d15ab90e9da6976eb6ec9fbbb213fba06b415ce2657a95d"),
         (["chern", "--preset", "fig6"],
          "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
@@ -469,9 +512,15 @@ def test_config_text_goes_through_the_flag_type(config, flags, tmp_path, capsys)
         ({"p": [0.3]}, ["spectrum", "--preset", "fig4"]),
         ({"format": "xml"}, ["spectrum", "--preset", "fig4"]),
         ({"func": "x"}, ["spectrum", "--preset", "fig4"]),
+        # --config is read before the file is, and the positional is always given.
+        ({"config": "other.json"}, ["spectrum", "--preset", "fig4"]),
+        ({"name": "fig6"}, ["preset", "fig3b"]),
+        # a flag the command does not read is no flag of it
+        ({"seed": 3}, ["spectrum", "--preset", "fig4"]),
+        ({"kgrid": 64}, ["fixed-points", "--preset", "fig3b"]),
     ],
     ids=["theta1-number", "kgrid-text", "kgrid-float", "kgrid-bool", "p-list", "format-choice",
-         "not-a-flag"],
+         "not-a-flag", "config", "preset-name", "removed-seed", "removed-kgrid"],
 )
 def test_bad_config_value_is_a_config_error_naming_the_key(config, argv, tmp_path, capsys):
     path = tmp_path / "run.json"

@@ -248,8 +248,8 @@ def test_scale_invariance_of_dynamics(rng, spec_fig3b):
         np.testing.assert_allclose(
             bloch_vector(scaled, k, t), bloch_vector(spec_fig3b, k, t), atol=1e-10
         )
-    base_fps = find_fixed_points(spec_fig3b, 256)
-    scaled_fps = find_fixed_points(scaled, 256)
+    base_fps = find_fixed_points(spec_fig3b)
+    scaled_fps = find_fixed_points(scaled)
     np.testing.assert_allclose(
         [fp.k for fp in scaled_fps], [fp.k for fp in base_fps], atol=1e-9
     )
@@ -350,15 +350,7 @@ def test_kind_alternation_matches_winding_change(spec_fig3a, spec_fig3b, spec_fi
 
 
 def test_no_fixed_points_for_broken_final(spec_fig4):
-    assert find_fixed_points(spec_fig4, 256) == []
-
-
-def test_fixed_point_grid_below_64_is_rejected(spec_fig3b):
-    # fig3b has 4 fixed points; grids of up to 16 points find 2 of them.
-    for n_k in (1, 8, 16, 63):
-        with pytest.raises(ValueError):
-            find_fixed_points(spec_fig3b, n_k)
-    assert len(find_fixed_points(spec_fig3b, 64)) == 4
+    assert find_fixed_points(spec_fig4) == []
 
 
 def zone_distance(a, b):
