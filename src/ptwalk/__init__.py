@@ -35,7 +35,6 @@ from .floquet import (
 )
 from .measurement import (
     assemble_hermitian_density,
-    interference_probabilities,
     onsite_probabilities,
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
@@ -47,14 +46,12 @@ from .quench import (
     BlochField,
     FixedPoint,
     FixedPointKind,
-    OverlapPair,
     QuenchSpec,
     bloch_field,
     bloch_vector,
     density_matrix,
     find_fixed_points,
     oscillation_period,
-    overlaps,
 )
 from .spectrum import (
     BandStructure,
@@ -67,7 +64,7 @@ from .spectrum import (
     winding_number,
     zak_phase,
 )
-from .walksim import PositionState, evolve, fourier, step_position
+from .walksim import PositionState, evolve, step_position
 
 __all__ = [
     "__version__",
@@ -84,7 +81,6 @@ __all__ = [
     "FixedPointKind",
     "ImaginaryEnergy",
     "NonQuantized",
-    "OverlapPair",
     "PRESETS",
     "PTPhase",
     "PhaseDiagramCell",
@@ -105,13 +101,10 @@ __all__ = [
     "density_matrix",
     "evolve",
     "find_fixed_points",
-    "fourier",
-    "interference_probabilities",
     "momentum_operator_closed",
     "momentum_operator_direct",
     "onsite_probabilities",
     "oscillation_period",
-    "overlaps",
     "pauli_assemble",
     "pauli_expand",
     "phase_diagram",

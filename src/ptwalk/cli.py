@@ -234,7 +234,10 @@ def _flag_preset(args, fields: dict[str, str]) -> Preset:
     else:
         _require(args, *fields)
         base = _FLAGS_ONLY
-    changes = {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag)}
+    changes = {
+        field: getattr(args, flag) for flag, field in fields.items()
+        if getattr(args, flag) is not None
+    }
     if args.p is not None:
         changes["p"] = args.p
     if getattr(args, "initial_state", None) is not None:

@@ -22,9 +22,10 @@ the quench, independent of the overall decayed norm.
 
 Each walk step is measured as whole arrays: the pair intensities of every
 ordered site pair at once, the identities as array algebra, and rho' from
-sums along the diagonals x1 - x2 of the table.  The one-pair functions
-(``interference_probabilities``, ``all_pair_probabilities``) define the same
-numbers pair by pair and serve as the test oracle.
+sums along the diagonals x1 - x2 of the table.  The final frame is the same
+at every step, so the rho' of all steps are mapped to n(k, t) in one call.
+The one-pair form of the same numbers is the test oracle
+(``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
 configuration, with one deterministic stream per (seed, step, configuration
@@ -55,12 +56,9 @@ from .walksim import PositionState, evolve
 
 __all__ = [
     "SiteProbabilities",
-    "PairProbabilities",
     "PairIntensities",
     "MatrixElementTable",
     "onsite_probabilities",
-    "interference_probabilities",
-    "all_pair_probabilities",
     "pair_intensities",
     "reconstruct_matrix_elements",
     "matrix_elements_direct",
@@ -81,16 +79,6 @@ class SiteProbabilities:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(self.x_min, self.x_min + len(self.probs))
-
-
-@dataclass(frozen=True)
-class PairProbabilities:
-    """Interference intensities for one ordered pair, per preparation j=1..4."""
-
-    x1: int
-    x2: int
-    p_l: np.ndarray  # (4,)
-    p_d: np.ndarray  # (4,)
 
 
 @dataclass(frozen=True)
@@ -130,38 +118,8 @@ def onsite_probabilities(state: PositionState) -> SiteProbabilities:
     return SiteProbabilities(x_min=state.x_min, probs=out)
 
 
-def interference_probabilities(state: PositionState, x1: int, x2: int) -> PairProbabilities:
-    """Two-site interference intensities in the {L, D} bases."""
-    if x1 == x2:
-        raise ValueError("interference measurement needs two distinct sites")
-    a1, b1 = state.spinor_at(x1)
-    a2, b2 = state.spinor_at(x2)
-    phis = np.array([[a1, a2], [b1, -b2], [b1, a2], [a1, b2]])
-    return PairProbabilities(
-        x1=x1,
-        x2=x2,
-        p_l=np.abs(phis @ KET_L.conj()) ** 2,
-        p_d=np.abs(phis @ KET_D.conj()) ** 2,
-    )
-
-
-def all_pair_probabilities(state: PositionState) -> list[PairProbabilities]:
-    """Interference data for every ordered pair of window sites."""
-    xs = state.sites
-    return [
-        interference_probabilities(state, int(x1), int(x2))
-        for x1 in xs
-        for x2 in xs
-        if x1 != x2
-    ]
-
-
 def pair_intensities(state: PositionState) -> PairIntensities:
-    """Two-site {L, D} interference intensities of every ordered pair at once.
-
-    Gives the same numbers, bit for bit, as :func:`interference_probabilities`
-    on each pair of distinct sites.
-    """
+    """Two-site {L, D} interference intensities of every ordered pair at once."""
     amps = state.amplitudes
     n = len(amps)
     a, b = amps[:, 0], amps[:, 1]
@@ -330,7 +288,10 @@ def reconstruct_bloch_field(
     state must be momentum-independent (an explicit state, or a lower-band
     eigenstate of a coin operator with cos(theta2) = 0).  The noise of step t
     is keyed by ``seed * 1000003 + t``.  ``on_step(t, site, pairs)``, if
-    given, receives the intensities each step is reconstructed from.
+    given, receives the intensities each step is reconstructed from.  The
+    rho' of every step is mapped through the final frame in one call after
+    the walk, so a :class:`SingularNormalization` is raised only after every
+    step has been measured and passed to ``on_step``.
     """
     coin = initial_spinors(spec, np.array([0.0]))[0]
     # eigenstate residual of the one localized coin state across all sectors
@@ -344,23 +305,20 @@ def reconstruct_bloch_field(
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     final = final_eigensystem(spec, ks)
 
-    states = evolve(coin, spec.final, t_max)
-    ts = np.arange(t_max + 1, dtype=float)
-    n_field = np.empty((n_k, t_max + 1, 3))
-    for t, state in enumerate(states):
+    rho_prime = np.empty((t_max + 1, n_k, 2, 2), dtype=complex)
+    for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         if on_step is not None:
             on_step(t, site, pairs)
-        table = reconstruct_matrix_elements(site, pairs)
-        rho = to_nonhermitian(assemble_hermitian_density(table, ks), final)
-        n_field[:, t, :] = bloch_from_density(rho, final)
+        rho_prime[t] = assemble_hermitian_density(reconstruct_matrix_elements(site, pairs), ks)
+    n = bloch_from_density(to_nonhermitian(rho_prime, final), final)
     return BlochField(
         ks=ks,
-        ts=ts,
-        n=n_field,
+        ts=np.arange(t_max + 1, dtype=float),
+        n=n.swapaxes(0, 1),
         real_regime=np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL,
         source="reconstructed",
         eigenstate_initial=residual < EIGENSTATE_TOL,

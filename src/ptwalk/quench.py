@@ -33,13 +33,11 @@ from .spectrum import EP_TOL, PTPhase, pt_classify, quasienergies, walk_eigensys
 
 __all__ = [
     "QuenchSpec",
-    "OverlapPair",
     "FixedPointKind",
     "FixedPoint",
     "BlochField",
     "final_eigensystem",
     "overlap_grid",
-    "overlaps",
     "bloch_from_coefficients",
     "bloch_vector",
     "density_matrix",
@@ -91,12 +89,6 @@ class QuenchSpec:
         if abs(a) == 0 and abs(b) == 0:
             raise ValueError("initial coin state must be nonzero")
         object.__setattr__(self, "initial_state", (a, b))
-
-
-@dataclass(frozen=True)
-class OverlapPair:
-    c_plus: complex
-    c_minus: complex
 
 
 class FixedPointKind(enum.Enum):
@@ -175,12 +167,6 @@ def overlap_grid(
     c_plus = np.einsum("kc,kc->k", final.left[:, 0, :], psi_i)
     c_minus = np.einsum("kc,kc->k", final.left[:, 1, :], psi_i)
     return c_plus, c_minus, final
-
-
-def overlaps(spec: QuenchSpec, k: float) -> OverlapPair:
-    """Expansion coefficients of the initial state over the final eigenbasis."""
-    cp, cm, _ = overlap_grid(spec, np.array([k]))
-    return OverlapPair(c_plus=complex(cp[0]), c_minus=complex(cm[0]))
 
 
 def _dressed_coefficients(cp, cm, energy, t):

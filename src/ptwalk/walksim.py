@@ -13,7 +13,7 @@ import numpy as np
 
 from .floquet import CoinParams, coin_rotation, loss_matrix
 
-__all__ = ["PositionState", "step_position", "evolve", "fourier"]
+__all__ = ["PositionState", "step_position", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,6 @@ class PositionState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def spinor_at(self, x: int) -> np.ndarray:
-        if self.x_min <= x <= self.x_max:
-            return self.amplitudes[x - self.x_min]
-        return np.zeros(2, dtype=complex)
 
 
 def _shift(amps: np.ndarray) -> np.ndarray:
@@ -81,10 +76,3 @@ def evolve(initial_coin: np.ndarray, params: CoinParams, t_max: int) -> list[Pos
     for _ in range(t_max):
         states.append(step_position(states[-1], params))
     return states
-
-
-def fourier(state: PositionState, k) -> np.ndarray:
-    """Momentum spinor psi_k = sum_x e^{-ikx} psi_x (unnormalized), (..., 2)."""
-    k = np.asarray(k, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(k, state.sites.astype(float)))
-    return np.einsum("...x,xc->...c", phases, state.amplitudes)

@@ -1,17 +1,77 @@
-"""One-pair-at-a-time reconstruction: the oracle for the package's array pipeline.
+"""One-pair-at-a-time measurement and one-step-at-a-time reconstruction.
 
+These are the oracles for the package's array pipeline.
+``interference_probabilities`` measures one ordered pair of sites, and
 ``matrix_elements_from_pairs`` applies the on-site and the eight Re/Im
 identities pair by pair to the ``PairProbabilities`` of
-``ptwalk.measurement.all_pair_probabilities``, with the operand order of the
-array code, so the two tables must agree bit for bit.  ``assemble_einsum``
-is rho'(k) summed over every (x1, x2) term directly; the package sums along
-the diagonals x1 - x2 first, so the two agree only to rounding.
+``all_pair_probabilities``, with the operand order of the array code, so the
+intensities and the table must agree bit for bit.  ``assemble_einsum`` is
+rho'(k) summed over every (x1, x2) term directly; the package sums along the
+diagonals x1 - x2 first, so the two agree only to rounding.  ``fourier`` is
+the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
+maps each step's rho' through the final frame on its own, as the package did
+before it mapped all steps in one call; the two must agree bit for bit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from ptwalk.core import PAULI
-from ptwalk.measurement import MatrixElementTable
+from ptwalk.core import KET_D, KET_L, PAULI
+from ptwalk.measurement import (
+    MatrixElementTable,
+    assemble_hermitian_density,
+    onsite_probabilities,
+    pair_intensities,
+    reconstruct_matrix_elements,
+    sample_shot_noise,
+    to_nonhermitian,
+)
+from ptwalk.quench import bloch_from_density, final_eigensystem, initial_spinors
+from ptwalk.walksim import evolve
+
+
+@dataclass(frozen=True)
+class PairProbabilities:
+    """Interference intensities for one ordered pair, per preparation j=1..4."""
+
+    x1: int
+    x2: int
+    p_l: np.ndarray  # (4,)
+    p_d: np.ndarray  # (4,)
+
+
+def spinor_at(state, x: int) -> np.ndarray:
+    """The (a, b) spinor on site x; zero outside the state's window."""
+    if state.x_min <= x <= state.x_max:
+        return state.amplitudes[x - state.x_min]
+    return np.zeros(2, dtype=complex)
+
+
+def interference_probabilities(state, x1: int, x2: int) -> PairProbabilities:
+    """Two-site interference intensities in the {L, D} bases."""
+    if x1 == x2:
+        raise ValueError("interference measurement needs two distinct sites")
+    a1, b1 = spinor_at(state, x1)
+    a2, b2 = spinor_at(state, x2)
+    phis = np.array([[a1, a2], [b1, -b2], [b1, a2], [a1, b2]])
+    return PairProbabilities(
+        x1=x1,
+        x2=x2,
+        p_l=np.abs(phis @ KET_L.conj()) ** 2,
+        p_d=np.abs(phis @ KET_D.conj()) ** 2,
+    )
+
+
+def all_pair_probabilities(state) -> list[PairProbabilities]:
+    """Interference data for every ordered pair of window sites."""
+    xs = state.sites
+    return [
+        interference_probabilities(state, int(x1), int(x2))
+        for x1 in xs
+        for x2 in xs
+        if x1 != x2
+    ]
 
 
 def matrix_elements_from_pairs(site, pairs) -> MatrixElementTable:
@@ -49,3 +109,27 @@ def assemble_einsum(table: MatrixElementTable, k) -> np.ndarray:
     dx = xs[:, None] - xs[None, :]
     phases = np.exp(-1j * np.multiply.outer(k, dx))
     return 0.5 * np.einsum("...xy,xyj,jab->...ab", phases, table.table, PAULI)
+
+
+def fourier(state, k) -> np.ndarray:
+    """Momentum spinor psi_k = sum_x e^{-ikx} psi_x (unnormalized), (..., 2)."""
+    k = np.asarray(k, dtype=float)
+    phases = np.exp(-1j * np.multiply.outer(k, state.sites.astype(float)))
+    return np.einsum("...x,xc->...c", phases, state.amplitudes)
+
+
+def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray:
+    """n(k, t) of ``reconstruct_bloch_field``, each step mapped on its own."""
+    coin = initial_spinors(spec, np.array([0.0]))[0]
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    final = final_eigensystem(spec, ks)
+    n_field = np.empty((n_k, t_max + 1, 3))
+    for t, state in enumerate(evolve(coin, spec.final, t_max)):
+        site, pairs = onsite_probabilities(state), pair_intensities(state)
+        if n_samples is not None:
+            site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
+            pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
+        table = reconstruct_matrix_elements(site, pairs)
+        rho = to_nonhermitian(assemble_hermitian_density(table, ks), final)
+        n_field[:, t, :] = bloch_from_density(rho, final)
+    return n_field

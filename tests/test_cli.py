@@ -452,6 +452,15 @@ def test_error_is_machine_readable(capsys):
     code, _, err = run_cli(["quench", "--theta1", "0.1", "--theta2", "0.2"], capsys)
     assert code == 1
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+    # an empty angle is a value to parse, with or without a preset under it
+    for preset in ([], ["--preset", "fig3b"]):
+        argv = ["quench", *preset, "--theta1", "", "--theta2", "0.2",
+                "--theta1-f", "0.3", "--theta2-f", "0.4", "--kgrid", "4", "--tmax", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigError"
+        assert "cannot parse ''" in payload["message"]
 
 
 def test_unknown_preset_fails_cleanly(capsys):

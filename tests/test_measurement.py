@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwalk.core import KET_D, KET_L, PAULI
-from ptwalk.errors import SingularNormalization
+from ptwalk.errors import SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.measurement import (
-    all_pair_probabilities,
     assemble_hermitian_density,
-    interference_probabilities,
     matrix_elements_direct,
     onsite_probabilities,
     pair_intensities,
@@ -23,10 +21,23 @@ from ptwalk.measurement import (
     to_nonhermitian,
 )
 from eig_oracle import eig_biorthogonal
-from measurement_oracle import assemble_einsum, matrix_elements_from_pairs
+from measurement_oracle import (
+    all_pair_probabilities,
+    assemble_einsum,
+    bloch_field_per_step,
+    fourier,
+    interference_probabilities,
+    matrix_elements_from_pairs,
+)
 from ptwalk.presets import PRESETS, build_spec
-from ptwalk.quench import QuenchSpec, bloch_field, initial_spinors
-from ptwalk.walksim import PositionState, evolve, fourier
+from ptwalk.quench import (
+    QuenchSpec,
+    bloch_field,
+    bloch_from_density,
+    final_eigensystem,
+    initial_spinors,
+)
+from ptwalk.walksim import PositionState, evolve
 
 
 def random_two_site_state(rng, scale=0.5):
@@ -240,6 +251,56 @@ def test_array_pipeline_matches_the_pair_oracle(state):
     scale = np.abs(table.table).max()
     error = np.abs(assemble_hermitian_density(table, ks) - assemble_einsum(table, ks)).max()
     assert error <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# every step mapped in one call against one step at a time
+
+
+@st.composite
+def explicit_runs(draw):
+    """Localized explicit starts with |v| <= 1 under a random lossy final walk."""
+    angle = st.floats(-np.pi, np.pi)
+    final = CoinParams(draw(angle), draw(angle), draw(st.floats(0.0, 0.9)))
+    radius = draw(st.floats(1e-3, 1.0))
+    mix, phase = draw(angle), draw(angle)
+    state = (radius * np.cos(mix), radius * np.sin(mix) * np.exp(1j * phase))
+    spec = QuenchSpec(initial=final, final=final, initial_state=state)
+    t_max, n_k = draw(st.integers(0, 6)), draw(st.integers(1, 64))
+    return spec, t_max, n_k, draw(st.sampled_from([None, 1000])), draw(st.integers(0, 99))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(explicit_runs())
+def test_one_call_over_all_steps_matches_the_per_step_oracle(run):
+    spec, t_max, n_k, n_samples, seed = run
+    try:
+        want = bloch_field_per_step(spec, t_max, n_k, n_samples=n_samples, seed=seed)
+    except WalkError as error:
+        with pytest.raises(type(error)):
+            reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k, n_samples=n_samples, seed=seed)
+        return
+    got = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k, n_samples=n_samples, seed=seed)
+    assert got.n.shape == (n_k, t_max + 1, 3)
+    assert np.array_equal(got.n, want)
+
+
+def test_frame_maps_broadcast_over_a_stack_of_steps(spec_fig3b):
+    ks = np.linspace(-np.pi, np.pi, 48, endpoint=False)
+    final = final_eigensystem(spec_fig3b, ks)
+    coin = initial_spinors(spec_fig3b, np.array([0.0]))[0]
+    stack = np.stack([
+        assemble_hermitian_density(
+            reconstruct_matrix_elements(onsite_probabilities(s), pair_intensities(s)), ks
+        )
+        for s in evolve(coin, spec_fig3b.final, 5)
+    ])
+    rho = to_nonhermitian(stack, final)
+    n = bloch_from_density(rho, final)
+    for t in range(len(stack)):
+        rho_t = to_nonhermitian(stack[t], final)
+        assert rho[t].tobytes() == rho_t.tobytes()
+        assert n[t].tobytes() == bloch_from_density(rho_t, final).tobytes()
 
 
 def test_table_rejects_pairs_of_another_window():

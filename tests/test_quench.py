@@ -23,7 +23,6 @@ from ptwalk.quench import (
     initial_state_residual,
     oscillation_period,
     overlap_grid,
-    overlaps,
     tau_basis,
 )
 from ptwalk.spectrum import (
@@ -81,9 +80,9 @@ def test_no_quench_gives_pure_lower_band(rng):
             continue
         spec = QuenchSpec(initial=params, final=params)
         for k in rng.uniform(-PI, PI, size=5):
-            pair = overlaps(spec, float(k))
-            assert pair.c_minus == pytest.approx(1.0, abs=1e-12)
-            assert abs(pair.c_plus) < 1e-12
+            (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([float(k)]))
+            assert c_minus == pytest.approx(1.0, abs=1e-12)
+            assert abs(c_plus) < 1e-12
 
 
 def test_overlap_completeness_reconstruction(rng):
@@ -91,12 +90,12 @@ def test_overlap_completeness_reconstruction(rng):
         spec = random_spec(rng)
         k = float(rng.uniform(-PI, PI))
         try:
-            pair = overlaps(spec, k)
+            (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([k]))
             system = final_eigensystem(spec, k)
         except Exception:
             continue
         psi_i = initial_spinors(spec, np.array([k]))[0]
-        rebuilt = pair.c_plus * system.psi_plus + pair.c_minus * system.psi_minus
+        rebuilt = c_plus * system.psi_plus + c_minus * system.psi_minus
         np.testing.assert_allclose(rebuilt, psi_i, atol=1e-12)
 
 
@@ -127,12 +126,12 @@ def test_bloch_vector_matches_oscillatory_form(rng, spec_fig3b):
     for _ in range(20):
         k = float(rng.uniform(-PI, PI))
         t = float(rng.uniform(0, 12))
-        pair = overlaps(spec_fig3b, k)
+        (c_plus,), (c_minus,), _ = overlap_grid(spec_fig3b, np.array([k]))
         energy, _ = quasienergies(spec_fig3b.final, k)
         assert energy.imag == 0
         np.testing.assert_allclose(
             bloch_vector(spec_fig3b, k, t),
-            oscillatory_closed_form(pair.c_plus, pair.c_minus, energy.real, t),
+            oscillatory_closed_form(c_plus, c_minus, energy.real, t),
             atol=1e-12,
         )
 
@@ -141,12 +140,12 @@ def test_bloch_vector_matches_relaxation_form(rng, spec_fig4):
     for _ in range(20):
         k = float(rng.uniform(-PI, PI))
         t = float(rng.uniform(0, 6))
-        pair = overlaps(spec_fig4, k)
+        (c_plus,), (c_minus,), _ = overlap_grid(spec_fig4, np.array([k]))
         energy, _ = quasienergies(spec_fig4.final, k)
         assert energy.real == 0 and energy.imag > 0
         np.testing.assert_allclose(
             bloch_vector(spec_fig4, k, t),
-            relaxation_closed_form(pair.c_plus, pair.c_minus, energy, t),
+            relaxation_closed_form(c_plus, c_minus, energy, t),
             atol=1e-12,
         )
 
@@ -198,10 +197,10 @@ def test_density_matrix_hermitian_limit(rng):
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-10)
         # equals the normalized projector onto the evolved state
         system = final_eigensystem(spec, k)
-        pair = overlaps(spec, k)
+        (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([k]))
         energy, _ = quasienergies(spec.final, k)
-        psi_t = pair.c_plus * np.exp(-1j * energy * t) * system.psi_plus + \
-            pair.c_minus * np.exp(1j * energy * t) * system.psi_minus
+        psi_t = c_plus * np.exp(-1j * energy * t) * system.psi_plus + \
+            c_minus * np.exp(1j * energy * t) * system.psi_minus
         proj = np.outer(psi_t, psi_t.conj()) / np.linalg.norm(psi_t) ** 2
         np.testing.assert_allclose(rho, proj, atol=1e-10)
 
@@ -430,8 +429,8 @@ def test_fixed_points_are_exact_pi_closed_and_cover_the_grid_search(spec):
     assume(np.minimum(np.abs(cp), np.abs(cm)).max() > 1e-6)
     fps = find_fixed_points(spec)
     for fp in fps:
-        pair = overlaps(spec, fp.k)
-        c = pair.c_plus if fp.kind is FixedPointKind.C_PLUS_ZERO else pair.c_minus
+        (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([fp.k]))
+        c = c_plus if fp.kind is FixedPointKind.C_PLUS_ZERO else c_minus
         bound = 1e-20 if clear_of_band_touching(spec, fp.k) else FIXED_POINT_RESIDUAL
         assert abs(c) ** 2 <= bound, (spec, fp)
         twins = [zone_distance(o.k, fp.k + PI) for o in fps if o.kind is fp.kind]
@@ -460,7 +459,8 @@ def test_a_root_shared_by_the_partner_band_is_not_a_fixed_point():
     assert all(zone_distance(fp.k, -2.4627e-6) > 1e-6 for fp in fps)
     near_zero = [fp for fp in fps if abs(fp.k) < 1e-5]
     assert len(near_zero) == 1 and near_zero[0].k == pytest.approx(2.4627e-6, abs=1e-9)
-    assert abs(overlaps(NEAR_COMMUTING, -2.4627e-6).c_plus) ** 2 < FIXED_POINT_RESIDUAL
+    (c_plus,), _, _ = overlap_grid(NEAR_COMMUTING, np.array([-2.4627e-6]))
+    assert abs(c_plus) ** 2 < FIXED_POINT_RESIDUAL
 
 
 NEAR_EXCEPTIONAL = QuenchSpec(
@@ -482,7 +482,8 @@ def test_a_fixed_point_next_to_a_band_touching_is_reported():
     d0 = d_coefficients(NEAR_EXCEPTIONAL.final, fp.k)[0].real
     assert 1 - d0 * d0 < 1e-7
     for step in (-1e-7, 1e-7):
-        assert abs(overlaps(NEAR_EXCEPTIONAL, fp.k + step).c_minus) ** 2 > 1e-4
+        _, (c_minus,), _ = overlap_grid(NEAR_EXCEPTIONAL, np.array([fp.k + step]))
+        assert abs(c_minus) ** 2 > 1e-4
     assert any(zone_distance(o.k, fp.k + PI) < 1e-12 for o in fps if o is not fp)
 
 
@@ -527,7 +528,7 @@ def test_overlaps_raise_at_band_touching():
         final=CoinParams(0.4, -0.4, 0.0),  # gap closes at k = 0
     )
     with pytest.raises(ExceptionalPoint):
-        overlaps(spec, 0.0)
+        overlap_grid(spec, np.array([0.0]))
 
 
 def test_lower_band_initial_requires_unbroken():
