@@ -21,11 +21,11 @@ with sum_mu |chi^f_mu><chi^f_mu| recovers the non-Hermitian density matrix of
 the quench, independent of the overall decayed norm.
 
 Each walk step is measured as whole arrays: the pair intensities of every
-ordered site pair at once, the identities as array algebra, and rho' from
-sums along the diagonals x1 - x2 of the table.  The final frame is the same
-at every step, so the rho' of all steps are mapped to n(k, t) in one call.
-The one-pair form of the same numbers is the test oracle
-(``tests/measurement_oracle.py``).
+ordered site pair at once, the identities as array algebra, and the sums of
+the table along its diagonals x1 - x2, read off a skewed view.  The sums of
+all steps share one stack, so one phase matrix and one matmul give rho' at
+every step, and one call maps them through the final frame to n(k, t).  The
+one-pair, one-step form is the test oracle (``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
 configuration, with one deterministic stream per (seed, step, configuration
@@ -180,20 +180,25 @@ def matrix_elements_direct(state: PositionState) -> MatrixElementTable:
     return MatrixElementTable(x_min=state.x_min, table=table)
 
 
+def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
+    """Row d + width - 1 of these (2 width - 1, 4) sums adds table[x1, x2] over x1 - x2 = d."""
+    # the flipped, zero-padded table read in rows of 2 width - 1 is skewed: d is one column
+    n = len(table)
+    skewed = np.zeros((n, 2 * width, 4), dtype=complex)
+    skewed[:, width - n : width] = table[:, ::-1]
+    return skewed.reshape(-1, 4)[: n * (2 * width - 1)].reshape(n, -1, 4).sum(0, initial=0)
+
+
 def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
     """rho'(k) = 1/2 sum_j sum_{x1,x2} e^{-ik(x1-x2)} table[x1,x2,j] sigma_j.
 
     Equals |psi_k><psi_k| for a noiseless table; shape (..., 2, 2) following k.
-    The table is first summed along its 2n - 1 diagonals d = x1 - x2, so the
-    momentum transform runs over d alone.
+    The table is first summed along its 2n - 1 diagonals d = x1 - x2, as in
+    ``reconstruct_bloch_field``, so the momentum transform runs over d alone.
     """
-    k = np.asarray(k, dtype=float)
     n = len(table.table)
-    by_offset = np.zeros((2 * n - 1, 4), dtype=complex)  # row d + n - 1 sums x1 - x2 = d
-    offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
-    np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
-    phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
-    return 0.5 * pauli_assemble(phases @ by_offset)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(k, float), np.arange(1.0 - n, n)))
+    return 0.5 * pauli_assemble(phases @ _diagonal_sums(table.table, n))
 
 
 def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
@@ -206,7 +211,7 @@ def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
     """
     chi_sum = np.einsum("...bc,...bd->...cd", system.left.conj(), system.left)
     numer = np.asarray(rho_prime, dtype=complex) @ chi_sum
-    denom = np.trace(numer, axis1=-2, axis2=-1)
+    denom = numer[..., 0, 0] + numer[..., 1, 1]
     if np.any(np.abs(denom) <= NORM_FLOOR):
         raise SingularNormalization(
             f"|Tr[rho' sum|chi><chi|]| = {np.abs(denom).min():.3e} <= {NORM_FLOOR:.0e}"
@@ -288,11 +293,13 @@ def reconstruct_bloch_field(
     state must be momentum-independent (an explicit state, or a lower-band
     eigenstate of a coin operator with cos(theta2) = 0).  The noise of step t
     is keyed by ``seed * 1000003 + t``.  ``on_step(t, site, pairs)``, if
-    given, receives the intensities each step is reconstructed from.  The
-    rho' of every step is mapped through the final frame in one call after
-    the walk, so a :class:`SingularNormalization` is raised only after every
-    step has been measured and passed to ``on_step``.
+    given, receives the intensities each step is reconstructed from.  rho'
+    of every step is transformed and mapped through the final frame at once
+    after the walk, so a :class:`SingularNormalization` is raised only after
+    every step has been measured and passed to ``on_step``.
     """
+    if t_max < 0 or n_k < 1:
+        raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
     coin = initial_spinors(spec, np.array([0.0]))[0]
     # eigenstate residual of the one localized coin state across all sectors
     probe = QuenchSpec(spec.initial, spec.final, initial_state=tuple(coin))
@@ -305,7 +312,8 @@ def reconstruct_bloch_field(
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     final = final_eigensystem(spec, ks)
 
-    rho_prime = np.empty((t_max + 1, n_k, 2, 2), dtype=complex)
+    width = 4 * t_max + 1  # sites in the last, widest window
+    by_offset = np.empty((t_max + 1, 2 * width - 1, 4), dtype=complex)
     for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
@@ -313,7 +321,9 @@ def reconstruct_bloch_field(
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         if on_step is not None:
             on_step(t, site, pairs)
-        rho_prime[t] = assemble_hermitian_density(reconstruct_matrix_elements(site, pairs), ks)
+        by_offset[t] = _diagonal_sums(reconstruct_matrix_elements(site, pairs).table, width)
+    phases = np.exp(-1j * np.multiply.outer(ks, np.arange(1.0 - width, width)))
+    rho_prime = 0.5 * pauli_assemble(phases @ by_offset)
     n = bloch_from_density(to_nonhermitian(rho_prime, final), final)
     return BlochField(
         ks=ks,

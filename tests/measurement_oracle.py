@@ -7,20 +7,23 @@ identities pair by pair to the ``PairProbabilities`` of
 ``all_pair_probabilities``, with the operand order of the array code, so the
 intensities and the table must agree bit for bit.  ``assemble_einsum`` is
 rho'(k) summed over every (x1, x2) term directly; the package sums along the
-diagonals x1 - x2 first, so the two agree only to rounding.  ``fourier`` is
-the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
-maps each step's rho' through the final frame on its own, as the package did
-before it mapped all steps in one call; the two must agree bit for bit.
+diagonals x1 - x2 first, so the two agree only to rounding.
+``assemble_add_at`` is the package's former diagonal sum: ``np.add.at`` in
+order of x1 and a phase matrix of the table's own width, which the skewed
+sums of ``assemble_hermitian_density`` must match bit for bit.  ``fourier``
+is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
+assembles and maps each step's rho' on its own with ``assemble_add_at``, as
+the package did before it transformed and mapped all steps at once; the two
+must agree bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ptwalk.core import KET_D, KET_L, PAULI
+from ptwalk.core import KET_D, KET_L, PAULI, pauli_assemble
 from ptwalk.measurement import (
     MatrixElementTable,
-    assemble_hermitian_density,
     onsite_probabilities,
     pair_intensities,
     reconstruct_matrix_elements,
@@ -111,6 +114,17 @@ def assemble_einsum(table: MatrixElementTable, k) -> np.ndarray:
     return 0.5 * np.einsum("...xy,xyj,jab->...ab", phases, table.table, PAULI)
 
 
+def assemble_add_at(table: MatrixElementTable, k) -> np.ndarray:
+    """rho'(k) from diagonal sums accumulated one table entry at a time."""
+    k = np.asarray(k, dtype=float)
+    n = len(table.table)
+    by_offset = np.zeros((2 * n - 1, 4), dtype=complex)  # row d + n - 1 sums x1 - x2 = d
+    offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
+    np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
+    phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
+    return 0.5 * pauli_assemble(phases @ by_offset)
+
+
 def fourier(state, k) -> np.ndarray:
     """Momentum spinor psi_k = sum_x e^{-ikx} psi_x (unnormalized), (..., 2)."""
     k = np.asarray(k, dtype=float)
@@ -130,6 +144,6 @@ def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         table = reconstruct_matrix_elements(site, pairs)
-        rho = to_nonhermitian(assemble_hermitian_density(table, ks), final)
+        rho = to_nonhermitian(assemble_add_at(table, ks), final)
         n_field[:, t, :] = bloch_from_density(rho, final)
     return n_field

@@ -11,6 +11,7 @@ from ptwalk.core import KET_D, KET_L, PAULI
 from ptwalk.errors import SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.measurement import (
+    MatrixElementTable,
     assemble_hermitian_density,
     matrix_elements_direct,
     onsite_probabilities,
@@ -23,6 +24,7 @@ from ptwalk.measurement import (
 from eig_oracle import eig_biorthogonal
 from measurement_oracle import (
     all_pair_probabilities,
+    assemble_add_at,
     assemble_einsum,
     bloch_field_per_step,
     fourier,
@@ -193,6 +195,25 @@ def test_pipeline_scale_invariance(spec_fig3b):
     np.testing.assert_allclose(rec_scaled.n, rec_base.n, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "t_max, n_k, message",
+    [(-1, 16, "t_max must be >= 0"), (2, 0, "n_k must be >= 1"), (2, -2, "n_k must be >= 1")],
+)
+def test_pipeline_rejects_bad_sizes_by_name(spec_fig3b, t_max, n_k, message):
+    with pytest.raises(ValueError, match=message):
+        reconstruct_bloch_field(spec_fig3b, t_max=t_max, n_k=n_k)
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig6"])
+def test_one_site_window_matches_the_field(name):
+    """t_max = 0, n_k = 1: one site, one diagonal and a one-column phase matrix."""
+    spec = build_spec(PRESETS[name])
+    rec = reconstruct_bloch_field(spec, t_max=0, n_k=1)
+    ana = bloch_field(spec, n_k=1, ts=rec.ts)
+    assert rec.n.shape == (1, 1, 3)
+    assert np.abs(rec.n - ana.n).max() < 1e-9
+
+
 def test_pipeline_rejects_momentum_dependent_initial():
     spec = QuenchSpec(
         initial=CoinParams(0.3, 0.8, 0.2),  # cos(theta2) != 0
@@ -253,6 +274,16 @@ def test_array_pipeline_matches_the_pair_oracle(state):
     assert error <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", range(1, 42))
+def test_skewed_diagonal_sums_match_the_add_at_oracle(n):
+    rng = np.random.default_rng(n)
+    table = MatrixElementTable(
+        x_min=-n, table=rng.normal(size=(n, n, 4)) + 1j * rng.normal(size=(n, n, 4))
+    )
+    ks = np.linspace(-np.pi, np.pi, 37, endpoint=False)
+    assert assemble_hermitian_density(table, ks).tobytes() == assemble_add_at(table, ks).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # every step mapped in one call against one step at a time
 
@@ -266,7 +297,7 @@ def explicit_runs(draw):
     mix, phase = draw(angle), draw(angle)
     state = (radius * np.cos(mix), radius * np.sin(mix) * np.exp(1j * phase))
     spec = QuenchSpec(initial=final, final=final, initial_state=state)
-    t_max, n_k = draw(st.integers(0, 6)), draw(st.integers(1, 64))
+    t_max, n_k = draw(st.integers(0, 10)), draw(st.integers(1, 64))
     return spec, t_max, n_k, draw(st.sampled_from([None, 1000])), draw(st.integers(0, 99))
 
 
