@@ -296,10 +296,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_phase_diagram(args) -> int:
-    _defaults(args, res=32, kgrid=256, p=0.0)
+    _defaults(args, res=32, p=0.0)
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
-    cells = phase_diagram(thetas1, thetas2, args.p, n_k=args.kgrid)
+    cells = phase_diagram(thetas1, thetas2, args.p)
     columns = {
         "theta1": np.array([c.theta1 for c in cells]),
         "theta2": np.array([c.theta2 for c in cells]),
@@ -474,7 +474,7 @@ _COMMANDS = {
                   "--preset": "take the final-operator angles and p from one of: "
                              + ", ".join(preset_names())}),
     "phase-diagram": (cmd_phase_diagram, "winding numbers over the coin-angle plane",
-                      ("--p", "--kgrid", "--res", *_OUTPUT_FLAGS), {}),
+                      ("--p", "--res", *_OUTPUT_FLAGS), {}),
     "quench": (cmd_quench, "Bloch-vector texture n(k, t)",
                (*_QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", "--tmax", *_OUTPUT_FLAGS), {}),
     "fixed-points": (cmd_fixed_points, "momenta where one overlap vanishes",

@@ -84,10 +84,11 @@ def _eval_node(node: ast.AST, names: dict[str, complex]) -> complex:
 def evaluate(expression: str, p: float | None = None) -> complex:
     """Evaluate a whitelisted arithmetic expression to a complex number."""
     try:
-        tree = ast.parse(expression, mode="eval")
+        value = _eval_node(ast.parse(expression, mode="eval"), _constants(p))
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse {expression!r}: {exc}") from None
-    value = _eval_node(tree, _constants(p))
+    except (OverflowError, RecursionError) as exc:  # exp(1000), 10**400, deep nesting
+        raise ConfigError(f"cannot evaluate {expression!r}: {exc}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConfigError(f"{expression!r} does not evaluate to a finite number")
     return value

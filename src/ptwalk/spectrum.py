@@ -143,39 +143,20 @@ def _min_gaps(alpha: float, c1, s1, c2, s2) -> np.ndarray:
     return 1.0 - np.reshape(squares, np.shape(extreme))
 
 
-def _pt_broken(alpha: float, c1, s1, c2, s2, gap, n_k: int) -> np.ndarray:
-    """The PT classification elementwise: max(grid max of d0^2, 1 - gap) > 1 + EP_TOL.
-
-    The grid is the n_k-point zone grid of :func:`pt_classify`.  In float
-    arithmetic d0 = alpha * (x * c1 * c2 - s1 * s2) is still monotone in
-    x = cos 2k, because each rounded step is, so the grid maximum of d0^2 sits
-    at the grid's smallest or largest cos 2k.  Two evaluations per cell give
-    it bit for bit, without a (cells, n_k) array.
-    """
-    cos2k = np.cos(2 * np.linspace(-np.pi, np.pi, n_k, endpoint=False))
-    d0_lo = alpha * (cos2k.min() * c1 * c2 - s1 * s2)
-    d0_hi = alpha * (cos2k.max() * c1 * c2 - s1 * s2)
-    grid_max = np.maximum(d0_lo * d0_lo, d0_hi * d0_hi)
-    return np.maximum(grid_max, 1.0 - gap) > 1.0 + EP_TOL
-
-
 def min_gap(params: CoinParams) -> float:
     """min_k (1 - d0^2); zero at a band touching, negative once PT breaks."""
     return float(_min_gaps(params.alpha, *_coin_trig(params)))
 
 
-def pt_classify(params: CoinParams, n_k: int = 512) -> PTPhase:
-    """BROKEN iff d0(k)^2 exceeds 1 somewhere (Im E != 0 for some momentum).
+def pt_classify(params: CoinParams) -> PTPhase:
+    """BROKEN iff min_gap < -1e-12: d0(k)^2 exceeds 1 somewhere (Im E != 0).
 
-    Exact band touchings (max d0^2 == 1) keep an entirely real spectrum and
-    classify as UNBROKEN; they are the transition locus itself.  Checked
-    analytically (extrema of d0 sit at cos 2k = +-1) and on the n_k-point
-    zone grid, whose maximum is exact from its two extreme values of cos 2k.
+    :func:`min_gap` is exact in closed form (the extrema of d0 sit at
+    cos 2k = +-1), so no momentum grid enters the verdict.  Band touchings
+    (max d0^2 == 1 to within 1e-12) keep an entirely real spectrum and
+    classify as UNBROKEN; they are the transition locus itself.
     """
-    if n_k < 64:
-        raise ValueError("n_k must be >= 64")
-    broken = _pt_broken(params.alpha, *_coin_trig(params), min_gap(params), n_k)
-    return PTPhase.BROKEN if broken else PTPhase.UNBROKEN
+    return PTPhase.BROKEN if min_gap(params) < -EP_TOL else PTPhase.UNBROKEN
 
 
 def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
@@ -239,13 +220,13 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
 
 
-def _wilson_phases(params: CoinParams, n_k: int, k_offset: float) -> tuple[float, float]:
+def _wilson_phases(params: CoinParams, n_k: int) -> tuple[float, float]:
     """Zak phases (phi_+, phi_-) of both bands from one eigen-grid."""
     if n_k < 16:
         raise ValueError("n_k must be >= 16")
-    if pt_classify(params, max(64, n_k)) is PTPhase.BROKEN:
+    if pt_classify(params) is PTPhase.BROKEN:
         raise ExceptionalPoint("PT-broken regime: Zak phase undefined")
-    ks = k_offset + np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     grid = walk_eigensystem(params, ks)
     phases = []
     for b in (0, 1):
@@ -254,12 +235,7 @@ def _wilson_phases(params: CoinParams, n_k: int, k_offset: float) -> tuple[float
     return phases[0], phases[1]
 
 
-def zak_phase(
-    params: CoinParams,
-    band: int,
-    n_k: int = 512,
-    k_offset: float = 0.0,
-) -> float:
+def zak_phase(params: CoinParams, band: int, n_k: int = 512) -> float:
     """Generalized Zak phase of one band over the full zone k in [-pi, pi).
 
     The Wilson-loop phase is accumulated link by link with periodic
@@ -268,11 +244,11 @@ def zak_phase(
     """
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
-    plus, minus = _wilson_phases(params, n_k, k_offset)
+    plus, minus = _wilson_phases(params, n_k)
     return plus if band == +1 else minus
 
 
-def winding_number(params: CoinParams, n_k: int = 512, k_offset: float = 0.0) -> int:
+def winding_number(params: CoinParams, n_k: int = 512) -> int:
     """Integer winding from the global Berry phase (phi_Z+ + phi_Z-)/2 pi.
 
     This Wilson loop is the defining path; :func:`phase_diagram` uses a
@@ -286,7 +262,7 @@ def winding_number(params: CoinParams, n_k: int = 512, k_offset: float = 0.0) ->
     ExceptionalPoint
         In the PT-broken regime or at a band touching on the grid.
     """
-    plus, minus = _wilson_phases(params, n_k, k_offset)
+    plus, minus = _wilson_phases(params, n_k)
     nu = (plus + minus) / (2 * np.pi)
     rounded = int(round(nu))
     if abs(nu - rounded) >= QUANTIZATION_TOL:
@@ -294,12 +270,7 @@ def winding_number(params: CoinParams, n_k: int = 512, k_offset: float = 0.0) ->
     return rounded
 
 
-def phase_diagram(
-    theta1s: np.ndarray,
-    theta2s: np.ndarray,
-    p: float,
-    n_k: int = 512,
-) -> list[PhaseDiagramCell]:
+def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[PhaseDiagramCell]:
     """Winding number and PT phase over a coin-parameter grid, as one broadcast.
 
     The winding is the closed form
@@ -316,28 +287,22 @@ def phase_diagram(
     is the band touching itself.  :func:`winding_number` (the Wilson loop)
     stays the reference that the tests compare against.
 
-    ``pt_broken`` is bit-identical to ``pt_classify(params, max(64, n_k))``:
-    d0 is monotone in cos 2k even after rounding, so the grid maximum of d0^2
-    comes from the grid's two extreme values of cos 2k (see ``_pt_broken``).
-    Cells that are broken or at a band touching (|min_gap| <= 1e-12) carry
-    ``nu=None`` rather than a guess.
+    ``pt_broken`` is ``min_gap < -1e-12``, bit-identical to
+    :func:`pt_classify` of the cell.  Cells that are broken or at a band
+    touching (``min_gap <= 1e-12``) carry ``nu=None`` rather than a guess.
     """
     theta1s = np.asarray(theta1s, dtype=float)
     theta2s = np.asarray(theta2s, dtype=float)
     if theta1s.size < 32 or theta2s.size < 32:
         raise ValueError("phase diagram resolution must be at least 32x32")
-    if n_k < 16:
-        raise ValueError("n_k must be >= 16")
     if not (np.isfinite(theta1s).all() and np.isfinite(theta2s).all()):
         raise ValueError("coin angles must be finite")
     alpha = CoinParams(0.0, 0.0, p).alpha
     c1, s1 = (v[:, None] for v in _axis_trig(theta1s))
     c2, s2 = _axis_trig(theta2s)
     gap = _min_gaps(alpha, c1, s1, c2, s2)
-    broken = _pt_broken(alpha, c1, s1, c2, s2, gap, max(64, n_k))
     winding = np.where(np.abs(c1 * s2) < np.abs(s1 * c2), np.where(s1 > 0, 2, -2), 0)
-    defined = ~broken & (np.abs(gap) > EP_TOL)
-    columns = (a.ravel().tolist() for a in (winding, defined, broken, gap))
+    columns = (a.ravel().tolist() for a in (winding, gap > EP_TOL, gap < -EP_TOL, gap))
     return [
         PhaseDiagramCell(theta1=th1, theta2=th2, nu=nu if ok else None, pt_broken=br, min_gap=g)
         for (th1, th2), nu, ok, br, g in zip(

@@ -26,12 +26,12 @@ def read_csv(text):
     return rows
 
 
-# The flags each subcommand reads, and no other: 78 settable values in all.
+# The flags each subcommand reads, and no other: 77 settable values in all.
 QUENCH_FLAGS = {"--theta1", "--theta2", "--theta1-f", "--theta2-f", "--initial-state", "--p"}
 OUTPUT_FLAGS = {"--out", "--format", "--config"}
 COMMAND_FLAGS = {
     "spectrum": {"--theta1", "--theta2", "--preset", "--p", "--kgrid", *OUTPUT_FLAGS},
-    "phase-diagram": {"--p", "--kgrid", "--res", *OUTPUT_FLAGS},
+    "phase-diagram": {"--p", "--res", *OUTPUT_FLAGS},
     "quench": {*QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", "--tmax", *OUTPUT_FLAGS},
     "fixed-points": {*QUENCH_FLAGS, "--preset", *OUTPUT_FLAGS},
     "chern": {*QUENCH_FLAGS, "--preset", "--kgrid", "--tgrid", *OUTPUT_FLAGS},
@@ -42,8 +42,8 @@ COMMAND_FLAGS = {
 # Flags a subcommand does not read: each is a usage error there.
 UNREAD_FLAGS = {
     "spectrum": ("--tgrid", "--tmax", "--samples", "--seed"),
-    "phase-diagram": ("--theta1", "--theta2", "--preset", "--tgrid", "--tmax", "--samples",
-                      "--seed"),
+    "phase-diagram": ("--theta1", "--theta2", "--preset", "--kgrid", "--tgrid", "--tmax",
+                      "--samples", "--seed"),
     "quench": ("--samples", "--seed"),
     "fixed-points": ("--kgrid", "--tgrid", "--tmax", "--samples", "--seed"),
     "chern": ("--tmax", "--samples", "--seed"),
@@ -62,8 +62,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         for name, command in commands.choices.items()
     }
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 78
-    assert len(UNREAD) == 25
+    assert sum(map(len, flags.values())) == 77
+    assert len(UNREAD) == 26
 
 
 @pytest.mark.parametrize("command, flag", UNREAD, ids=[" ".join(pair) for pair in UNREAD])
@@ -204,9 +204,7 @@ def test_json_format_and_meta(capsys):
 
 
 def test_phase_diagram_export(capsys):
-    code, out, _ = run_cli(
-        ["phase-diagram", "--p", "0.0", "--res", "32", "--kgrid", "128"], capsys
-    )
+    code, out, _ = run_cli(["phase-diagram", "--p", "0.0", "--res", "32"], capsys)
     assert code == 0
     rows = read_csv(out)
     assert len(rows) == 32 * 32
@@ -234,7 +232,6 @@ def test_phase_diagram_default_csv_is_pinned(args, digest, capsys):
     "args",
     [
         ["phase-diagram", "--res", "8"],
-        ["phase-diagram", "--kgrid", "0"],
         ["chern", "--preset", "fig6", "--kgrid", "0"],
         ["reconstruct", "--preset", "fig3a", "--tmax", "-1"],
         ["reconstruct", "--preset", "fig3a", "--samples", "-5"],
@@ -261,6 +258,13 @@ def test_bad_size_flags_are_config_errors(args, capsys):
         # initial eigenstate depends on momentum: no localized walker
         ["reconstruct", "--theta1=0.4", "--theta2=0.3", "--theta1-f=0.3",
          "--theta2-f=0.4", "--tmax", "2"],
+        # expressions that overflow, or nest too deep to parse or to evaluate
+        ["spectrum", "--theta1", "exp(1000)", "--theta2", "0"],
+        ["spectrum", "--theta1", "10**400", "--theta2", "0"],
+        pytest.param(["spectrum", "--theta1=" + "1+" * 1500 + "1", "--theta2", "0"],
+                     id="spectrum --theta1=1+1+...+1"),
+        pytest.param(["spectrum", "--theta1=" + "-" * 3000 + "1", "--theta2", "0"],
+                     id="spectrum --theta1=---...-1"),
     ],
     ids=" ".join,
 )
@@ -322,14 +326,17 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # to be built from the d coefficients (max |dn| 5.3e-15, |dC| 1.1e-16).  The
 # fixed-points digest was re-pinned when the command lost its --kgrid flag,
 # which the closed-form root solve never read: its meta no longer holds
-# "kgrid": 512, and every other byte is the same.
+# "kgrid": 512, and every other byte is the same.  The phase-diagram digest
+# was re-pinned when that command lost its --kgrid flag, once the PT verdict
+# came from min_gap alone: its meta no longer holds "kgrid": 256, and every
+# other byte is the same.
 @pytest.mark.parametrize(
     "args, digest",
     [
         (["quench", "--preset", "fig3b"],
          "c064beea15bce8a45341b230fea184754e99883fc5563bb2d2b9a9b2aaf6f3be"),
         (["phase-diagram", "--p", "0.36"],
-         "89874b254eacd6ff522f57d8a5e05a801c6c43a54ef4207bfe0b9354cdc4e185"),
+         "454310501895a1cfa2b6f8819bc7af753f6b82eaf1c1220873b8c604a1fd7810"),
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
          "4b55eb1999e2b7b29d15ab90e9da6976eb6ec9fbbb213fba06b415ce2657a95d"),
         (["chern", "--preset", "fig6"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwalk.errors import ExceptionalPoint, NonQuantized
-from ptwalk.floquet import CoinParams, d_coefficients
+from ptwalk.floquet import CoinParams
 from ptwalk.spectrum import (
     EP_TOL,
     PTPhase,
@@ -140,7 +140,6 @@ def test_winding_grid_refinement_and_offset_invariance():
     base = winding_number(params, 512)
     assert winding_number(params, 256) == base
     assert winding_number(params, 1024) == base
-    assert winding_number(params, 512, k_offset=0.123) == base
 
 
 def test_winding_raises_in_broken_regime():
@@ -151,7 +150,7 @@ def test_winding_raises_in_broken_regime():
 def test_phase_diagram_p0_has_no_broken_cells():
     # cell-centered grid: the closing lines themselves carry max d0^2 = 1
     thetas = np.linspace(-np.pi, np.pi, 32, endpoint=False) + np.pi / 32
-    cells = phase_diagram(thetas, thetas, 0.0, n_k=128)
+    cells = phase_diagram(thetas, thetas, 0.0)
     assert not any(c.pt_broken for c in cells)
     assert {c.nu for c in cells if c.nu is not None} >= {0, -2}
 
@@ -163,7 +162,7 @@ def test_phase_diagram_resolution_precondition():
 
 def test_phase_diagram_lossy_broken_bands_separate_phases():
     thetas = np.linspace(-np.pi, np.pi, 36, endpoint=False)
-    cells = phase_diagram(thetas, thetas, P36, n_k=128)
+    cells = phase_diagram(thetas, thetas, P36)
     assert any(c.pt_broken for c in cells)
     for c in cells:
         if c.pt_broken:
@@ -244,15 +243,16 @@ def test_phase_diagram_against_classification_and_wilson_loop(draw):
     n_k = 64
     grid = np.linspace(-np.pi, np.pi, RES, endpoint=False)
     thetas1, thetas2 = grid + off1, grid + off2
-    cells = phase_diagram(thetas1, thetas2, p, n_k=n_k)
+    cells = phase_diagram(thetas1, thetas2, p)
     for cell in cells:
         assert (cell.nu is None) == (cell.pt_broken or abs(cell.min_gap) <= EP_TOL)
+        assert cell.pt_broken == (cell.min_gap < -EP_TOL)
     for i, j in picks:
         cell = cells[RES * i + j]
         params = CoinParams(float(thetas1[i]), float(thetas2[j]), p)
         assert (cell.theta1, cell.theta2) == (params.theta1, params.theta2)
         assert cell.min_gap == min_gap(params)
-        assert cell.pt_broken == (pt_classify(params, n_k) is PTPhase.BROKEN)
+        assert cell.pt_broken == (pt_classify(params) is PTPhase.BROKEN)
         try:
             wilson = winding_number(params, n_k)
         except (NonQuantized, ExceptionalPoint):
@@ -261,16 +261,9 @@ def test_phase_diagram_against_classification_and_wilson_loop(draw):
             assert wilson == cell.nu
 
 
-def grid_verdicts(params: CoinParams, n_k: int) -> tuple[bool, bool]:
-    """The two halves of the PT test: the full n_k-point grid and the extremum."""
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    d0 = d_coefficients(params, ks)[..., 0].real
-    return float(np.max(d0 * d0)) > 1.0 + EP_TOL, 1.0 - min_gap(params) > 1.0 + EP_TOL
-
-
-def test_pt_broken_matches_the_full_grid_at_the_threshold(rng):
-    # Step theta2 ulp by ulp across max d0^2 = 1 + EP_TOL, where the rounded
-    # grid maximum and the analytic extremum disagree in both directions.
+def test_pt_verdict_is_min_gap_alone_at_the_threshold(rng):
+    # Step theta2 ulp by ulp across max d0^2 = 1 + EP_TOL: the diagram, the
+    # scalar classification and min_gap give one verdict on every cell.
     seen = set()
     for trial in range(16):
         p = float(rng.uniform(0.01, 0.9))
@@ -281,12 +274,21 @@ def test_pt_broken_matches_the_full_grid_at_the_threshold(rng):
         mirror = (1, -1)[trial // 4 % 2]
         centre = mirror * th1 - math.acos(math.sqrt(1.0 + EP_TOL) / alpha)
         theta2s = centre + np.arange(-40, 41) * np.spacing(centre)
-        n_k = (64, 100, 256, 512)[trial % 4]
-        cells = phase_diagram(np.full(RES, th1), theta2s, p, n_k=n_k)
+        cells = phase_diagram(np.full(RES, th1), theta2s, p)
         for cell in cells[: theta2s.size]:
             params = CoinParams(th1, cell.theta2, p)
-            on_grid, analytic = grid_verdicts(params, n_k)
-            seen.add((on_grid, analytic))
-            assert cell.pt_broken == (on_grid or analytic)
-            assert (pt_classify(params, n_k) is PTPhase.BROKEN) == cell.pt_broken
-    assert {(True, False), (False, True)} <= seen
+            broken = pt_classify(params) is PTPhase.BROKEN
+            assert cell.pt_broken == (cell.min_gap < -EP_TOL) == broken
+            assert (cell.nu is None) == (cell.min_gap <= EP_TOL)
+            seen.add(broken)
+    assert seen == {True, False}
+
+
+def test_min_gap_just_below_minus_ep_tol_is_broken():
+    # 1 - min_gap and 1 + EP_TOL round to the same double here, so a test on
+    # max d0^2 called this operator unbroken and gave its cell nu = 0.
+    params = CoinParams(2.4957679180609933, 2.2883995805199553, 0.5663349652781536)
+    assert min_gap(params) < -EP_TOL
+    assert pt_classify(params) is PTPhase.BROKEN
+    cell = phase_diagram(np.full(RES, params.theta1), np.full(RES, params.theta2), params.p)[0]
+    assert cell.pt_broken and cell.nu is None
