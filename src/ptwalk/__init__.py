@@ -23,7 +23,6 @@ from .errors import (
     DegenerateTriangle,
     ExceptionalPoint,
     ImaginaryEnergy,
-    NonQuantized,
     SingularNormalization,
     WalkError,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "FixedPoint",
     "FixedPointKind",
     "ImaginaryEnergy",
-    "NonQuantized",
     "PRESETS",
     "PTPhase",
     "PhaseDiagramCell",

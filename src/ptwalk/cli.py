@@ -97,10 +97,18 @@ def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written is a ConfigError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_output(args, columns: dict[str, Sequence], meta: dict) -> None:
     text = _table_text(args.format, columns, meta)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -120,10 +128,12 @@ def _meta(args, command: str, **extra) -> dict:
     return meta
 
 
-def _merge_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """Fill unset (None) flags from the optional JSON config file."""
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill unset (None) flags from the optional JSON config file.
+
+    A config file can set the --flags its subcommand reads, but not --config
+    itself; the positional is always set on the command line.
+    """
     if not getattr(args, "config", None):
         return args
     try:
@@ -132,41 +142,29 @@ def _merge_config(
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object of flag values")
-    actions = _command_actions(parser, args.command)
+    flags = {flag[2:].replace("-", "_"): _FLAGS[flag] for flag in _COMMANDS[args.command][2]
+             if flag.startswith("--") and flag != "--config"}
     for key, value in data.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in flags:
             raise ConfigError(
                 f"config key {key!r} is not a flag a config file can set for {args.command}"
             )
         if value is None:
             continue
-        value = _config_value(key, value, action)
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, value)
+        value = _config_value(key, value, flags[dest])
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     return args
 
 
-def _command_actions(
-    parser: argparse.ArgumentParser, command: str
-) -> dict[str, argparse.Action]:
-    """The flags a config file can set for one subcommand, by destination.
-
-    Not --help, not --config itself and not a positional, which the command
-    line always sets.
-    """
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in commands.choices[command]._actions
-            if a.option_strings and a.dest not in ("help", "config")}
-
-
-def _config_value(key: str, value, action: argparse.Action):
+def _config_value(key: str, value, keywords: dict):
     """A config value as its flag would hold it; text goes through the flag's type.
 
     A JSON number stays as it is where the flag takes one (any number for a
     float flag, an integer for an int flag); anything else is a ConfigError.
     """
-    kind = action.type or str
+    kind = keywords.get("type", str)
     if isinstance(value, str):
         try:
             value = kind(value)
@@ -178,8 +176,9 @@ def _config_value(key: str, value, action: argparse.Action):
         raise ConfigError(
             f"config key {key!r} takes a {kind.__name__}, got {type(value).__name__} {value!r}"
         )
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    choices = keywords.get("choices")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(choices)}")
     return value
 
 
@@ -397,7 +396,7 @@ def cmd_reconstruct(args) -> int:
     meta = _meta(args, "reconstruct", eigenstate_initial=bool(field.eigenstate_initial))
     if args.dump_probs:
         dump = {name: np.concatenate([step[name] for step in steps]) for name in steps[0]}
-        Path(args.dump_probs).write_text(_csv_text(dump), encoding="utf-8")
+        _write_file(args.dump_probs, _csv_text(dump))
     if args.dump_amps:
         _dump_amplitudes(args, spec)
     _write_output(args, _bloch_columns(field), meta)
@@ -416,7 +415,7 @@ def _dump_amplitudes(args, spec: QuenchSpec) -> None:
         "re_b": amps[:, 1].real,
         "im_b": amps[:, 1].imag,
     }
-    Path(args.dump_amps).write_text(_csv_text(columns), encoding="utf-8")
+    _write_file(args.dump_amps, _csv_text(columns))
 
 
 def _pair_columns(t: int, pairs: PairIntensities) -> dict[str, np.ndarray]:
@@ -515,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args)
         args.format = args.format or "csv"
         _check_sizes(args)
         try:

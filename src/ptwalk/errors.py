@@ -17,10 +17,6 @@ class ExceptionalPoint(DegenerateSpectrum):
     """Band touching of the non-unitary operator (|d0| = 1 at some momentum)."""
 
 
-class NonQuantized(WalkError):
-    """A quantity expected to round to an integer failed its residual check."""
-
-
 class ImaginaryEnergy(WalkError):
     """Operation requires a real quasienergy but the band is imaginary here."""
 

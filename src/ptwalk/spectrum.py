@@ -12,11 +12,11 @@ d coefficients.  d0 is an affine function of cos(2k), so its extrema sit at
 k = 0 and k = pi/2, which makes the broken/unbroken classification exact.
 
 Winding numbers are global Berry phases: the sum of the two bands' generalized
-Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  Each Zak phase
-is computed as a Wilson loop of biorthogonal overlaps <chi_kj | psi_kj+1>,
-accumulating the phase link by link so the result converges to the continuum
-integral rather than its value mod 2 pi.  That loop is the defining path; the
-phase diagram evaluates its closed form over the whole coin-angle grid at once.
+Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  One closed form
+in the coin angles gives them (:func:`winding_number` for one operator,
+:func:`phase_diagram` over a grid).  :func:`zak_phase` is the Wilson loop of
+biorthogonal overlaps <chi_kj | psi_kj+1>, accumulated link by link to the
+continuum integral; its band sum is the reference the tests check against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PAULI, SIGMA_0, EigenSystem
-from .errors import ExceptionalPoint, NonQuantized
+from .errors import ExceptionalPoint
 from .floquet import CoinParams, d_coefficients
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 
 EP_TOL = 1e-12
 GAP_TOL = 1e-9              # smallest eigenvalue gap |lambda_+ - lambda_-| a solve accepts
-QUANTIZATION_TOL = 0.05
 
 
 class PTPhase(enum.Enum):
@@ -220,54 +219,46 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
 
 
-def _wilson_phases(params: CoinParams, n_k: int) -> tuple[float, float]:
-    """Zak phases (phi_+, phi_-) of both bands from one eigen-grid."""
-    if n_k < 16:
-        raise ValueError("n_k must be >= 16")
-    if pt_classify(params) is PTPhase.BROKEN:
-        raise ExceptionalPoint("PT-broken regime: Zak phase undefined")
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    grid = walk_eigensystem(params, ks)
-    phases = []
-    for b in (0, 1):
-        links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
-        phases.append(float(-np.angle(links).sum()))
-    return phases[0], phases[1]
-
-
 def zak_phase(params: CoinParams, band: int, n_k: int = 512) -> float:
     """Generalized Zak phase of one band over the full zone k in [-pi, pi).
 
     The Wilson-loop phase is accumulated link by link with periodic
     wraparound, so the returned value is the continuum line integral (the
     per-band winding is kept, not reduced mod 2 pi).  ``band`` is +1 or -1.
-    """
-    if band not in (+1, -1):
-        raise ValueError("band must be +1 or -1")
-    plus, minus = _wilson_phases(params, n_k)
-    return plus if band == +1 else minus
-
-
-def winding_number(params: CoinParams, n_k: int = 512) -> int:
-    """Integer winding from the global Berry phase (phi_Z+ + phi_Z-)/2 pi.
-
-    This Wilson loop is the defining path; :func:`phase_diagram` uses a
-    closed form that the tests check against it.
 
     Raises
     ------
-    NonQuantized
-        If the rounding residual exceeds 0.05 (grid too coarse or parameters
-        too close to a phase boundary).
     ExceptionalPoint
-        In the PT-broken regime or at a band touching on the grid.
+        If ``min_gap(params) <= 1e-12``: PT-broken or at a band touching.
     """
-    plus, minus = _wilson_phases(params, n_k)
-    nu = (plus + minus) / (2 * np.pi)
-    rounded = int(round(nu))
-    if abs(nu - rounded) >= QUANTIZATION_TOL:
-        raise NonQuantized(f"global Berry phase / 2pi = {nu:.4f} is not near an integer")
-    return rounded
+    if band not in (+1, -1):
+        raise ValueError("band must be +1 or -1")
+    if n_k < 16:
+        raise ValueError("n_k must be >= 16")
+    if min_gap(params) <= EP_TOL:
+        raise ExceptionalPoint("PT-broken regime or band touching: Zak phase undefined")
+    grid = walk_eigensystem(params, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+    b = 0 if band == +1 else 1
+    links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
+    return float(-np.angle(links).sum())
+
+
+def _windings(c1, s1, c2, s2) -> np.ndarray:
+    """The closed-form winding of :func:`phase_diagram`, elementwise over cos/sin."""
+    return np.where(np.abs(c1 * s2) < np.abs(s1 * c2), np.where(s1 > 0, 2, -2), 0)
+
+
+def winding_number(params: CoinParams) -> int:
+    """The closed-form winding of :func:`phase_diagram`: bit for bit its cell's ``nu``.
+
+    Raises
+    ------
+    ExceptionalPoint
+        Where the cell's ``nu`` is None: ``min_gap(params) <= 1e-12``.
+    """
+    if min_gap(params) <= EP_TOL:
+        raise ExceptionalPoint("PT-broken regime or band touching: winding undefined")
+    return int(_windings(*_coin_trig(params)))
 
 
 def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[PhaseDiagramCell]:
@@ -284,8 +275,8 @@ def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[Ph
     It holds on every unbroken cell.  The winding can only change where
     d2 = d3 = 0, where the sum rule gives d0^2 = 1 + beta^2; for p > 0 every
     such gap-closing line therefore lies inside broken cells, and for p = 0 it
-    is the band touching itself.  :func:`winding_number` (the Wilson loop)
-    stays the reference that the tests compare against.
+    is the band touching itself.  The Zak phase band sum of :func:`zak_phase`
+    (the Wilson loop) is the reference that the tests compare against.
 
     ``pt_broken`` is ``min_gap < -1e-12``, bit-identical to
     :func:`pt_classify` of the cell.  Cells that are broken or at a band
@@ -301,7 +292,7 @@ def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[Ph
     c1, s1 = (v[:, None] for v in _axis_trig(theta1s))
     c2, s2 = _axis_trig(theta2s)
     gap = _min_gaps(alpha, c1, s1, c2, s2)
-    winding = np.where(np.abs(c1 * s2) < np.abs(s1 * c2), np.where(s1 > 0, 2, -2), 0)
+    winding = _windings(c1, s1, c2, s2)
     columns = (a.ravel().tolist() for a in (winding, gap > EP_TOL, gap < -EP_TOL, gap))
     return [
         PhaseDiagramCell(theta1=th1, theta2=th2, nu=nu if ok else None, pt_broken=br, min_gap=g)

@@ -265,14 +265,24 @@ def test_bad_size_flags_are_config_errors(args, capsys):
                      id="spectrum --theta1=1+1+...+1"),
         pytest.param(["spectrum", "--theta1=" + "-" * 3000 + "1", "--theta2", "0"],
                      id="spectrum --theta1=---...-1"),
+        # output paths under a directory that does not exist
+        ["spectrum", "--preset", "fig3a", "--out", "missing/n.csv"],
+        ["reconstruct", "--preset", "fig3a", "--kgrid", "4", "--tmax", "1",
+         "--dump-probs", "missing/probs.csv"],
+        ["reconstruct", "--preset", "fig3a", "--kgrid", "4", "--tmax", "1",
+         "--dump-amps", "missing/amps.csv"],
     ],
     ids=" ".join,
 )
-def test_library_preconditions_are_config_errors(args, capsys):
+def test_library_preconditions_are_config_errors(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an empty directory: "missing/" is not there
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    for path in (arg for arg in args if arg.startswith("missing/")):
+        assert f"cannot write {path!r}" in payload["message"]
 
 
 def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):

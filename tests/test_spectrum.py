@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptwalk.errors import ExceptionalPoint, NonQuantized
+from ptwalk.errors import ExceptionalPoint
 from ptwalk.floquet import CoinParams
 from ptwalk.spectrum import (
     EP_TOL,
@@ -135,11 +135,24 @@ def test_winding_numbers_of_the_four_marker_points():
     assert winding_number(CoinParams(7 * np.pi / 25, -9 * np.pi / 20, P36)) == 0
 
 
+def wilson_winding(params: CoinParams, n_k: int) -> float:
+    """The Wilson-loop reference: the Zak phase band sum over 2 pi."""
+    return (zak_phase(params, +1, n_k) + zak_phase(params, -1, n_k)) / (2 * np.pi)
+
+
+def assert_winding_is_the_cell_nu(params: CoinParams, cell) -> None:
+    """winding_number equals the diagram cell's nu, or raises where nu is None."""
+    if cell.nu is None:
+        with pytest.raises(ExceptionalPoint):
+            winding_number(params)
+    else:
+        assert winding_number(params) == cell.nu
+
+
 def test_winding_grid_refinement_and_offset_invariance():
     params = CoinParams(-np.pi / 2, np.pi / 3, 0.0)
-    base = winding_number(params, 512)
-    assert winding_number(params, 256) == base
-    assert winding_number(params, 1024) == base
+    for n_k in (256, 512, 1024):
+        assert round(wilson_winding(params, n_k)) == winding_number(params)
 
 
 def test_winding_raises_in_broken_regime():
@@ -197,12 +210,15 @@ def test_min_gap_sign_tracks_pt_phase(rng):
         assert (gap < 0) == (pt_classify(params) is PTPhase.BROKEN)
 
 
-def test_nonquantized_near_boundary():
-    # sitting essentially on a gap-closing line: quantization must fail loudly
-    # rather than return a guess (or raise at the touching itself)
+def test_winding_and_zak_phase_raise_at_a_band_touching():
+    # sitting on a gap-closing line: no winding is defined, so both fail
+    # loudly rather than return a guess
     params = CoinParams(0.4, -0.4 + 1e-9, 0.0)
-    with pytest.raises((NonQuantized, ExceptionalPoint)):
-        winding_number(params, 128)
+    assert min_gap(params) == 0.0
+    with pytest.raises(ExceptionalPoint):
+        winding_number(params)
+    with pytest.raises(ExceptionalPoint):
+        zak_phase(params, +1, 128)
 
 
 RES = 32
@@ -253,17 +269,18 @@ def test_phase_diagram_against_classification_and_wilson_loop(draw):
         assert (cell.theta1, cell.theta2) == (params.theta1, params.theta2)
         assert cell.min_gap == min_gap(params)
         assert cell.pt_broken == (pt_classify(params) is PTPhase.BROKEN)
-        try:
-            wilson = winding_number(params, n_k)
-        except (NonQuantized, ExceptionalPoint):
+        assert_winding_is_the_cell_nu(params, cell)
+        if cell.nu is None:
             continue
-        if cell.nu is not None:
-            assert wilson == cell.nu
+        wilson = wilson_winding(params, n_k)
+        if abs(wilson - round(wilson)) < 0.05:  # skip a grid too coarse to quantize
+            assert round(wilson) == cell.nu
 
 
 def test_pt_verdict_is_min_gap_alone_at_the_threshold(rng):
     # Step theta2 ulp by ulp across max d0^2 = 1 + EP_TOL: the diagram, the
-    # scalar classification and min_gap give one verdict on every cell.
+    # scalar classification, min_gap and winding_number give one verdict on
+    # every cell.
     seen = set()
     for trial in range(16):
         p = float(rng.uniform(0.01, 0.9))
@@ -280,6 +297,7 @@ def test_pt_verdict_is_min_gap_alone_at_the_threshold(rng):
             broken = pt_classify(params) is PTPhase.BROKEN
             assert cell.pt_broken == (cell.min_gap < -EP_TOL) == broken
             assert (cell.nu is None) == (cell.min_gap <= EP_TOL)
+            assert_winding_is_the_cell_nu(params, cell)
             seen.add(broken)
     assert seen == {True, False}
 
