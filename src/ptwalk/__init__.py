@@ -38,7 +38,6 @@ from .measurement import (
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
     sample_shot_noise,
-    to_nonhermitian,
 )
 from .presets import PRESETS, build_spec
 from .quench import (
@@ -112,7 +111,6 @@ __all__ = [
     "reconstruct_matrix_elements",
     "sample_shot_noise",
     "step_position",
-    "to_nonhermitian",
     "winding_number",
     "zak_phase",
 ]

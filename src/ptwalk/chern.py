@@ -39,7 +39,6 @@ import numpy as np
 
 from .errors import DegenerateTriangle, ExceptionalPoint
 from .quench import (
-    REAL_E_TOL,
     FixedPoint,
     FixedPointKind,
     QuenchSpec,
@@ -95,7 +94,7 @@ def build_submanifolds(fixed_points: list[FixedPoint]) -> list[Submanifold]:
 def _field_columns(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c_plus, c_minus) per k, guarding that every column oscillates (real E)."""
     cp, cm, final = overlap_grid(spec, ks)
-    if np.any(np.abs(final.quasienergies[:, 0].imag) > REAL_E_TOL):
+    if np.any(final.quasienergies[:, 0].imag != 0):
         raise ExceptionalPoint(
             "submanifold touches the PT-broken regime; no periodic time cycle"
         )

@@ -16,15 +16,20 @@ All probabilities are intensities relative to unit input flux, so they do not
 sum to one under loss; this is the normalization under which the eight
 reconstruction identities for Re/Im of <psi_x2|sigma_j|psi_x1> are exact.
 From the reconstructed matrix-element table the Hermitian momentum-space
-matrix rho'(k) = |psi_k><psi_k| is assembled, and the trace-normalized product
-with sum_mu |chi^f_mu><chi^f_mu| recovers the non-Hermitian density matrix of
-the quench, independent of the overall decayed norm.
+matrix rho'(k) = |psi_k><psi_k| is assembled, with Stokes vector s:
+2 rho' = sum_i s_i sigma_i.  The quench's density matrix
+rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] has n_j = Tr[rho tau_j] with
+tau_j = R^T sigma_j L, the rows of L and R being the final bras <chi_mu| and
+kets |psi_mu>.  As sum_mu |chi_mu><chi_mu| = L^dag L and L R^T = 1, the
+cyclic trace gives Tr[rho' L^dag L R^T sigma_j L] = Tr[sigma_j L rho' L^dag],
+so n = Re((Lambda s)_{1..3} / (Lambda s)_0) for any decayed norm, with one
+real 4x4 matrix Lambda_ji = Tr[sigma_j L sigma_i L^dag] / 2 per momentum.
 
 Each walk step is measured as whole arrays: the pair intensities of every
 ordered site pair at once, the identities as array algebra, and the sums of
 the table along its diagonals x1 - x2, read off a skewed view.  The sums of
-all steps share one stack, so one phase matrix and one matmul give rho' at
-every step, and one call maps them through the final frame to n(k, t).  The
+all steps share one stack, so one phase matrix and one matmul give s at
+every step, and one call maps them through Lambda to n(k, t).  The
 one-pair, one-step form is the test oracle (``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
@@ -39,15 +44,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
+from .core import KET_D, KET_L, PAULI, pauli_assemble
 from .errors import SingularNormalization
 from .quench import (
     EIGENSTATE_TOL,
     NORM_FLOOR,
-    REAL_E_TOL,
     BlochField,
     QuenchSpec,
-    bloch_from_density,
     final_eigensystem,
     initial_spinors,
     initial_state_residual,
@@ -63,7 +66,6 @@ __all__ = [
     "reconstruct_matrix_elements",
     "matrix_elements_direct",
     "assemble_hermitian_density",
-    "to_nonhermitian",
     "sample_shot_noise",
     "reconstruct_bloch_field",
 ]
@@ -201,22 +203,23 @@ def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
     return 0.5 * pauli_assemble(phases @ _diagonal_sums(table.table, n))
 
 
-def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
-    """Non-Hermitian density matrix from the Hermitian one.
+def _stokes_frame(left: np.ndarray) -> np.ndarray:
+    """Lambda (n_k, 4, 4) of bras L (n_k, 2, 2); it keeps s_0^2 - |s|^2 up to
+    |det L|^2, so a rank-one rho' (null s) maps to a unit n.  Without loss,
+    Lambda = diag(1, R) with R a rotation."""
+    return 0.5 * np.einsum("jab,kbc,icd,kad->kji", PAULI, left, PAULI, left.conj()).real
 
-    Multiplies by sum_mu |chi_mu><chi_mu| of the final eigensystem and
-    normalizes by the trace; invariant under any positive rescaling of
-    rho_prime, so the decayed norm of the measured state drops out.
-    ``rho_prime`` (..., 2, 2) broadcasts against the batch axes of ``system``.
-    """
-    chi_sum = np.einsum("...bc,...bd->...cd", system.left.conj(), system.left)
-    numer = np.asarray(rho_prime, dtype=complex) @ chi_sum
-    denom = numer[..., 0, 0] + numer[..., 1, 1]
+
+def _frame_map(stokes: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """n = Re((Lambda s)_{1..3} / (Lambda s)_0) of Stokes vectors s (..., n_k, 4);
+    |(Lambda s)_0| = |Tr[rho' sum_mu |chi_mu><chi_mu|]| must exceed ``NORM_FLOOR``."""
+    mapped = (frame @ stokes[..., None])[..., 0]
+    denom = mapped[..., 0]
     if np.any(np.abs(denom) <= NORM_FLOOR):
         raise SingularNormalization(
             f"|Tr[rho' sum|chi><chi|]| = {np.abs(denom).min():.3e} <= {NORM_FLOOR:.0e}"
         )
-    return numer / denom[..., None, None]
+    return (mapped[..., 1:] / denom[..., None]).real
 
 
 def _resolve_rng(seed, *tags: int) -> np.random.Generator:
@@ -293,10 +296,10 @@ def reconstruct_bloch_field(
     state must be momentum-independent (an explicit state, or a lower-band
     eigenstate of a coin operator with cos(theta2) = 0).  The noise of step t
     is keyed by ``seed * 1000003 + t``.  ``on_step(t, site, pairs)``, if
-    given, receives the intensities each step is reconstructed from.  rho'
-    of every step is transformed and mapped through the final frame at once
-    after the walk, so a :class:`SingularNormalization` is raised only after
-    every step has been measured and passed to ``on_step``.
+    given, receives the intensities each step is reconstructed from.  The
+    Stokes vectors of every step are transformed and mapped through the final
+    frame at once after the walk, so a :class:`SingularNormalization` is
+    raised only after every step has been measured and passed to ``on_step``.
     """
     if t_max < 0 or n_k < 1:
         raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
@@ -323,13 +326,12 @@ def reconstruct_bloch_field(
             on_step(t, site, pairs)
         by_offset[t] = _diagonal_sums(reconstruct_matrix_elements(site, pairs).table, width)
     phases = np.exp(-1j * np.multiply.outer(ks, np.arange(1.0 - width, width)))
-    rho_prime = 0.5 * pauli_assemble(phases @ by_offset)
-    n = bloch_from_density(to_nonhermitian(rho_prime, final), final)
+    n = _frame_map(phases @ by_offset, _stokes_frame(final.left))
     return BlochField(
         ks=ks,
         ts=np.arange(t_max + 1, dtype=float),
         n=n.swapaxes(0, 1),
-        real_regime=np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL,
+        real_regime=final.quasienergies[:, 0].imag == 0,
         source="reconstructed",
         eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,

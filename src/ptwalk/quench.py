@@ -41,15 +41,12 @@ __all__ = [
     "bloch_from_coefficients",
     "bloch_vector",
     "density_matrix",
-    "tau_basis",
-    "bloch_from_density",
     "bloch_field",
     "find_fixed_points",
     "oscillation_period",
     "initial_state_residual",
 ]
 
-REAL_E_TOL = 1e-10          # |Im E| up to which a quasienergy counts as real
 FIXED_POINT_RESIDUAL = 1e-10
 EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
 NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
@@ -210,21 +207,13 @@ def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     return bloch_from_coefficients(ct_p, ct_m)
 
 
-def tau_basis(system: EigenSystem) -> np.ndarray:
-    """Dressed Pauli basis tau_j = sum_{mu,nu} |psi_mu> sigma_j^{mu nu} <chi_nu|.
-
-    Shape (..., 4, 2, 2), following the batch axes of ``system``.
-    """
-    return np.einsum("jmn,...mc,...nd->...jcd", PAULI, system.right, system.left)
-
-
 def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     """Non-Hermitian density matrix |psi(t)><chi(t)| / <chi(t)|psi(t)>.
 
     Built explicitly from the evolving right state and its associated left
     state in the polarization basis; trace 1 by construction.  This is an
     independent code path from :func:`bloch_vector` (cross-checked in tests
-    via n_j = Tr[rho tau_j]).
+    via n_j = Tr[rho tau_j], tau from ``tests/measurement_oracle.py``).
 
     Raises
     ------
@@ -244,15 +233,6 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     return np.outer(psi_t, chi_t) / denom
 
 
-def bloch_from_density(rho: np.ndarray, system: EigenSystem) -> np.ndarray:
-    """n_j = Tr[rho tau_j] for j = 1, 2, 3 (trace over the dressed basis).
-
-    ``rho`` (..., 2, 2) broadcasts against the batch axes of ``system``.
-    """
-    comps = np.einsum("...ab,...jba->...j", rho, tau_basis(system))
-    return comps[..., 1:].real
-
-
 def bloch_field(
     spec: QuenchSpec,
     n_k: int = 256,
@@ -265,6 +245,8 @@ def bloch_field(
     the broken regime are evolved with their complex energies; ``real_regime``
     records the dichotomy per k.
     """
+    if t_max < 0 or n_k < 1:
+        raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     if ts is None:
         ts = np.arange(t_max + 1, dtype=float)
@@ -277,7 +259,7 @@ def bloch_field(
         ks=ks,
         ts=ts,
         n=bloch_from_coefficients(ct_p, ct_m),
-        real_regime=np.abs(energy.imag) <= REAL_E_TOL,
+        real_regime=energy.imag == 0,
         source="analytic",
         eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,
@@ -427,7 +409,7 @@ def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
     # The k and k + pi of one root are one operator, so they are decided together.
     band = np.tile(np.argmin(weights[: len(theta)], axis=1), 2)
     residual = weights[np.arange(len(ks)), band]
-    ok = (np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL) & (residual < FIXED_POINT_RESIDUAL)
+    ok = (final.quasienergies[:, 0].imag == 0) & (residual < FIXED_POINT_RESIDUAL)
     ok = np.tile(ok.reshape(2, -1).all(axis=0), 2)
     kinds = (FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO)
     found = [
@@ -453,6 +435,6 @@ def oscillation_period(spec: QuenchSpec, k: float) -> float:
         If E_k is not real at this momentum.
     """
     energy, _ = quasienergies(spec.final, k)
-    if abs(energy.imag) > REAL_E_TOL:
+    if energy.imag != 0:
         raise ImaginaryEnergy(f"E = {energy:.6g} is not real at k = {k!r}")
     return float(np.pi / energy.real)

@@ -14,7 +14,6 @@ import numpy as np
 
 from ptwalk.quench import (
     FIXED_POINT_RESIDUAL,
-    REAL_E_TOL,
     FixedPoint,
     FixedPointKind,
     overlap_grid,
@@ -46,7 +45,7 @@ def grid_fixed_points(spec, n_k: int = 512) -> list[FixedPoint]:
     """Fixed points found by the grid scan, sorted over [-pi, pi)."""
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     cp, cm, final = overlap_grid(spec, ks)
-    real_regime = np.abs(final.quasienergies[:, 0].imag) <= REAL_E_TOL
+    real_regime = final.quasienergies[:, 0].imag == 0
     weights = np.abs(np.stack([cp, cm])) ** 2  # (kind, k)
     minima = (
         real_regime

@@ -12,25 +12,33 @@ diagonals x1 - x2 first, so the two agree only to rounding.
 order of x1 and a phase matrix of the table's own width, which the skewed
 sums of ``assemble_hermitian_density`` must match bit for bit.  ``fourier``
 is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
-assembles and maps each step's rho' on its own with ``assemble_add_at``, as
-the package did before it transformed and mapped all steps at once; the two
-must agree bit for bit.
+maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
+``stokes_add_at``, as the package did before it transformed and mapped all
+steps at once; the two must agree bit for bit.
+
+``to_nonhermitian``, ``tau_basis`` and ``bloch_from_density`` are the
+textbook frame map: rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] as a 2x2
+matrix, then n_j = Tr[rho tau_j] in the dressed Pauli basis.  The package
+applies the same map as one real 4x4 matrix per momentum to the Stokes
+vector of rho', so the two agree only to rounding.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ptwalk.core import KET_D, KET_L, PAULI, pauli_assemble
+from ptwalk.core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
+from ptwalk.errors import SingularNormalization
 from ptwalk.measurement import (
     MatrixElementTable,
+    _frame_map,
+    _stokes_frame,
     onsite_probabilities,
     pair_intensities,
     reconstruct_matrix_elements,
     sample_shot_noise,
-    to_nonhermitian,
 )
-from ptwalk.quench import bloch_from_density, final_eigensystem, initial_spinors
+from ptwalk.quench import NORM_FLOOR, final_eigensystem, initial_spinors
 from ptwalk.walksim import evolve
 
 
@@ -114,15 +122,21 @@ def assemble_einsum(table: MatrixElementTable, k) -> np.ndarray:
     return 0.5 * np.einsum("...xy,xyj,jab->...ab", phases, table.table, PAULI)
 
 
-def assemble_add_at(table: MatrixElementTable, k) -> np.ndarray:
-    """rho'(k) from diagonal sums accumulated one table entry at a time."""
+def stokes_add_at(table: MatrixElementTable, k) -> np.ndarray:
+    """s(k) with 2 rho'(k) = sum_j s_j sigma_j, from diagonal sums accumulated
+    one table entry at a time."""
     k = np.asarray(k, dtype=float)
     n = len(table.table)
     by_offset = np.zeros((2 * n - 1, 4), dtype=complex)  # row d + n - 1 sums x1 - x2 = d
     offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
     np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
     phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
-    return 0.5 * pauli_assemble(phases @ by_offset)
+    return phases @ by_offset
+
+
+def assemble_add_at(table: MatrixElementTable, k) -> np.ndarray:
+    """rho'(k) from the ``np.add.at`` diagonal sums of :func:`stokes_add_at`."""
+    return 0.5 * pauli_assemble(stokes_add_at(table, k))
 
 
 def fourier(state, k) -> np.ndarray:
@@ -144,6 +158,40 @@ def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         table = reconstruct_matrix_elements(site, pairs)
-        rho = to_nonhermitian(assemble_add_at(table, ks), final)
-        n_field[:, t, :] = bloch_from_density(rho, final)
+        n_field[:, t, :] = _frame_map(stokes_add_at(table, ks), _stokes_frame(final.left))
     return n_field
+
+
+def to_nonhermitian(rho_prime: np.ndarray, system: EigenSystem) -> np.ndarray:
+    """Non-Hermitian density matrix from the Hermitian one.
+
+    Multiplies by sum_mu |chi_mu><chi_mu| of the final eigensystem and
+    normalizes by the trace; invariant under any positive rescaling of
+    rho_prime, so the decayed norm of the measured state drops out.
+    ``rho_prime`` (..., 2, 2) broadcasts against the batch axes of ``system``.
+    """
+    chi_sum = np.einsum("...bc,...bd->...cd", system.left.conj(), system.left)
+    numer = np.asarray(rho_prime, dtype=complex) @ chi_sum
+    denom = numer[..., 0, 0] + numer[..., 1, 1]
+    if np.any(np.abs(denom) <= NORM_FLOOR):
+        raise SingularNormalization(
+            f"|Tr[rho' sum|chi><chi|]| = {np.abs(denom).min():.3e} <= {NORM_FLOOR:.0e}"
+        )
+    return numer / denom[..., None, None]
+
+
+def tau_basis(system: EigenSystem) -> np.ndarray:
+    """Dressed Pauli basis tau_j = sum_{mu,nu} |psi_mu> sigma_j^{mu nu} <chi_nu|.
+
+    Shape (..., 4, 2, 2), following the batch axes of ``system``.
+    """
+    return np.einsum("jmn,...mc,...nd->...jcd", PAULI, system.right, system.left)
+
+
+def bloch_from_density(rho: np.ndarray, system: EigenSystem) -> np.ndarray:
+    """n_j = Tr[rho tau_j] for j = 1, 2, 3 (trace over the dressed basis).
+
+    ``rho`` (..., 2, 2) broadcasts against the batch axes of ``system``.
+    """
+    comps = np.einsum("...ab,...jba->...j", rho, tau_basis(system))
+    return comps[..., 1:].real

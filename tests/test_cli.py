@@ -306,7 +306,9 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # solid angle; every other column byte-identical).  All four were re-pinned
 # when the walk eigensystem came to be built from the d coefficients instead
 # of a general 2x2 solve (max |dn| 5.3e-15, |dC| 4.4e-16, fixed-point k
-# byte-identical and residuals moved by 4.9e-32).
+# byte-identical and residuals moved by 4.9e-32).  The reconstruct digest was
+# re-pinned when rho' came to be mapped to n through one real 4x4 frame per
+# momentum instead of the 2x2 non-Hermitian density matrix (max |dn| 8.9e-16).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -317,7 +319,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["chern", "--preset", "fig3b"],
          "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "312e16e973a5225d9922b6c41d298304143f5da668b4d7dc8f00739ee9f8d254"),
+         "51f67b52d798bf1e6dfb6586b2272038ee8e39209a49b2f3eaebf1a43286d9d6"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -339,7 +341,8 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # "kgrid": 512, and every other byte is the same.  The phase-diagram digest
 # was re-pinned when that command lost its --kgrid flag, once the PT verdict
 # came from min_gap alone: its meta no longer holds "kgrid": 256, and every
-# other byte is the same.
+# other byte is the same.  The reconstruct digest was re-pinned when rho' came
+# to be mapped to n through one real 4x4 frame per momentum (max |dn| 8.9e-16).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -352,7 +355,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["chern", "--preset", "fig6"],
          "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "c18ebdff9f771bf3eed0b3c011aa1d6022a45651498f10f324c2683258cf9966"),
+         "c5a240f9e2571d3c74bf0c77aebed2f2fddb30fc42a75cd4d371be1cd69dc010"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -378,7 +381,9 @@ def test_amplitude_dump_is_pinned(tmp_path, capsys):
 def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     # Pins the pair noise stream: one generator per (seed, step, basis).  The
     # table was re-pinned when the walk eigensystem came to be built from the
-    # d coefficients (the dump did not change).
+    # d coefficients (the dump did not change), and again when rho' came to be
+    # mapped to n through one real 4x4 frame per momentum (max |dn| 1.2e-14;
+    # the dump did not change).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -387,7 +392,7 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "fd97143d79c5edfd151add0b054190c3d596dd7dbc9d3a5ac8b35ebb69e89276"
+        "4236f7a2ac420cdd6bb907310ec7c6807d215a719334af16f613b3c4dc6981d0"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"

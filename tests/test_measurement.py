@@ -4,14 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptwalk.core import KET_D, KET_L, PAULI
-from ptwalk.errors import SingularNormalization, WalkError
+from ptwalk.core import KET_D, KET_L, PAULI, pauli_assemble
+from ptwalk.errors import ExceptionalPoint, SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.measurement import (
     MatrixElementTable,
+    _frame_map,
+    _stokes_frame,
     assemble_hermitian_density,
     matrix_elements_direct,
     onsite_probabilities,
@@ -19,7 +21,6 @@ from ptwalk.measurement import (
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
     sample_shot_noise,
-    to_nonhermitian,
 )
 from eig_oracle import eig_biorthogonal
 from measurement_oracle import (
@@ -27,18 +28,21 @@ from measurement_oracle import (
     assemble_add_at,
     assemble_einsum,
     bloch_field_per_step,
+    bloch_from_density,
     fourier,
     interference_probabilities,
     matrix_elements_from_pairs,
+    stokes_add_at,
+    to_nonhermitian,
 )
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
-    bloch_from_density,
     final_eigensystem,
     initial_spinors,
 )
+from ptwalk.spectrum import walk_eigensystem
 from ptwalk.walksim import PositionState, evolve
 
 
@@ -159,19 +163,20 @@ def test_rho_prime_is_momentum_projector(rng):
 
 def test_left_frame_normalization_unitary_limit(rng):
     system = eig_biorthogonal(momentum_operator_closed(CoinParams(0.4, 0.9, 0.0), 0.7))
+    frame = _stokes_frame(system.left[None])
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    rho_p = np.outer(psi, psi.conj())
-    rho = to_nonhermitian(rho_p, system)
-    np.testing.assert_allclose(rho, rho_p / np.trace(rho_p), atol=1e-12)
-    rho_scaled = to_nonhermitian(0.64 * rho_p, system)
-    np.testing.assert_allclose(rho_scaled, rho, atol=1e-14)
-    assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+    stokes = np.einsum("c,jcd,d->j", psi.conj(), PAULI, psi)[None]
+    # no loss: sum_mu |chi_mu><chi_mu| = 1, so the norm is Tr[rho'] = s_0
+    assert (frame[0] @ stokes[0])[0] == pytest.approx(stokes[0, 0].real, rel=1e-12)
+    n = _frame_map(stokes, frame)
+    np.testing.assert_allclose(_frame_map(0.64 * stokes, frame), n, atol=1e-14)
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_left_frame_normalization_singular_input():
     system = eig_biorthogonal(momentum_operator_closed(CoinParams(0.4, 0.9, 0.0), 0.7))
     with pytest.raises(SingularNormalization):
-        to_nonhermitian(np.zeros((2, 2)), system)
+        _frame_map(np.zeros((1, 4)), _stokes_frame(system.left[None]))
 
 
 def test_pipeline_matches_analytics(spec_fig3a, spec_fig3b):
@@ -318,20 +323,80 @@ def test_one_call_over_all_steps_matches_the_per_step_oracle(run):
 
 def test_frame_maps_broadcast_over_a_stack_of_steps(spec_fig3b):
     ks = np.linspace(-np.pi, np.pi, 48, endpoint=False)
-    final = final_eigensystem(spec_fig3b, ks)
+    frame = _stokes_frame(final_eigensystem(spec_fig3b, ks).left)
     coin = initial_spinors(spec_fig3b, np.array([0.0]))[0]
     stack = np.stack([
-        assemble_hermitian_density(
+        stokes_add_at(
             reconstruct_matrix_elements(onsite_probabilities(s), pair_intensities(s)), ks
         )
         for s in evolve(coin, spec_fig3b.final, 5)
     ])
-    rho = to_nonhermitian(stack, final)
-    n = bloch_from_density(rho, final)
+    n = _frame_map(stack, frame)
     for t in range(len(stack)):
-        rho_t = to_nonhermitian(stack[t], final)
-        assert rho[t].tobytes() == rho_t.tobytes()
-        assert n[t].tobytes() == bloch_from_density(rho_t, final).tobytes()
+        assert n[t].tobytes() == _frame_map(stack[t], frame).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the real 4x4 frame Lambda against its algebra and the 2x2 oracle
+
+ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def final_frames(draw):
+    """Final eigensystems at 1-16 momenta of a walk with loss up to p = 0.9."""
+    angle = st.floats(-np.pi, np.pi)
+    params = CoinParams(draw(angle), draw(angle), draw(st.floats(0.0, 0.9)))
+    ks = np.array(draw(st.lists(angle, min_size=1, max_size=16)))
+    try:
+        return walk_eigensystem(params, ks)
+    except ExceptionalPoint:
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(final_frames())
+def test_the_frame_is_a_lorentz_map_up_to_scale(system):
+    """Lambda^T eta Lambda = |det L|^2 eta, PT-broken frames (boosts) included."""
+    frame = _stokes_frame(system.left)
+    det2 = np.abs(np.linalg.det(system.left)) ** 2
+    error = np.abs(frame.swapaxes(-1, -2) @ ETA @ frame - det2[:, None, None] * ETA)
+    scale = np.abs(frame).max(axis=(1, 2)) ** 2
+    assert np.all(error.max(axis=(1, 2)) <= 64 * EPS * scale)
+
+
+def test_the_lossless_frame_is_a_rotation(rng):
+    for _ in range(20):
+        params = CoinParams(*rng.uniform(-np.pi, np.pi, 2), 0.0)
+        frame = _stokes_frame(walk_eigensystem(params, rng.uniform(-np.pi, np.pi, 32)).left)
+        np.testing.assert_allclose(frame[:, 0], [[1, 0, 0, 0]] * 32, atol=1e-14)
+        np.testing.assert_allclose(frame[:, 1:, 0], 0, atol=1e-14)
+        rot = frame[:, 1:, 1:]
+        np.testing.assert_allclose(rot @ rot.swapaxes(-1, -2) - np.eye(3), 0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.det(rot), 1, atol=1e-14)
+
+
+def test_the_frame_map_matches_the_two_by_two_oracle(rng):
+    """|dn| <= 64 eps cond over random complex Stokes stacks, where
+    cond = max|L|^4 max|s| (1 + |n|) / |(Lambda s)_0| bounds how far
+    rounding in Lambda s, rho' sum|chi><chi| and tau_j can move n."""
+    worst = 0.0
+    for _ in range(300):
+        params = CoinParams(*rng.uniform(-np.pi, np.pi, 2), float(rng.uniform(0, 0.9)))
+        try:
+            system = walk_eigensystem(params, rng.uniform(-np.pi, np.pi, 8))
+        except ExceptionalPoint:
+            continue
+        stokes = rng.normal(size=(3, 8, 4)) + 1j * rng.normal(size=(3, 8, 4))
+        frame = _stokes_frame(system.left)
+        n = _frame_map(stokes, frame)
+        want = bloch_from_density(to_nonhermitian(0.5 * pauli_assemble(stokes), system), system)
+        norm = np.abs((frame @ stokes[..., None])[..., 0, 0])
+        cond = (np.abs(system.left).max(axis=(1, 2)) ** 4 * np.abs(stokes).max(axis=-1)
+                * (1 + np.linalg.norm(n, axis=-1)) / norm)
+        worst = max(worst, (np.abs(n - want).max(axis=-1) / (EPS * cond)).max())
+    assert worst <= 64
 
 
 def test_table_rejects_pairs_of_another_window():

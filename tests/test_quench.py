@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixed_point_oracle import grid_fixed_points
+from measurement_oracle import bloch_from_density, tau_basis
 from ptwalk.errors import ImaginaryEnergy, WalkError
 from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.quench import (
@@ -14,7 +15,6 @@ from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
     bloch_from_coefficients,
-    bloch_from_density,
     bloch_vector,
     density_matrix,
     final_eigensystem,
@@ -23,7 +23,6 @@ from ptwalk.quench import (
     initial_state_residual,
     oscillation_period,
     overlap_grid,
-    tau_basis,
 )
 from ptwalk.spectrum import (
     PTPhase,
@@ -518,6 +517,38 @@ def test_bloch_field_grid(spec_fig3b):
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
     assert field.real_regime.all()
     assert field.eigenstate_initial
+
+
+@pytest.mark.parametrize(
+    "t_max, n_k, message",
+    [(-1, 16, "t_max must be >= 0"), (2, 0, "n_k must be >= 1"), (2, -2, "n_k must be >= 1")],
+)
+def test_bloch_field_rejects_bad_sizes_by_name(spec_fig3b, t_max, n_k, message):
+    with pytest.raises(ValueError, match=message):
+        bloch_field(spec_fig3b, n_k=n_k, t_max=t_max)
+
+
+def test_a_quasienergy_is_exactly_real_or_clearly_complex():
+    """Im E = 0.0 exactly wherever d0^2 <= 1 and |Im E| >= 2e-8 wherever d0^2 > 1.
+
+    The smallest d0^2 - 1 above zero is a few ulps of 1, so the growing
+    eigenvalue is at least 1 + sqrt of that; a real-regime test may therefore
+    compare Im E with 0 exactly, with no tolerance.  Probed on the 50 doubles
+    on each side of +1 and of -1 and on a fine grid over [-1, 1].
+    """
+    near = []
+    for edge in (1.0, -1.0):
+        for toward in (np.inf, -np.inf):
+            d0 = edge
+            for _ in range(50):
+                d0 = np.nextafter(d0, toward)
+                near.append(d0)
+    d0 = np.concatenate([[1.0, -1.0], near, np.linspace(-1.0, 1.0, 100_001)])
+    energy = _energy_plus_from_d0(d0)
+    broken = d0 * d0 > 1.0
+    assert broken.sum() == 100 and (~broken).sum() == len(d0) - 100
+    assert np.all(energy[~broken].imag == 0.0)
+    assert np.all(np.abs(energy[broken].imag) >= 2e-8)
 
 
 def test_overlaps_raise_at_band_touching():
