@@ -33,7 +33,6 @@ from .floquet import (
     momentum_operator_direct,
 )
 from .measurement import (
-    assemble_hermitian_density,
     onsite_probabilities,
     reconstruct_bloch_field,
     reconstruct_matrix_elements,
@@ -53,7 +52,6 @@ from .quench import (
 )
 from .spectrum import (
     BandStructure,
-    PhaseDiagramCell,
     PTPhase,
     band_structure,
     phase_diagram,
@@ -80,13 +78,11 @@ __all__ = [
     "ImaginaryEnergy",
     "PRESETS",
     "PTPhase",
-    "PhaseDiagramCell",
     "PositionState",
     "QuenchSpec",
     "SingularNormalization",
     "Submanifold",
     "WalkError",
-    "assemble_hermitian_density",
     "band_structure",
     "bloch_field",
     "bloch_vector",

@@ -299,13 +299,7 @@ def cmd_phase_diagram(args) -> int:
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     cells = phase_diagram(thetas1, thetas2, args.p)
-    columns = {
-        "theta1": np.array([c.theta1 for c in cells]),
-        "theta2": np.array([c.theta2 for c in cells]),
-        "nu": np.array([np.nan if c.nu is None else c.nu for c in cells], dtype=float),
-        "pt_broken": np.array([c.pt_broken for c in cells]),
-        "min_gap": np.array([c.min_gap for c in cells]),
-    }
+    columns = {name: cells[name] for name in cells.dtype.names}
     _write_output(args, columns, _meta(args, "phase-diagram", res=args.res))
     return 0
 

@@ -23,9 +23,6 @@ __all__ = [
     "SIGMA_2",
     "SIGMA_3",
     "KET_H",
-    "KET_V",
-    "KET_PLUS",
-    "KET_MINUS",
     "KET_L",
     "KET_D",
     "EigenSystem",
@@ -41,11 +38,8 @@ PAULI = np.stack([SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3])
 
 # Polarization basis states of the coin.
 KET_H = np.array([1, 0], dtype=complex)
-KET_V = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 KET_L = np.array([1, -1j], dtype=complex) / np.sqrt(2)
-KET_D = KET_PLUS
+KET_D = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True)

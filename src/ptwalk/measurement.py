@@ -15,9 +15,9 @@ Two measurement primitives are emulated on a walk state:
 All probabilities are intensities relative to unit input flux, so they do not
 sum to one under loss; this is the normalization under which the eight
 reconstruction identities for Re/Im of <psi_x2|sigma_j|psi_x1> are exact.
-From the reconstructed matrix-element table the Hermitian momentum-space
-matrix rho'(k) = |psi_k><psi_k| is assembled, with Stokes vector s:
-2 rho' = sum_i s_i sigma_i.  The quench's density matrix
+The reconstructed matrix-element table gives the Stokes vector s of the
+Hermitian momentum-space matrix rho'(k) = |psi_k><psi_k|,
+2 rho' = sum_i s_i sigma_i; rho' is not formed.  The quench's density matrix
 rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] has n_j = Tr[rho tau_j] with
 tau_j = R^T sigma_j L, the rows of L and R being the final bras <chi_mu| and
 kets |psi_mu>.  As sum_mu |chi_mu><chi_mu| = L^dag L and L R^T = 1, the
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import KET_D, KET_L, PAULI, pauli_assemble
+from .core import KET_D, KET_L, PAULI
 from .errors import SingularNormalization
 from .quench import (
     EIGENSTATE_TOL,
@@ -65,7 +65,6 @@ __all__ = [
     "pair_intensities",
     "reconstruct_matrix_elements",
     "matrix_elements_direct",
-    "assemble_hermitian_density",
     "sample_shot_noise",
     "reconstruct_bloch_field",
 ]
@@ -189,18 +188,6 @@ def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
     skewed = np.zeros((n, 2 * width, 4), dtype=complex)
     skewed[:, width - n : width] = table[:, ::-1]
     return skewed.reshape(-1, 4)[: n * (2 * width - 1)].reshape(n, -1, 4).sum(0, initial=0)
-
-
-def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
-    """rho'(k) = 1/2 sum_j sum_{x1,x2} e^{-ik(x1-x2)} table[x1,x2,j] sigma_j.
-
-    Equals |psi_k><psi_k| for a noiseless table; shape (..., 2, 2) following k.
-    The table is first summed along its 2n - 1 diagonals d = x1 - x2, as in
-    ``reconstruct_bloch_field``, so the momentum transform runs over d alone.
-    """
-    n = len(table.table)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(k, float), np.arange(1.0 - n, n)))
-    return 0.5 * pauli_assemble(phases @ _diagonal_sums(table.table, n))
 
 
 def _stokes_frame(left: np.ndarray) -> np.ndarray:

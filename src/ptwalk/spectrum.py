@@ -14,15 +14,17 @@ k = 0 and k = pi/2, which makes the broken/unbroken classification exact.
 Winding numbers are global Berry phases: the sum of the two bands' generalized
 Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  One closed form
 in the coin angles gives them (:func:`winding_number` for one operator,
-:func:`phase_diagram` over a grid).  :func:`zak_phase` is the Wilson loop of
-biorthogonal overlaps <chi_kj | psi_kj+1>, accumulated link by link to the
-continuum integral; its band sum is the reference the tests check against.
+:func:`phase_diagram` over a grid).  The diagram is one numpy record array,
+a record per cell with the columns ``theta1``, ``theta2``, ``nu`` (a float,
+NaN where the winding is undefined), ``pt_broken`` and ``min_gap``.
+:func:`zak_phase` is the Wilson loop of biorthogonal overlaps
+<chi_kj | psi_kj+1>, accumulated link by link to the continuum integral; its
+band sum is the reference the tests check against.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +37,6 @@ from .floquet import CoinParams, d_coefficients
 __all__ = [
     "PTPhase",
     "BandStructure",
-    "PhaseDiagramCell",
     "quasienergies",
     "band_structure",
     "pt_classify",
@@ -62,15 +63,6 @@ class BandStructure:
     ks: np.ndarray            # (n_k,)
     energies: np.ndarray      # (n_k,) complex, the + band; the - band is -E_k
     pt_broken_mask: np.ndarray  # (n_k,) bool, d0(k)^2 > 1 (Im E_k != 0)
-
-
-@dataclass(frozen=True)
-class PhaseDiagramCell:
-    theta1: float
-    theta2: float
-    nu: int | None            # None when undefined (broken or band touching)
-    pt_broken: bool
-    min_gap: float            # min_k (1 - d0^2), negative inside broken regions
 
 
 def _energy_plus_from_d0(d0: np.ndarray) -> np.ndarray:
@@ -254,14 +246,14 @@ def winding_number(params: CoinParams) -> int:
     Raises
     ------
     ExceptionalPoint
-        Where the cell's ``nu`` is None: ``min_gap(params) <= 1e-12``.
+        Where the cell's ``nu`` is NaN: ``min_gap(params) <= 1e-12``.
     """
     if min_gap(params) <= EP_TOL:
         raise ExceptionalPoint("PT-broken regime or band touching: winding undefined")
     return int(_windings(*_coin_trig(params)))
 
 
-def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[PhaseDiagramCell]:
+def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> np.recarray:
     """Winding number and PT phase over a coin-parameter grid, as one broadcast.
 
     The winding is the closed form
@@ -278,9 +270,11 @@ def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[Ph
     is the band touching itself.  The Zak phase band sum of :func:`zak_phase`
     (the Wilson loop) is the reference that the tests compare against.
 
-    ``pt_broken`` is ``min_gap < -1e-12``, bit-identical to
+    One record per cell, theta1-major: fields ``theta1``, ``theta2``, ``nu``
+    (float), ``pt_broken`` and ``min_gap``, each a column over the n1 * n2
+    cells.  ``pt_broken`` is ``min_gap < -1e-12``, bit-identical to
     :func:`pt_classify` of the cell.  Cells that are broken or at a band
-    touching (``min_gap <= 1e-12``) carry ``nu=None`` rather than a guess.
+    touching (``min_gap <= 1e-12``) carry ``nu = NaN`` rather than a guess.
     """
     theta1s = np.asarray(theta1s, dtype=float)
     theta2s = np.asarray(theta2s, dtype=float)
@@ -291,12 +285,10 @@ def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> list[Ph
     alpha = CoinParams(0.0, 0.0, p).alpha
     c1, s1 = (v[:, None] for v in _axis_trig(theta1s))
     c2, s2 = _axis_trig(theta2s)
-    gap = _min_gaps(alpha, c1, s1, c2, s2)
-    winding = _windings(c1, s1, c2, s2)
-    columns = (a.ravel().tolist() for a in (winding, gap > EP_TOL, gap < -EP_TOL, gap))
-    return [
-        PhaseDiagramCell(theta1=th1, theta2=th2, nu=nu if ok else None, pt_broken=br, min_gap=g)
-        for (th1, th2), nu, ok, br, g in zip(
-            itertools.product(theta1s.tolist(), theta2s.tolist()), *columns
-        )
-    ]
+    gap = _min_gaps(alpha, c1, s1, c2, s2).ravel()
+    nu = np.where(gap > EP_TOL, _windings(c1, s1, c2, s2).ravel(), np.nan)
+    return np.rec.fromarrays(
+        [np.repeat(theta1s, theta2s.size), np.tile(theta2s, theta1s.size), nu,
+         gap < -EP_TOL, gap],
+        names=["theta1", "theta2", "nu", "pt_broken", "min_gap"],
+    )

@@ -9,8 +9,9 @@ intensities and the table must agree bit for bit.  ``assemble_einsum`` is
 rho'(k) summed over every (x1, x2) term directly; the package sums along the
 diagonals x1 - x2 first, so the two agree only to rounding.
 ``assemble_add_at`` is the package's former diagonal sum: ``np.add.at`` in
-order of x1 and a phase matrix of the table's own width, which the skewed
-sums of ``assemble_hermitian_density`` must match bit for bit.  ``fourier``
+order of x1 and a phase matrix of the table's own width, which
+``assemble_hermitian_density``, the package's skewed diagonal sums made into
+one table's rho'(k), must match bit for bit.  ``fourier``
 is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
 maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
 ``stokes_add_at``, as the package did before it transformed and mapped all
@@ -31,6 +32,7 @@ from ptwalk.core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
 from ptwalk.errors import SingularNormalization
 from ptwalk.measurement import (
     MatrixElementTable,
+    _diagonal_sums,
     _frame_map,
     _stokes_frame,
     onsite_probabilities,
@@ -132,6 +134,19 @@ def stokes_add_at(table: MatrixElementTable, k) -> np.ndarray:
     np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
     phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
     return phases @ by_offset
+
+
+def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
+    """rho'(k) = 1/2 sum_j sum_{x1,x2} e^{-ik(x1-x2)} table[x1,x2,j] sigma_j.
+
+    Equals |psi_k><psi_k| for a noiseless table; shape (..., 2, 2) following k.
+    The table is first summed along its 2n - 1 diagonals d = x1 - x2 by the
+    package's skewed sums, as in ``reconstruct_bloch_field``, so the momentum
+    transform runs over d alone.
+    """
+    n = len(table.table)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(k, float), np.arange(1.0 - n, n)))
+    return 0.5 * pauli_assemble(phases @ _diagonal_sums(table.table, n))
 
 
 def assemble_add_at(table: MatrixElementTable, k) -> np.ndarray:

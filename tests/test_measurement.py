@@ -14,7 +14,6 @@ from ptwalk.measurement import (
     MatrixElementTable,
     _frame_map,
     _stokes_frame,
-    assemble_hermitian_density,
     matrix_elements_direct,
     onsite_probabilities,
     pair_intensities,
@@ -27,6 +26,7 @@ from measurement_oracle import (
     all_pair_probabilities,
     assemble_add_at,
     assemble_einsum,
+    assemble_hermitian_density,
     bloch_field_per_step,
     bloch_from_density,
     fourier,

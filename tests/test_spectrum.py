@@ -140,9 +140,25 @@ def wilson_winding(params: CoinParams, n_k: int) -> float:
     return (zak_phase(params, +1, n_k) + zak_phase(params, -1, n_k)) / (2 * np.pi)
 
 
+def refined_wilson_winding(params: CoinParams, n_k: int, max_n_k: int = 4096) -> float:
+    """:func:`wilson_winding` on grids doubled from n_k until two agree to 0.05.
+
+    Beside a band touching a coarse loop can alias onto a wrong integer: at
+    min_gap 3e-4 the 64-point loop gives -4 where every finer one gives -2.
+    """
+    last = wilson_winding(params, n_k)
+    while n_k < max_n_k:
+        n_k *= 2
+        wilson = wilson_winding(params, n_k)
+        if abs(wilson - last) < 0.05:
+            return wilson
+        last = wilson
+    return last
+
+
 def assert_winding_is_the_cell_nu(params: CoinParams, cell) -> None:
-    """winding_number equals the diagram cell's nu, or raises where nu is None."""
-    if cell.nu is None:
+    """winding_number equals the diagram cell's nu, or raises where nu is NaN."""
+    if np.isnan(cell.nu):
         with pytest.raises(ExceptionalPoint):
             winding_number(params)
     else:
@@ -164,8 +180,8 @@ def test_phase_diagram_p0_has_no_broken_cells():
     # cell-centered grid: the closing lines themselves carry max d0^2 = 1
     thetas = np.linspace(-np.pi, np.pi, 32, endpoint=False) + np.pi / 32
     cells = phase_diagram(thetas, thetas, 0.0)
-    assert not any(c.pt_broken for c in cells)
-    assert {c.nu for c in cells if c.nu is not None} >= {0, -2}
+    assert not cells.pt_broken.any()
+    assert set(cells.nu[~np.isnan(cells.nu)].tolist()) >= {0, -2}
 
 
 def test_phase_diagram_resolution_precondition():
@@ -173,31 +189,48 @@ def test_phase_diagram_resolution_precondition():
         phase_diagram(np.zeros(8), np.zeros(8), 0.0)
 
 
+@pytest.mark.parametrize("p", [0.0, P36])
+def test_phase_diagram_is_one_record_array_of_every_cell(p):
+    # The CLI's default grid: at p = 0 some cells sit on a band touching.
+    thetas1 = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    thetas2 = thetas1[::-1]
+    cells = phase_diagram(thetas1, thetas2, p)
+    assert isinstance(cells, np.recarray)
+    assert cells.dtype == np.dtype([
+        ("theta1", np.float64), ("theta2", np.float64), ("nu", np.float64),
+        ("pt_broken", np.bool_), ("min_gap", np.float64),
+    ])
+    assert len(cells) == thetas1.size * thetas2.size
+    assert cells.theta1.tobytes() == np.repeat(thetas1, thetas2.size).tobytes()
+    assert cells.theta2.tobytes() == np.tile(thetas2, thetas1.size).tobytes()
+    for cell in cells:
+        params = CoinParams(float(cell.theta1), float(cell.theta2), p)
+        assert cell.min_gap == min_gap(params)
+        assert cell.pt_broken == (pt_classify(params) is PTPhase.BROKEN)
+        assert_winding_is_the_cell_nu(params, cell)
+    assert np.isnan(cells.nu).any() and not np.isnan(cells.nu).all()
+
+
 def test_phase_diagram_lossy_broken_bands_separate_phases():
     thetas = np.linspace(-np.pi, np.pi, 36, endpoint=False)
     cells = phase_diagram(thetas, thetas, P36)
-    assert any(c.pt_broken for c in cells)
-    for c in cells:
-        if c.pt_broken:
-            assert c.nu is None
-            assert c.min_gap < 1e-12
-    # along every grid row, a change of defined nu passes through undefined cells
-    n = len(thetas)
-    by_row = {}
-    for c in cells:
-        by_row.setdefault(c.theta1, []).append(c)
-    for row in by_row.values():
-        row.sort(key=lambda c: c.theta2)
+    broken = cells.pt_broken
+    assert broken.any()
+    assert np.isnan(cells.nu[broken]).all()
+    assert (cells.min_gap[broken] < 1e-12).all()
+    # along every grid row (theta1-major, theta2 ascending), a change of
+    # defined nu passes through undefined cells
+    for row in cells.nu.reshape(len(thetas), len(thetas)).tolist():
         last_nu, pending_undefined = None, False
-        for c in row:
-            if c.nu is None:
+        for nu in row:
+            if math.isnan(nu):
                 pending_undefined = True
                 continue
-            if last_nu is not None and c.nu != last_nu:
+            if last_nu is not None and nu != last_nu:
                 assert pending_undefined, (
-                    f"nu jumped {last_nu} -> {c.nu} with no boundary cell between"
+                    f"nu jumped {last_nu} -> {nu} with no boundary cell between"
                 )
-            last_nu, pending_undefined = c.nu, False
+            last_nu, pending_undefined = nu, False
 
 
 def test_min_gap_sign_tracks_pt_phase(rng):
@@ -260,9 +293,9 @@ def test_phase_diagram_against_classification_and_wilson_loop(draw):
     grid = np.linspace(-np.pi, np.pi, RES, endpoint=False)
     thetas1, thetas2 = grid + off1, grid + off2
     cells = phase_diagram(thetas1, thetas2, p)
-    for cell in cells:
-        assert (cell.nu is None) == (cell.pt_broken or abs(cell.min_gap) <= EP_TOL)
-        assert cell.pt_broken == (cell.min_gap < -EP_TOL)
+    undefined = cells.pt_broken | (np.abs(cells.min_gap) <= EP_TOL)
+    assert (np.isnan(cells.nu) == undefined).all()
+    assert (cells.pt_broken == (cells.min_gap < -EP_TOL)).all()
     for i, j in picks:
         cell = cells[RES * i + j]
         params = CoinParams(float(thetas1[i]), float(thetas2[j]), p)
@@ -270,9 +303,9 @@ def test_phase_diagram_against_classification_and_wilson_loop(draw):
         assert cell.min_gap == min_gap(params)
         assert cell.pt_broken == (pt_classify(params) is PTPhase.BROKEN)
         assert_winding_is_the_cell_nu(params, cell)
-        if cell.nu is None:
+        if np.isnan(cell.nu):
             continue
-        wilson = wilson_winding(params, n_k)
+        wilson = refined_wilson_winding(params, n_k)
         if abs(wilson - round(wilson)) < 0.05:  # skip a grid too coarse to quantize
             assert round(wilson) == cell.nu
 
@@ -296,7 +329,7 @@ def test_pt_verdict_is_min_gap_alone_at_the_threshold(rng):
             params = CoinParams(th1, cell.theta2, p)
             broken = pt_classify(params) is PTPhase.BROKEN
             assert cell.pt_broken == (cell.min_gap < -EP_TOL) == broken
-            assert (cell.nu is None) == (cell.min_gap <= EP_TOL)
+            assert np.isnan(cell.nu) == (cell.min_gap <= EP_TOL)
             assert_winding_is_the_cell_nu(params, cell)
             seen.add(broken)
     assert seen == {True, False}
@@ -309,4 +342,4 @@ def test_min_gap_just_below_minus_ep_tol_is_broken():
     assert min_gap(params) < -EP_TOL
     assert pt_classify(params) is PTPhase.BROKEN
     cell = phase_diagram(np.full(RES, params.theta1), np.full(RES, params.theta2), params.p)[0]
-    assert cell.pt_broken and cell.nu is None
+    assert cell.pt_broken and np.isnan(cell.nu)
