@@ -191,7 +191,8 @@ def test_phase_diagram_resolution_precondition():
 
 @pytest.mark.parametrize("p", [0.0, P36])
 def test_phase_diagram_is_one_record_array_of_every_cell(p):
-    # The CLI's default grid: at p = 0 some cells sit on a band touching.
+    # The CLI's default axis (reversed for theta2): at p = 0 some cells sit on
+    # a band touching.
     thetas1 = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     thetas2 = thetas1[::-1]
     cells = phase_diagram(thetas1, thetas2, p)
