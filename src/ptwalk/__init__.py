@@ -46,7 +46,6 @@ from .quench import (
     QuenchSpec,
     bloch_field,
     bloch_vector,
-    density_matrix,
     find_fixed_points,
     oscillation_period,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "chern_riemann",
     "chern_solid_angle",
     "d_coefficients",
-    "density_matrix",
     "evolve",
     "find_fixed_points",
     "momentum_operator_closed",

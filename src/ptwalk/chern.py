@@ -29,6 +29,10 @@ integrator therefore evaluates the rows its stencil touches at tau = 0 and
 multiplies by ``n_t``: the same lattice, differences and triangulation as the
 full grid, equal to it up to rounding.  The full-grid sums are kept in the
 tests as the oracle.
+
+``chern_numbers`` evaluates both integrators on every submanifold of a
+quench from one overlap solve over all their momenta; ``chern_riemann`` and
+``chern_solid_angle`` run the same code for one submanifold and method.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "build_submanifolds",
     "chern_riemann",
     "chern_solid_angle",
+    "chern_numbers",
 ]
 
 
@@ -91,14 +96,16 @@ def build_submanifolds(fixed_points: list[FixedPoint]) -> list[Submanifold]:
     return out
 
 
-def _field_columns(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c_plus, c_minus) per k, guarding that every column oscillates (real E)."""
-    cp, cm, final = overlap_grid(spec, ks)
-    if np.any(final.quasienergies[:, 0].imag != 0):
-        raise ExceptionalPoint(
-            "submanifold touches the PT-broken regime; no periodic time cycle"
-        )
-    return cp, cm
+def _momenta(sub: Submanifold, method: str, n_k: int, n_t: int) -> np.ndarray:
+    """The momenta at which integrator ``method`` samples the field on ``sub``."""
+    least, grid = (64, "integration") if method == "riemann" else (8, "triangulation")
+    if n_k < least or n_t < least:
+        raise ValueError(f"{grid} grid must be at least {least}x{least}")
+    if method == "solid_angle":
+        return np.linspace(sub.k_lo, sub.k_hi, n_k + 1)
+    # Midpoint lattice plus one halo column for the centered k derivative.
+    dk = (sub.k_hi - sub.k_lo) / n_k
+    return sub.k_lo + (np.arange(-1, n_k + 1) + 0.5) * dk
 
 
 def _bloch_grid(cp: np.ndarray, cm: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -113,27 +120,16 @@ def _bloch_grid(cp: np.ndarray, cm: np.ndarray, taus: np.ndarray) -> np.ndarray:
     )
 
 
-def chern_riemann(
-    sub: Submanifold, spec: QuenchSpec, n_k: int = 256, n_t: int = 256
-) -> ChernResult:
-    """Midpoint-rule integral of the degree density with central differences."""
-    if n_k < 64 or n_t < 64:
-        raise ValueError("integration grid must be at least 64x64")
+def _riemann(sub: Submanifold, n_k: int, n_t: int, cp: np.ndarray, cm: np.ndarray) -> float:
     dk = (sub.k_hi - sub.k_lo) / n_k
     dt = 1.0 / n_t
-    # Midpoint lattice plus one halo column for the centered k derivative.  Of
-    # the n_t midpoint rows only the first, tau = dt/2, is evaluated, with its
+    # Of the n_t midpoint rows only the first, tau = dt/2, is evaluated, with its
     # two neighbours for the centered tau derivative: every row has the same sum.
-    ks = sub.k_lo + (np.arange(-1, n_k + 1) + 0.5) * dk
-    taus = (np.arange(-1, 2) + 0.5) * dt
-    cp, cm = _field_columns(spec, ks)
-    n = _bloch_grid(cp, cm, taus)
+    n = _bloch_grid(cp, cm, (np.arange(-1, 2) + 0.5) * dt)
     dn_dk = (n[2:, 1] - n[:-2, 1]) / (2 * dk)
     dn_dt = (n[1:-1, 2] - n[1:-1, 0]) / (2 * dt)
     density = np.einsum("kc,kc->k", np.cross(n[1:-1, 1], dn_dt), dn_dk)
-    value = float(n_t * density.sum() * dk * dt / (4 * np.pi))
-    rounded = int(round(value))
-    return ChernResult(value=value, rounded=rounded, residual=abs(value - rounded), method="riemann")
+    return float(n_t * density.sum() * dk * dt / (4 * np.pi))
 
 
 def _triangle_areas(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
@@ -153,6 +149,43 @@ def _triangle_areas(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarra
     return 2.0 * np.arctan2(numer, denom)
 
 
+def _solid_angle(sub: Submanifold, n_k: int, n_t: int, cp: np.ndarray, cm: np.ndarray) -> float:
+    # The strip of plaquettes between tau = 0 and 1/n_t; each of the n_t
+    # strips around the period covers the same area.
+    n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
+    v00, v01 = n[:-1, 0], n[:-1, 1]
+    v10, v11 = n[1:, 0], n[1:, 1]
+    # Orientation (t, k): matches the [n x dn/dt].dn/dk integrand sign.
+    total = _triangle_areas(v00, v01, v11).sum() + _triangle_areas(v00, v11, v10).sum()
+    return float(n_t * total / (4 * np.pi))
+
+
+def _integrate(spec: QuenchSpec, jobs: list[tuple]) -> list[ChernResult]:
+    """A result per (sub, method, n_k, n_t) job, in order, from one overlap
+    solve over the momenta of all jobs.  Each job checks that its own columns
+    oscillate (real E) once the jobs before it are integrated."""
+    ks = [_momenta(*job) for job in jobs]
+    cp, cm, final = overlap_grid(spec, np.concatenate(ks))
+    ends = np.cumsum([len(k) for k in ks]).tolist()
+    results = []
+    for (sub, method, n_k, n_t), lo, hi in zip(jobs, [0] + ends, ends):
+        if np.any(final.quasienergies[lo:hi, 0].imag != 0):
+            raise ExceptionalPoint(
+                "submanifold touches the PT-broken regime; no periodic time cycle"
+            )
+        integrand = _riemann if method == "riemann" else _solid_angle
+        value = integrand(sub, n_k, n_t, cp[lo:hi], cm[lo:hi])
+        results.append(ChernResult(value, round(value), abs(value - round(value)), method))
+    return results
+
+
+def chern_riemann(
+    sub: Submanifold, spec: QuenchSpec, n_k: int = 256, n_t: int = 256
+) -> ChernResult:
+    """Midpoint-rule integral of the degree density with central differences."""
+    return _integrate(spec, [(sub, "riemann", n_k, n_t)])[0]
+
+
 def chern_solid_angle(
     sub: Submanifold, spec: QuenchSpec, n_k: int = 128, n_t: int = 128
 ) -> ChernResult:
@@ -162,19 +195,27 @@ def chern_solid_angle(
     endpoints at the poles); summed spherical-triangle areas give an exactly
     integer multiple of 4 pi up to floating-point rounding.
     """
-    if n_k < 8 or n_t < 8:
-        raise ValueError("triangulation grid must be at least 8x8")
-    ks = np.linspace(sub.k_lo, sub.k_hi, n_k + 1)
-    # The strip of plaquettes between tau = 0 and 1/n_t; each of the n_t
-    # strips around the period covers the same area.
-    cp, cm = _field_columns(spec, ks)
-    n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
-    v00, v01 = n[:-1, 0], n[:-1, 1]
-    v10, v11 = n[1:, 0], n[1:, 1]
-    # Orientation (t, k): matches the [n x dn/dt].dn/dk integrand sign.
-    total = _triangle_areas(v00, v01, v11).sum() + _triangle_areas(v00, v11, v10).sum()
-    value = float(n_t * total / (4 * np.pi))
-    rounded = int(round(value))
-    return ChernResult(
-        value=value, rounded=rounded, residual=abs(value - rounded), method="solid_angle"
-    )
+    return _integrate(spec, [(sub, "solid_angle", n_k, n_t)])[0]
+
+
+def chern_numbers(
+    spec: QuenchSpec, subs: list[Submanifold], n_k: int = 256, n_t: int = 256
+) -> list[tuple[ChernResult, ChernResult]]:
+    """(Riemann, solid-angle) result per submanifold, from one overlap solve.
+
+    The Riemann grid is ``n_k`` x ``n_t``; the triangulation, whose areas are
+    exact, takes min(n_k, 128) x min(n_t, 128).  Each result equals
+    :func:`chern_riemann` or :func:`chern_solid_angle` alone bit for bit, and
+    errors come in their order: submanifold by submanifold, Riemann first.
+    A band touching anywhere stops the one solve, so then the integrators run
+    one at a time and the first to fail raises.
+    """
+    grids = (("riemann", n_k, n_t), ("solid_angle", min(n_k, 128), min(n_t, 128)))
+    jobs = [(sub, *grid) for sub in subs for grid in grids]
+    if not jobs:
+        return []
+    try:
+        results = _integrate(spec, jobs)
+    except ExceptionalPoint:
+        results = [_integrate(spec, [job])[0] for job in jobs]
+    return list(zip(results[::2], results[1::2]))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chern import build_submanifolds, chern_riemann, chern_solid_angle
+from .chern import build_submanifolds, chern_numbers
 from .errors import ConfigError, WalkError
 from .floquet import CoinParams
 from .measurement import PairIntensities, reconstruct_bloch_field
@@ -337,11 +337,7 @@ def cmd_chern(args) -> int:
     points = find_fixed_points(spec)
     subs = build_submanifolds(points)
     rows = []
-    for sub in subs:
-        riemann = chern_riemann(sub, spec, n_k=args.kgrid, n_t=args.tgrid)
-        solid = chern_solid_angle(
-            sub, spec, n_k=min(args.kgrid, 128), n_t=min(args.tgrid, 128)
-        )
+    for sub, (riemann, solid) in zip(subs, chern_numbers(spec, subs, args.kgrid, args.tgrid)):
         rows.append(
             (
                 sub.k_lo,

@@ -64,7 +64,6 @@ __all__ = [
     "onsite_probabilities",
     "pair_intensities",
     "reconstruct_matrix_elements",
-    "matrix_elements_direct",
     "sample_shot_noise",
     "reconstruct_bloch_field",
 ]
@@ -172,13 +171,6 @@ def reconstruct_matrix_elements(
     table[diag, diag, 2] = -2 * pl + ph + pv
     table[diag, diag, 3] = ph - pv
     return MatrixElementTable(x_min=site.x_min, table=table)
-
-
-def matrix_elements_direct(state: PositionState) -> MatrixElementTable:
-    """The same table straight from the amplitudes (oracle for the identities)."""
-    amps = state.amplitudes
-    table = np.einsum("jab,ya,xb->xyj", PAULI, amps.conj(), amps)
-    return MatrixElementTable(x_min=state.x_min, table=table)
 
 
 def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:

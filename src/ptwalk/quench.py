@@ -40,7 +40,6 @@ __all__ = [
     "overlap_grid",
     "bloch_from_coefficients",
     "bloch_vector",
-    "density_matrix",
     "bloch_field",
     "find_fixed_points",
     "oscillation_period",
@@ -205,32 +204,6 @@ def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     cp, cm, final = overlap_grid(spec, np.array([k]))
     ct_p, ct_m = _dressed_coefficients(cp[0], cm[0], final.quasienergies[0, 0], t)
     return bloch_from_coefficients(ct_p, ct_m)
-
-
-def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
-    """Non-Hermitian density matrix |psi(t)><chi(t)| / <chi(t)|psi(t)>.
-
-    Built explicitly from the evolving right state and its associated left
-    state in the polarization basis; trace 1 by construction.  This is an
-    independent code path from :func:`bloch_vector` (cross-checked in tests
-    via n_j = Tr[rho tau_j], tau from ``tests/measurement_oracle.py``).
-
-    Raises
-    ------
-    SingularNormalization
-        If <chi(t)|psi(t)> vanishes (possible only off the +-E pairing, e.g.
-        for non-eigenstate initial conditions at complex parameters).
-    """
-    system = final_eigensystem(spec, k)
-    psi_i = initial_spinors(spec, np.array([k]))[0]
-    c = system.left @ psi_i  # (c_+, c_-)
-    ct = c * np.exp(-1j * system.quasienergies * t)
-    psi_t = ct @ system.right
-    chi_t = ct.conj() @ system.left
-    denom = chi_t @ psi_t
-    if abs(denom) <= NORM_FLOOR:
-        raise SingularNormalization(f"<chi(t)|psi(t)> = {denom:.3e} at k = {k!r}")
-    return np.outer(psi_t, chi_t) / denom
 
 
 def bloch_field(

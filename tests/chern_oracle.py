@@ -9,14 +9,19 @@ rounding between the two is a defect in that step.
 
 import numpy as np
 
-from ptwalk.chern import (
-    ChernResult,
-    Submanifold,
-    _bloch_grid,
-    _field_columns,
-    _triangle_areas,
-)
-from ptwalk.quench import QuenchSpec
+from ptwalk.chern import ChernResult, Submanifold, _bloch_grid, _triangle_areas
+from ptwalk.errors import ExceptionalPoint
+from ptwalk.quench import QuenchSpec, overlap_grid
+
+
+def field_columns(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c_plus, c_minus) per k, guarding that every column oscillates (real E)."""
+    cp, cm, final = overlap_grid(spec, ks)
+    if np.any(final.quasienergies[:, 0].imag != 0):
+        raise ExceptionalPoint(
+            "submanifold touches the PT-broken regime; no periodic time cycle"
+        )
+    return cp, cm
 
 
 def riemann_density_grid(sub: Submanifold, spec: QuenchSpec, n_k: int, n_t: int) -> np.ndarray:
@@ -27,7 +32,7 @@ def riemann_density_grid(sub: Submanifold, spec: QuenchSpec, n_k: int, n_t: int)
     # tau halo rows need no wrapping because the field is exactly 1-periodic.
     ks = sub.k_lo + (np.arange(-1, n_k + 1) + 0.5) * dk
     taus = (np.arange(-1, n_t + 1) + 0.5) * dt
-    cp, cm = _field_columns(spec, ks)
+    cp, cm = field_columns(spec, ks)
     n = _bloch_grid(cp, cm, taus)
     dn_dk = (n[2:, 1:-1] - n[:-2, 1:-1]) / (2 * dk)
     dn_dt = (n[1:-1, 2:] - n[1:-1, :-2]) / (2 * dt)
@@ -39,7 +44,7 @@ def triangle_area_grid(sub: Submanifold, spec: QuenchSpec, n_k: int, n_t: int) -
     """Signed areas of both triangles of every plaquette, shape (2, n_k, n_t)."""
     ks = np.linspace(sub.k_lo, sub.k_hi, n_k + 1)
     taus = np.arange(n_t) / n_t
-    cp, cm = _field_columns(spec, ks)
+    cp, cm = field_columns(spec, ks)
     n = _bloch_grid(cp, cm, taus)
     v00 = n[:-1, :]
     v10 = n[1:, :]

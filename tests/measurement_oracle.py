@@ -1,6 +1,8 @@
 """One-pair-at-a-time measurement and one-step-at-a-time reconstruction.
 
 These are the oracles for the package's array pipeline.
+``matrix_elements_direct`` reads the matrix-element table straight from the
+amplitudes, the reference for the identities themselves.
 ``interference_probabilities`` measures one ordered pair of sites, and
 ``matrix_elements_from_pairs`` applies the on-site and the eight Re/Im
 identities pair by pair to the ``PairProbabilities`` of
@@ -16,6 +18,10 @@ is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
 maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
 ``stokes_add_at``, as the package did before it transformed and mapped all
 steps at once; the two must agree bit for bit.
+
+``density_matrix`` is the quench's non-Hermitian density matrix
+|psi(t)><chi(t)| / <chi(t)|psi(t)> built from the evolved states, the
+reference for ``ptwalk.quench.bloch_vector``.
 
 ``to_nonhermitian``, ``tau_basis`` and ``bloch_from_density`` are the
 textbook frame map: rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] as a 2x2
@@ -40,7 +46,7 @@ from ptwalk.measurement import (
     reconstruct_matrix_elements,
     sample_shot_noise,
 )
-from ptwalk.quench import NORM_FLOOR, final_eigensystem, initial_spinors
+from ptwalk.quench import NORM_FLOOR, QuenchSpec, final_eigensystem, initial_spinors
 from ptwalk.walksim import evolve
 
 
@@ -85,6 +91,13 @@ def all_pair_probabilities(state) -> list[PairProbabilities]:
         for x2 in xs
         if x1 != x2
     ]
+
+
+def matrix_elements_direct(state) -> MatrixElementTable:
+    """The table straight from the amplitudes (oracle for the identities)."""
+    amps = state.amplitudes
+    table = np.einsum("jab,ya,xb->xyj", PAULI, amps.conj(), amps)
+    return MatrixElementTable(x_min=state.x_min, table=table)
 
 
 def matrix_elements_from_pairs(site, pairs) -> MatrixElementTable:
@@ -210,3 +223,29 @@ def bloch_from_density(rho: np.ndarray, system: EigenSystem) -> np.ndarray:
     """
     comps = np.einsum("...ab,...jba->...j", rho, tau_basis(system))
     return comps[..., 1:].real
+
+
+def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
+    """Non-Hermitian density matrix |psi(t)><chi(t)| / <chi(t)|psi(t)>.
+
+    Built explicitly from the evolving right state and its associated left
+    state in the polarization basis; trace 1 by construction.  This is an
+    independent code path from ``ptwalk.quench.bloch_vector``, checked
+    against it via n_j = Tr[rho tau_j] with tau from :func:`tau_basis`.
+
+    Raises
+    ------
+    SingularNormalization
+        If <chi(t)|psi(t)> vanishes (possible only off the +-E pairing, e.g.
+        for non-eigenstate initial conditions at complex parameters).
+    """
+    system = final_eigensystem(spec, k)
+    psi_i = initial_spinors(spec, np.array([k]))[0]
+    c = system.left @ psi_i  # (c_+, c_-)
+    ct = c * np.exp(-1j * system.quasienergies * t)
+    psi_t = ct @ system.right
+    chi_t = ct.conj() @ system.left
+    denom = chi_t @ psi_t
+    if abs(denom) <= NORM_FLOOR:
+        raise SingularNormalization(f"<chi(t)|psi(t)> = {denom:.3e} at k = {k!r}")
+    return np.outer(psi_t, chi_t) / denom

@@ -20,7 +20,6 @@ from ptwalk.floquet import (
     momentum_operator_direct,
 )
 from ptwalk.measurement import (
-    matrix_elements_direct,
     onsite_probabilities,
     pair_intensities,
     reconstruct_bloch_field,
@@ -31,7 +30,6 @@ from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
     bloch_vector,
-    density_matrix,
     final_eigensystem,
     find_fixed_points,
     initial_spinors,
@@ -39,6 +37,7 @@ from ptwalk.quench import (
 )
 from ptwalk.spectrum import band_structure, zak_phase
 from ptwalk.walksim import PositionState
+from measurement_oracle import density_matrix, matrix_elements_direct
 
 PI = np.pi
 

@@ -1,12 +1,20 @@
 """Dynamic Chern numbers: both integrators, quantization, sign rules."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptwalk.chern import Submanifold, build_submanifolds, chern_riemann, chern_solid_angle
-from ptwalk.errors import WalkError
+from ptwalk.chern import (
+    Submanifold,
+    build_submanifolds,
+    chern_numbers,
+    chern_riemann,
+    chern_solid_angle,
+)
+from ptwalk.errors import DegenerateTriangle, ExceptionalPoint, WalkError
 from ptwalk.floquet import CoinParams
 from ptwalk.quench import FixedPointKind, QuenchSpec, find_fixed_points
 from ptwalk.spectrum import PTPhase, pt_classify
@@ -124,15 +132,124 @@ def test_methods_agree_on_random_quenches(rng):
         checked += 1
 
 
+def unbroken_quenches(rng):
+    """Quenches drawn as in test_methods_agree_on_random_quenches: both
+    operators unbroken, at least two fixed points; with their submanifolds."""
+    while True:
+        initial = random_coin_params(rng, 0.6)
+        final = random_coin_params(rng, 0.6)
+        if pt_classify(initial) is PTPhase.BROKEN or pt_classify(final) is PTPhase.BROKEN:
+            continue
+        spec = QuenchSpec(initial=initial, final=final)
+        try:
+            fps = find_fixed_points(spec)
+        except WalkError:
+            continue
+        if len(fps) >= 2:
+            yield spec, build_submanifolds(fps)
+
+
+def one_at_a_time(spec, subs, n_k, n_t):
+    """Both integrators per submanifold on their own, with the grids of chern_numbers."""
+    solid = (min(n_k, 128), min(n_t, 128))
+    return [(chern_riemann(s, spec, n_k, n_t), chern_solid_angle(s, spec, *solid)) for s in subs]
+
+
+def bits(pairs):
+    """Every field of every result, floats as exact hex strings."""
+    return [[(r.value.hex(), r.rounded, r.residual.hex(), r.method) for r in pair]
+            for pair in pairs]
+
+
+def raised(func, *args):
+    """(type, message) of the WalkError that ``func`` raises; fails if it returns."""
+    with pytest.raises(WalkError) as info:
+        func(*args)
+    return type(info.value), str(info.value)
+
+
+def test_the_batch_equals_the_integrators_one_at_a_time(rng):
+    """chern_numbers gives the same bits as chern_riemann and chern_solid_angle
+    called per submanifold, on the presets at the CLI grids and on the random
+    quenches at 128 x 96."""
+    from ptwalk.presets import PRESETS, build_spec
+
+    cases = [(build_spec(PRESETS[name]), None, (256, 256)) for name in sorted(PRESETS)]
+    cases += [(spec, subs, (128, 96)) for spec, subs in itertools.islice(unbroken_quenches(rng), 100)]
+    compared = 0
+    for spec, subs, grid in cases:
+        if subs is None:
+            subs = build_submanifolds(find_fixed_points(spec))
+        try:
+            want = one_at_a_time(spec, subs, *grid)
+        except WalkError as exc:
+            assert raised(chern_numbers, spec, subs, *grid) == (type(exc), str(exc))
+            continue
+        assert bits(chern_numbers(spec, subs, *grid)) == bits(want), spec
+        compared += len(subs)
+    assert compared >= 400
+
+
+def test_the_batch_raises_what_the_first_failing_integrator_raises():
+    """Errors surface in submanifold order, Riemann before solid angle, even
+    where the one overlap solve of the batch fails on a later submanifold."""
+    touching = CoinParams(PI / 5, -PI / 5, 0.0)  # bands touch at k = 0 exactly
+    # An explicit start along z: n is at one pole just left of k = 0 and at the
+    # other just right, so the triangle strip of the first submanifold spans
+    # antipodal nodes; the second submanifold has a node at the touching.
+    spec = QuenchSpec(initial=touching, final=touching, initial_state=(1, 0))
+    subs = [
+        Submanifold(-0.25e-6, 63.75e-6, FixedPointKind.C_MINUS_ZERO, FixedPointKind.C_PLUS_ZERO),
+        Submanifold(0.0, 1.0, FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO),
+    ]
+    got = raised(chern_numbers, spec, subs, 64, 64)
+    assert got == raised(one_at_a_time, spec, subs, 64, 64)
+    assert got[0] is DegenerateTriangle
+    assert raised(chern_numbers, spec, subs[1:], 64, 64)[0] is ExceptionalPoint
+
+    # A final operator broken around k = +-pi/2 only: the second submanifold
+    # touches its broken regime, while the first has a node at the initial
+    # operator's band touching, so the first raises.
+    spec = QuenchSpec(initial=touching, final=CoinParams(PI / 4, PI / 4, 0.5))
+    subs[0] = Submanifold(0.0, 1.0, FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO)
+    subs[1] = Submanifold(1.2, 2.0, FixedPointKind.C_MINUS_ZERO, FixedPointKind.C_PLUS_ZERO)
+    got = raised(chern_numbers, spec, subs, 64, 64)
+    assert got == raised(one_at_a_time, spec, subs, 64, 64)
+    assert got[0] is ExceptionalPoint and got[1].startswith("eigenvalue gap")
+    broken = raised(chern_numbers, spec, subs[1:], 64, 64)
+    assert broken == raised(one_at_a_time, spec, subs[1:], 64, 64)
+    assert broken[0] is ExceptionalPoint and "PT-broken" in broken[1]
+    shifted = Submanifold(0.2, 1.0, FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO)
+    assert raised(chern_numbers, spec, [shifted, subs[1]], 64, 64) == broken
+
+
+def test_a_chern_job_makes_one_overlap_solve_for_its_integrators(monkeypatch, tmp_path):
+    """fig3b: 4 submanifolds, 258 Riemann and 129 triangulation momenta each."""
+    import ptwalk.chern
+    from ptwalk.cli import main
+
+    sizes = []
+    solve = ptwalk.chern.overlap_grid
+
+    def counted(spec, ks):
+        sizes.append(len(ks))
+        return solve(spec, ks)
+
+    monkeypatch.setattr(ptwalk.chern, "overlap_grid", counted)
+    assert main(["chern", "--preset", "fig3b", "--out", str(tmp_path / "chern.csv")]) == 0
+    assert sizes == [4 * (258 + 129)]
+
+
 def test_skyrmion_coverage_iff_nonzero(spec_fig3b, spec_fig6):
     """Nonzero submanifold Chern number means n3 attains both signs inside."""
     for spec, expect_cover in ((spec_fig3b, True), (spec_fig6, False)):
         subs = build_submanifolds(find_fixed_points(spec))
-        from ptwalk.chern import _bloch_grid, _field_columns
+        from chern_oracle import field_columns
+        from ptwalk.chern import _bloch_grid
 
         for sub in subs:
             ks = np.linspace(sub.k_lo, sub.k_hi, 41)[1:-1]
-            cp, cm = _field_columns(spec, ks)
+            cp, cm = field_columns(spec, ks)
             n = _bloch_grid(cp, cm, np.linspace(0, 1, 37, endpoint=False))
             covers = (n[..., 2].min() < -0.2) and (n[..., 2].max() > 0.2)
             assert covers == expect_cover
@@ -183,11 +300,12 @@ def invariance_cases(rng):
 
 def test_bloch_rows_are_rigid_z_rotations_of_row_zero(rng):
     """n(k, tau) = R_z(2 pi tau) n(k, 0): the identity the one-row integrators rest on."""
-    from ptwalk.chern import _bloch_grid, _field_columns
+    from chern_oracle import field_columns
+    from ptwalk.chern import _bloch_grid
 
     taus = np.concatenate([np.arange(37) / 37, rng.uniform(-1.0, 2.0, size=8)])
     for spec, sub in invariance_cases(rng):
-        cp, cm = _field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, 65))
+        cp, cm = field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, 65))
         n = _bloch_grid(cp, cm, taus)
         assert n.shape == (65, len(taus), 3)
         for j, tau in enumerate(taus):
@@ -266,9 +384,10 @@ def solid_angle_rounding_bound(sub, spec, n_k, n_t):
     Beside a band touching the eigenbasis flips, adjacent nodes turn almost
     antipodal, hypot falls toward 0 and the bound rises far above 1e-12.
     """
-    from ptwalk.chern import _bloch_grid, _field_columns
+    from chern_oracle import field_columns
+    from ptwalk.chern import _bloch_grid
 
-    cp, cm = _field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, n_k + 1))
+    cp, cm = field_columns(spec, np.linspace(sub.k_lo, sub.k_hi, n_k + 1))
     n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
     v00, v01, v10, v11 = n[:-1, 0], n[:-1, 1], n[1:, 0], n[1:, 1]
     inverse_hypot = 0.0

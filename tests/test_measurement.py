@@ -14,7 +14,6 @@ from ptwalk.measurement import (
     MatrixElementTable,
     _frame_map,
     _stokes_frame,
-    matrix_elements_direct,
     onsite_probabilities,
     pair_intensities,
     reconstruct_bloch_field,
@@ -31,6 +30,7 @@ from measurement_oracle import (
     bloch_from_density,
     fourier,
     interference_probabilities,
+    matrix_elements_direct,
     matrix_elements_from_pairs,
     stokes_add_at,
     to_nonhermitian,

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixed_point_oracle import grid_fixed_points
-from measurement_oracle import bloch_from_density, tau_basis
+from measurement_oracle import bloch_from_density, density_matrix, tau_basis
 from ptwalk.errors import ImaginaryEnergy, WalkError
 from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.quench import (
@@ -16,7 +16,6 @@ from ptwalk.quench import (
     bloch_field,
     bloch_from_coefficients,
     bloch_vector,
-    density_matrix,
     final_eigensystem,
     find_fixed_points,
     initial_spinors,
