@@ -120,8 +120,8 @@ def _rows_to_columns(names: list[str], rows: list[tuple]) -> dict[str, Sequence]
 
 def _meta(args, command: str, **extra) -> dict:
     meta = {"command": command, "version": __version__}
-    for key in ("theta1", "theta2", "theta1_f", "theta2_f", "p", "preset", "kgrid",
-                "tgrid", "tmax", "samples", "seed"):
+    for key in ("theta1", "theta2", "theta1_f", "theta2_f", "initial_state", "p", "preset",
+                "kgrid", "tgrid", "tmax", "samples", "seed"):
         if hasattr(args, key) and getattr(args, key) is not None:
             meta[key] = getattr(args, key)
     meta.update(extra)

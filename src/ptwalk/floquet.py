@@ -66,6 +66,12 @@ class CoinParams:
     def beta(self) -> float:
         return 0.5 * self.gamma * (1.0 - math.sqrt(1.0 - self.p))
 
+    @property
+    def trig(self) -> tuple[float, float, float, float]:
+        """(cos theta1, sin theta1, cos theta2, sin theta2) with ``math``."""
+        return (math.cos(self.theta1), math.sin(self.theta1),
+                math.cos(self.theta2), math.sin(self.theta2))
+
 
 def coin_rotation(theta: float) -> np.ndarray:
     """R(theta) = exp(-i theta sigma_2), a real rotation of the coin."""
@@ -96,8 +102,7 @@ def d_coefficients(params: CoinParams, k) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     a = params.alpha
-    c1, s1 = math.cos(params.theta1), math.sin(params.theta1)
-    c2, s2 = math.cos(params.theta2), math.sin(params.theta2)
+    c1, s1, c2, s2 = params.trig
     cos2k, sin2k = np.cos(2 * k), np.sin(2 * k)
     out = np.empty(k.shape + (4,), dtype=complex)
     out[..., 0] = a * (cos2k * c1 * c2 - s1 * s2)

@@ -334,11 +334,15 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     theta: 16 samples give its coefficients by FFT, and its zeros are the
     unit-circle roots of a polynomial of degree <= 8 in z = e^{i theta}.
 
-    Where w is real (beta = 0 on both sides) g = |w|^2 has only double roots,
-    at the common zeros of the components of w; the roots of the largest
-    component, which are simple, are the candidates then.  g = 0 also where
-    the shared vector is the start's partner.  :func:`_polish_on_start` keeps
-    the roots of the start alone and polishes them.
+    Where w is real (beta = 0 in the final operator, and in the initial one
+    under an eigenstate start) g = |w|^2 doubles the order of every zero of
+    w, so the roots of w's largest component are the candidates then.
+    ``np.roots`` splits a root of order q by about eps^(1/q): at a third-order
+    zero of w (h_a and h_f turning together, as from CoinParams(0, pi/4) into
+    CoinParams(pi/2, 0) at k = 0) the sixfold root of g splits by 3e-3, out
+    of the ``_UNIT_CIRCLE_TOL`` band.  g = 0 also where the shared vector is
+    the start's partner.  :func:`_polish_on_start` keeps the roots of the
+    start alone and polishes them.
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)

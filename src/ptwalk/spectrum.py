@@ -105,16 +105,6 @@ def band_structure(params: CoinParams, ks: np.ndarray) -> BandStructure:
     )
 
 
-def _coin_trig(params: CoinParams) -> tuple[float, float, float, float]:
-    """(cos theta1, sin theta1, cos theta2, sin theta2), as in :func:`d_coefficients`."""
-    return (
-        math.cos(params.theta1),
-        math.sin(params.theta1),
-        math.cos(params.theta2),
-        math.sin(params.theta2),
-    )
-
-
 def _axis_trig(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of each angle with ``math``, so every cell matches its scalar path."""
     angles = thetas.tolist()
@@ -136,7 +126,7 @@ def _min_gaps(alpha: float, c1, s1, c2, s2) -> np.ndarray:
 
 def min_gap(params: CoinParams) -> float:
     """min_k (1 - d0^2); zero at a band touching, negative once PT breaks."""
-    return float(_min_gaps(params.alpha, *_coin_trig(params)))
+    return float(_min_gaps(params.alpha, *params.trig))
 
 
 def pt_classify(params: CoinParams) -> PTPhase:
@@ -250,7 +240,7 @@ def winding_number(params: CoinParams) -> int:
     """
     if min_gap(params) <= EP_TOL:
         raise ExceptionalPoint("PT-broken regime or band touching: winding undefined")
-    return int(_windings(*_coin_trig(params)))
+    return int(_windings(*params.trig))
 
 
 def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> np.recarray:

@@ -203,6 +203,16 @@ def test_json_format_and_meta(capsys):
     assert len(payload["rows"]) == 16
 
 
+def test_json_meta_names_the_initial_state_flag(capsys):
+    argv = ["quench", "--preset", "fig3b", "--kgrid", "8", "--tmax", "1", "--format", "json"]
+    code, out, _ = run_cli([*argv, "--initial-state=1,i"], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["initial_state"] == "1,i"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "initial_state" not in json.loads(out)["meta"]
+
+
 def test_phase_diagram_export(capsys):
     code, out, _ = run_cli(["phase-diagram", "--p", "0.0", "--res", "32"], capsys)
     assert code == 0

@@ -433,6 +433,9 @@ def test_fixed_points_are_exact_pi_closed_and_cover_the_grid_search(spec):
         assert abs(c) ** 2 <= bound, (spec, fp)
         twins = [zone_distance(o.k, fp.k + PI) for o in fps if o.kind is fp.kind]
         assert min(twins) <= 1e-12, (spec, fp)
+        # A zero that several candidates polish to is reported once.
+        others = [zone_distance(o.k, fp.k) for o in fps if o is not fp and o.kind is fp.kind]
+        assert min(others, default=PI) >= 1e-8, (spec, fp)
     for want in expected:
         if clear_of_band_touching(spec, want.k) and depth_of_minimum(spec, want) <= 1e-13:
             near = [zone_distance(fp.k, want.k) for fp in fps if fp.kind is want.kind]
@@ -459,6 +462,23 @@ def test_a_root_shared_by_the_partner_band_is_not_a_fixed_point():
     assert len(near_zero) == 1 and near_zero[0].k == pytest.approx(2.4627e-6, abs=1e-9)
     (c_plus,), _, _ = overlap_grid(NEAR_COMMUTING, np.array([-2.4627e-6]))
     assert abs(c_plus) ** 2 < FIXED_POINT_RESIDUAL
+
+
+TURNING_TOGETHER = QuenchSpec(initial=CoinParams(0.0, PI / 4), final=CoinParams(PI / 2, 0.0))
+
+
+def test_a_third_order_fixed_point_is_found():
+    """h_a = (0, 1, -sin 2k) / sqrt(2) and h_f = (0, cos 2k, -sin 2k) turn together
+    at k = 0, so w = h_a x h_f and c_+ have third-order zeros there.
+
+    g = w.w then has a sixfold root, which ``np.roots`` splits off the unit
+    circle; the lossless candidates must still reach it, with its kind, as
+    they reach the simple zeros of c_- at k = +-pi/2.
+    """
+    fps = find_fixed_points(TURNING_TOGETHER)
+    for k, kind in ((-PI, FixedPointKind.C_PLUS_ZERO), (-PI / 2, FixedPointKind.C_MINUS_ZERO),
+                    (0.0, FixedPointKind.C_PLUS_ZERO), (PI / 2, FixedPointKind.C_MINUS_ZERO)):
+        assert any(zone_distance(fp.k, k) < 1e-6 and fp.kind is kind for fp in fps), (k, fps)
 
 
 NEAR_EXCEPTIONAL = QuenchSpec(
