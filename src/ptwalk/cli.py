@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .chern import build_submanifolds, chern_numbers
 from .errors import ConfigError, WalkError
-from .floquet import CoinParams
 from .measurement import PairIntensities, reconstruct_bloch_field
 from .presets import PRESETS, Preset, build_spec, final_params, preset_names
 from .quench import QuenchSpec, bloch_field, find_fixed_points, initial_spinors
@@ -244,11 +243,6 @@ def _flag_preset(args, fields: dict[str, str]) -> Preset:
     return replace(base, **changes)
 
 
-def _single_params(args) -> CoinParams:
-    """Coin parameters for single-operator commands (spectrum)."""
-    return final_params(_flag_preset(args, _SINGLE_FIELDS))
-
-
 def _quench_spec(args) -> QuenchSpec:
     """Quench specification from flags, optionally seeded by a preset."""
     return build_spec(_flag_preset(args, _QUENCH_FIELDS))
@@ -282,7 +276,7 @@ def _bloch_columns(field) -> dict[str, Sequence]:
 
 def cmd_spectrum(args) -> int:
     _defaults(args, kgrid=512)
-    params = _single_params(args)
+    params = final_params(_flag_preset(args, _SINGLE_FIELDS))
     bands = band_structure(params, np.linspace(-np.pi, np.pi, args.kgrid, endpoint=False))
     columns = {
         "k": bands.ks,
@@ -307,12 +301,8 @@ def cmd_phase_diagram(args) -> int:
 def cmd_quench(args) -> int:
     _defaults(args, kgrid=256, tmax=6)
     spec = _quench_spec(args)
-    ts = (
-        np.linspace(0.0, args.tmax, args.tgrid)
-        if args.tgrid
-        else np.arange(args.tmax + 1, dtype=float)
-    )
-    field = bloch_field(spec, n_k=args.kgrid, ts=ts)
+    ts = np.linspace(0.0, args.tmax, args.tgrid) if args.tgrid else None
+    field = bloch_field(spec, n_k=args.kgrid, ts=ts, t_max=args.tmax)
     meta = _meta(args, "quench", eigenstate_initial=bool(field.eigenstate_initial))
     _write_output(args, _bloch_columns(field), meta)
     return 0

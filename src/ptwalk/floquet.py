@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3
+from .core import pauli_assemble
 
 __all__ = [
     "CoinParams",
@@ -114,13 +114,7 @@ def d_coefficients(params: CoinParams, k) -> np.ndarray:
 
 def momentum_operator_closed(params: CoinParams, k) -> np.ndarray:
     """Rescaled operator Ut_k from the closed-form d coefficients, (..., 2, 2)."""
-    d = d_coefficients(params, k)
-    return (
-        d[..., 0, None, None] * SIGMA_0
-        - 1j * d[..., 1, None, None] * SIGMA_1
-        - 1j * d[..., 2, None, None] * SIGMA_2
-        - 1j * d[..., 3, None, None] * SIGMA_3
-    )
+    return pauli_assemble(d_coefficients(params, k) * np.array([1, -1j, -1j, -1j]))
 
 
 def momentum_operator_direct(params: CoinParams, k) -> np.ndarray:

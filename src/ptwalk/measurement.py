@@ -51,10 +51,10 @@ from .quench import (
     NORM_FLOOR,
     BlochField,
     QuenchSpec,
-    final_eigensystem,
     initial_spinors,
     initial_state_residual,
 )
+from .spectrum import walk_eigensystem
 from .walksim import PositionState, evolve
 
 __all__ = [
@@ -292,7 +292,7 @@ def reconstruct_bloch_field(
             f"initial state (eigenstate residual {residual:.2e} across sectors)"
         )
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    final = final_eigensystem(spec, ks)
+    final = walk_eigensystem(spec.final, ks)
 
     width = 4 * t_max + 1  # sites in the last, widest window
     by_offset = np.empty((t_max + 1, 2 * width - 1, 4), dtype=complex)

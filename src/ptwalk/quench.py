@@ -36,7 +36,6 @@ __all__ = [
     "FixedPointKind",
     "FixedPoint",
     "BlochField",
-    "final_eigensystem",
     "overlap_grid",
     "bloch_from_coefficients",
     "bloch_vector",
@@ -139,29 +138,22 @@ def initial_state_residual(spec: QuenchSpec) -> float:
     return float(np.linalg.norm(residual, axis=1).max())
 
 
-def final_eigensystem(spec: QuenchSpec, k) -> EigenSystem:
-    """Biorthogonal eigensystem of the final operator at each momentum of ``k``.
-
-    All quench quantities share the eigenvector gauge of this construction;
-    mixing gauges would rotate the in-plane components n1, n2 (the physical
-    matrix rho is gauge invariant, its dressed components are covariant).
-    """
-    return walk_eigensystem(spec.final, k)
-
-
 def overlap_grid(
     spec: QuenchSpec, ks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, EigenSystem]:
     """(c_plus, c_minus, final eigensystem) over a momentum grid.
 
     The quench core: one solve of each operator (the initial one only for an
-    eigenstate start) gives every quantity the quench is built from.
+    eigenstate start) gives every quantity the quench is built from.  All
+    quench quantities share the eigenvector gauge of
+    ``walk_eigensystem(spec.final, ks)``; mixing gauges would rotate the
+    in-plane components n1, n2 (the physical matrix rho is gauge invariant,
+    its dressed components are covariant).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     psi_i = initial_spinors(spec, ks)
-    final = final_eigensystem(spec, ks)
-    c_plus = np.einsum("kc,kc->k", final.left[:, 0, :], psi_i)
-    c_minus = np.einsum("kc,kc->k", final.left[:, 1, :], psi_i)
+    final = walk_eigensystem(spec.final, ks)
+    c_plus, c_minus = np.einsum("kbc,kc->bk", final.left, psi_i)
     return c_plus, c_minus, final
 
 
@@ -260,13 +252,14 @@ def _bloch_axes(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.broadcast_to(h_a, h_f.shape), h_f
 
 
-def _trig_poly(coeffs: np.ndarray, theta: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dtheta^order of sum_m a_m e^{i m theta} at each theta.
+def _trig_poly(coeffs: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_m a_m e^{i m theta} and its theta derivative at each theta.
 
     ``coeffs`` holds a_m on axis 0 in FFT order; trailing axes are carried.
     """
     m = np.fft.fftfreq(len(coeffs), 1.0 / len(coeffs))
-    return np.tensordot(np.exp(1j * np.outer(theta, m)) * (1j * m) ** order, coeffs, axes=1)
+    phase = np.exp(1j * np.outer(theta, m))
+    return tuple(np.tensordot(phase * (1j * m) ** order, coeffs, axes=1) for order in (0, 1))
 
 
 def _unit_circle_angles(samples: np.ndarray, degree: int, floor: float) -> np.ndarray:
@@ -302,8 +295,7 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
     """
     for _ in range(_NEWTON_STEPS):
-        (h_a, h_f), (dh_a, dh_f) = (_trig_poly(h_coeffs, theta, order).transpose(1, 0, 2)
-                                    for order in (0, 1))
+        (h_a, h_f), (dh_a, dh_f) = (v.transpose(1, 0, 2) for v in _trig_poly(h_coeffs, theta))
         w = np.cross(h_a, h_f)
         dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
         m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))

@@ -185,18 +185,14 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
             f"eigenvalue gap {gap.min():.3e} <= {GAP_TOL:.1e} somewhere on the grid"
         )
     h_sigma = np.einsum("kj,jab->kab", h, PAULI[1:])
-    right = np.empty((len(d0), 2, 2), dtype=complex)
-    left = np.empty_like(right)
-    for b, m in enumerate((mu, -mu)):
-        proj = (SIGMA_0 + h_sigma / m[:, None, None]) / 2
-        col = np.argmax(np.abs(proj).sum(axis=-2), axis=-1)
-        row = np.argmax(np.abs(proj).sum(axis=-1), axis=-1)
-        psi = np.take_along_axis(proj, col[:, None, None], axis=-1)[..., 0]
-        psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-        bra = np.take_along_axis(proj, row[:, None, None], axis=-2)[:, 0, :]
-        bra = bra / np.einsum("kc,kc->k", bra, psi)[:, None]
-        right[:, b, :] = psi
-        left[:, b, :] = bra
+    m = np.stack([mu, -mu], axis=1)[..., None, None]
+    proj = (SIGMA_0 + h_sigma[:, None] / m) / 2
+    col = np.argmax(np.abs(proj).sum(axis=-2), axis=-1)
+    row = np.argmax(np.abs(proj).sum(axis=-1), axis=-1)
+    right = np.take_along_axis(proj, col[..., None, None], axis=-1)[..., 0]
+    right = right / np.linalg.norm(right, axis=-1, keepdims=True)
+    left = np.take_along_axis(proj, row[..., None, None], axis=-2)[..., 0, :]
+    left = left / np.einsum("kbc,kbc->kb", left, right)[..., None]
     vec, mat = batch + (2,), batch + (2, 2)
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
 

@@ -46,7 +46,8 @@ from ptwalk.measurement import (
     reconstruct_matrix_elements,
     sample_shot_noise,
 )
-from ptwalk.quench import NORM_FLOOR, QuenchSpec, final_eigensystem, initial_spinors
+from ptwalk.quench import NORM_FLOOR, QuenchSpec, initial_spinors
+from ptwalk.spectrum import walk_eigensystem
 from ptwalk.walksim import evolve
 
 
@@ -178,7 +179,7 @@ def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray
     """n(k, t) of ``reconstruct_bloch_field``, each step mapped on its own."""
     coin = initial_spinors(spec, np.array([0.0]))[0]
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    final = final_eigensystem(spec, ks)
+    final = walk_eigensystem(spec.final, ks)
     n_field = np.empty((n_k, t_max + 1, 3))
     for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
@@ -239,7 +240,7 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
         If <chi(t)|psi(t)> vanishes (possible only off the +-E pairing, e.g.
         for non-eigenstate initial conditions at complex parameters).
     """
-    system = final_eigensystem(spec, k)
+    system = walk_eigensystem(spec.final, k)
     psi_i = initial_spinors(spec, np.array([k]))[0]
     c = system.left @ psi_i  # (c_+, c_-)
     ct = c * np.exp(-1j * system.quasienergies * t)

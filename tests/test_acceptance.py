@@ -30,12 +30,11 @@ from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
     bloch_vector,
-    final_eigensystem,
     find_fixed_points,
     initial_spinors,
     oscillation_period,
 )
-from ptwalk.spectrum import band_structure, zak_phase
+from ptwalk.spectrum import band_structure, walk_eigensystem, zak_phase
 from ptwalk.walksim import PositionState
 from measurement_oracle import density_matrix, matrix_elements_direct
 
@@ -303,7 +302,7 @@ def test_criterion_9_property_suite():
             try:
                 n = bloch_vector(spec, k, t)
                 rho = density_matrix(spec, k, t)
-                system = final_eigensystem(spec, k)
+                system = walk_eigensystem(spec.final, k)
             except Exception:
                 continue
             unit_dev = max(unit_dev, abs(float(np.linalg.norm(n)) - 1.0))

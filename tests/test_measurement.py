@@ -39,7 +39,6 @@ from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
-    final_eigensystem,
     initial_spinors,
 )
 from ptwalk.spectrum import walk_eigensystem
@@ -323,7 +322,7 @@ def test_one_call_over_all_steps_matches_the_per_step_oracle(run):
 
 def test_frame_maps_broadcast_over_a_stack_of_steps(spec_fig3b):
     ks = np.linspace(-np.pi, np.pi, 48, endpoint=False)
-    frame = _stokes_frame(final_eigensystem(spec_fig3b, ks).left)
+    frame = _stokes_frame(walk_eigensystem(spec_fig3b.final, ks).left)
     coin = initial_spinors(spec_fig3b, np.array([0.0]))[0]
     stack = np.stack([
         stokes_add_at(

@@ -16,7 +16,6 @@ from ptwalk.quench import (
     bloch_field,
     bloch_from_coefficients,
     bloch_vector,
-    final_eigensystem,
     find_fixed_points,
     initial_spinors,
     initial_state_residual,
@@ -89,7 +88,7 @@ def test_overlap_completeness_reconstruction(rng):
         k = float(rng.uniform(-PI, PI))
         try:
             (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([k]))
-            system = final_eigensystem(spec, k)
+            system = walk_eigensystem(spec.final, k)
         except Exception:
             continue
         psi_i = initial_spinors(spec, np.array([k]))[0]
@@ -194,7 +193,7 @@ def test_density_matrix_hermitian_limit(rng):
         rho = density_matrix(spec, k, t)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-10)
         # equals the normalized projector onto the evolved state
-        system = final_eigensystem(spec, k)
+        system = walk_eigensystem(spec.final, k)
         (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([k]))
         energy, _ = quasienergies(spec.final, k)
         psi_t = c_plus * np.exp(-1j * energy * t) * system.psi_plus + \
@@ -211,7 +210,7 @@ def test_density_path_equals_closed_forms(rng):
         t = float(rng.uniform(0, 10))
         try:
             rho = density_matrix(spec, k, t)
-            system = final_eigensystem(spec, k)
+            system = walk_eigensystem(spec.final, k)
         except Exception:
             continue
         np.testing.assert_allclose(
@@ -222,7 +221,7 @@ def test_density_path_equals_closed_forms(rng):
 def test_tau_basis_su2(rng):
     spec = random_spec(rng)
     k = float(rng.uniform(-PI, PI))
-    system = final_eigensystem(spec, k)
+    system = walk_eigensystem(spec.final, k)
     taus = tau_basis(system)
     np.testing.assert_allclose(taus[0], np.eye(2), atol=1e-12)
     # su(2) commutators [tau_1, tau_2] = 2i tau_3 and cyclic
