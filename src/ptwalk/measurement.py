@@ -12,9 +12,10 @@ Two measurement primitives are emulated on a walk state:
 
   followed by {L, D} projections.
 
-All probabilities are intensities relative to unit input flux, so they do not
-sum to one under loss; this is the normalization under which the eight
-reconstruction identities for Re/Im of <psi_x2|sigma_j|psi_x1> are exact.
+All probabilities are intensities relative to unit input flux (the start is a
+unit spinor by construction), so they do not sum to one under loss; this is
+the normalization under which the eight reconstruction identities for Re/Im
+of <psi_x2|sigma_j|psi_x1> are exact.
 The reconstructed matrix-element table gives the Stokes vector s of the
 Hermitian momentum-space matrix rho'(k) = |psi_k><psi_k|,
 2 rho' = sum_i s_i sigma_i; rho' is not formed.  The quench's density matrix

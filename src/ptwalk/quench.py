@@ -22,6 +22,7 @@ stroboscopic walk corresponds to integer t.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class QuenchSpec:
 
     ``initial_state=None`` selects the lower-band eigenstate of the initial
     operator in every momentum sector, so the initial operator must be
-    PT-unbroken; that is checked once, here.  An explicit coin state is used
-    verbatim in every sector, which models a walker localized on a single site.
+    PT-unbroken; that is checked once, here.  An explicit coin state is used,
+    divided by its norm, in every sector: a walker localized on one site.
     """
 
     initial: CoinParams
@@ -81,9 +82,10 @@ class QuenchSpec:
                 )
             return
         a, b = complex(self.initial_state[0]), complex(self.initial_state[1])
-        if abs(a) == 0 and abs(b) == 0:
-            raise ValueError("initial coin state must be nonzero")
-        object.__setattr__(self, "initial_state", (a, b))
+        norm = math.hypot(a.real, a.imag, b.real, b.imag)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"initial coin state must have a positive finite norm, got {norm}")
+        object.__setattr__(self, "initial_state", (a / norm, b / norm))
 
 
 class FixedPointKind(enum.Enum):
@@ -130,7 +132,6 @@ def initial_state_residual(spec: QuenchSpec) -> float:
     """
     ks = np.linspace(-np.pi, np.pi, _RESIDUAL_SAMPLES, endpoint=False)
     psi = initial_spinors(spec, ks)
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     u = momentum_operator_closed(spec.initial, ks)
     upsi = np.einsum("kab,kb->ka", u, psi)
     rayleigh = np.einsum("kc,kc->k", psi.conj(), upsi)
@@ -144,11 +145,10 @@ def overlap_grid(
     """(c_plus, c_minus, final eigensystem) over a momentum grid.
 
     The quench core: one solve of each operator (the initial one only for an
-    eigenstate start) gives every quantity the quench is built from.  All
-    quench quantities share the eigenvector gauge of
-    ``walk_eigensystem(spec.final, ks)``; mixing gauges would rotate the
-    in-plane components n1, n2 (the physical matrix rho is gauge invariant,
-    its dressed components are covariant).
+    eigenstate start) gives every quantity the quench is built from.  All of
+    them share the gauge of ``walk_eigensystem(spec.final, ks)``; mixing
+    gauges would rotate n1, n2 (rho is gauge invariant, its dressed
+    components are covariant).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     psi_i = initial_spinors(spec, ks)

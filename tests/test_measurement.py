@@ -187,7 +187,11 @@ def test_pipeline_matches_analytics(spec_fig3a, spec_fig3b):
 
 
 def test_pipeline_scale_invariance(spec_fig3b):
-    """Rescaling the initial spinor leaves the reconstructed field unchanged."""
+    """Rescaling the initial spinor leaves the reconstructed field unchanged.
+
+    Under shot noise too: the start is normalized before it is measured, so
+    a start four times as large gives the same counts and the same bytes.
+    """
     base_state = initial_spinors(spec_fig3b, np.array([0.0]))[0]
     scaled = QuenchSpec(
         initial=spec_fig3b.initial,
@@ -197,6 +201,14 @@ def test_pipeline_scale_invariance(spec_fig3b):
     rec_base = reconstruct_bloch_field(spec_fig3b, t_max=4, n_k=32)
     rec_scaled = reconstruct_bloch_field(scaled, t_max=4, n_k=32)
     np.testing.assert_allclose(rec_scaled.n, rec_base.n, atol=1e-9)
+    noisy = [
+        reconstruct_bloch_field(
+            QuenchSpec(spec_fig3b.initial, spec_fig3b.final, initial_state=tuple(s * base_state)),
+            t_max=4, n_k=32, n_samples=1000, seed=5,
+        ).n
+        for s in (1, 4)
+    ]
+    assert noisy[0].tobytes() == noisy[1].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -231,24 +231,24 @@ def test_tau_basis_su2(rng):
 
 
 def test_scale_invariance_of_dynamics(rng, spec_fig3b):
-    """Rescaling the initial spinor changes nothing downstream."""
+    """Rescaling the initial spinor changes nothing downstream, at any norm."""
     base_state = initial_spinors(spec_fig3b, np.array([0.0]))[0]
-    scaled = QuenchSpec(
-        initial=spec_fig3b.initial,
-        final=spec_fig3b.final,
-        initial_state=tuple((0.17 - 0.83j) * base_state),
-    )
-    for _ in range(10):
-        k = float(rng.uniform(-PI, PI))
-        t = float(rng.uniform(0, 8))
-        np.testing.assert_allclose(
-            bloch_vector(scaled, k, t), bloch_vector(spec_fig3b, k, t), atol=1e-10
-        )
+    points = [(float(rng.uniform(-PI, PI)), float(rng.uniform(0, 8))) for _ in range(10)]
     base_fps = find_fixed_points(spec_fig3b)
-    scaled_fps = find_fixed_points(scaled)
-    np.testing.assert_allclose(
-        [fp.k for fp in scaled_fps], [fp.k for fp in base_fps], atol=1e-9
-    )
+    for scale in (0.17 - 0.83j, 1e-200, 1e200):
+        scaled = QuenchSpec(
+            initial=spec_fig3b.initial,
+            final=spec_fig3b.final,
+            initial_state=tuple(scale * base_state),
+        )
+        for k, t in points:
+            np.testing.assert_allclose(
+                bloch_vector(scaled, k, t), bloch_vector(spec_fig3b, k, t), atol=1e-10
+            )
+        scaled_fps = find_fixed_points(scaled)
+        np.testing.assert_allclose(
+            [fp.k for fp in scaled_fps], [fp.k for fp in base_fps], atol=1e-9
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +585,12 @@ def test_lower_band_initial_requires_unbroken():
     broken = CoinParams(-np.pi / 2, (np.pi - float(np.arccos(1 / alpha))) / 2, 0.36)
     with pytest.raises(ValueError):
         QuenchSpec(initial=broken, final=CoinParams(0.3, 0.4, 0.36))
+
+
+@pytest.mark.parametrize("state", [(0, 0), (np.inf, 0), (np.nan, 1), (1.5e308 + 1.5e308j, 0)])
+def test_an_explicit_state_needs_a_positive_finite_norm(state):
+    with pytest.raises(ValueError, match="positive finite norm"):
+        QuenchSpec(initial=CoinParams(0.3, 0.4), final=CoinParams(0.3, 0.4), initial_state=state)
 
 
 ALPHA36 = CoinParams(0, 0, 0.36).alpha
