@@ -31,8 +31,8 @@ full grid, equal to it up to rounding.  The full-grid sums are kept in the
 tests as the oracle.
 
 ``chern_numbers`` evaluates both integrators on every submanifold of a
-quench from one overlap solve over all their momenta; ``chern_riemann`` and
-``chern_solid_angle`` run the same code for one submanifold and method.
+quench from one overlap solve, in one array pass per integrator over them all;
+``chern_riemann`` and ``chern_solid_angle`` run the same code for one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import cross3
 from .errors import DegenerateTriangle, ExceptionalPoint
 from .quench import (
     FixedPoint,
@@ -96,45 +97,43 @@ def build_submanifolds(fixed_points: list[FixedPoint]) -> list[Submanifold]:
     return out
 
 
-def _momenta(sub: Submanifold, method: str, n_k: int, n_t: int) -> np.ndarray:
-    """The momenta at which integrator ``method`` samples the field on ``sub``."""
+def _momenta(lo: np.ndarray, hi: np.ndarray, method: str, n_k: int, n_t: int) -> np.ndarray:
+    """The (S, m) momenta at which ``method`` samples the S submanifolds [lo, hi]."""
     least, grid = (64, "integration") if method == "riemann" else (8, "triangulation")
     if n_k < least or n_t < least:
         raise ValueError(f"{grid} grid must be at least {least}x{least}")
     if method == "solid_angle":
-        return np.linspace(sub.k_lo, sub.k_hi, n_k + 1)
+        return np.linspace(lo, hi, n_k + 1, axis=-1)
     # Midpoint lattice plus one halo column for the centered k derivative.
-    dk = (sub.k_hi - sub.k_lo) / n_k
-    return sub.k_lo + (np.arange(-1, n_k + 1) + 0.5) * dk
+    dk = (hi - lo)[:, None] / n_k
+    return lo[:, None] + (np.arange(-1, n_k + 1) + 0.5) * dk
 
 
 def _bloch_grid(cp: np.ndarray, cm: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """n on the (k, tau) product grid, shape (n_k, n_tau, 3).
+    """n on the (k, tau) product grid, shape cp.shape + (n_tau, 3).
 
     In rescaled time the dressed spinor is (c_+ e^{-i pi tau}, c_- e^{+i pi tau});
     the global phase drops out of the Bloch map.
     """
     phase = np.exp(1j * np.pi * taus)
-    return bloch_from_coefficients(
-        cp[:, None] / phase[None, :], cm[:, None] * phase[None, :]
-    )
+    return bloch_from_coefficients(cp[..., None] / phase, cm[..., None] * phase)
 
 
-def _riemann(sub: Submanifold, n_k: int, n_t: int, cp: np.ndarray, cm: np.ndarray) -> float:
-    dk = (sub.k_hi - sub.k_lo) / n_k
+def _riemann(lo: np.ndarray, hi: np.ndarray, n_k: int, n_t: int, cp, cm) -> np.ndarray:
+    dk = (hi - lo) / n_k
     dt = 1.0 / n_t
     # Of the n_t midpoint rows only the first, tau = dt/2, is evaluated, with its
     # two neighbours for the centered tau derivative: every row has the same sum.
     n = _bloch_grid(cp, cm, (np.arange(-1, 2) + 0.5) * dt)
-    dn_dk = (n[2:, 1] - n[:-2, 1]) / (2 * dk)
-    dn_dt = (n[1:-1, 2] - n[1:-1, 0]) / (2 * dt)
-    density = np.einsum("kc,kc->k", np.cross(n[1:-1, 1], dn_dt), dn_dk)
-    return float(n_t * density.sum() * dk * dt / (4 * np.pi))
+    dn_dk = (n[:, 2:, 1] - n[:, :-2, 1]) / (2 * dk[:, None, None])
+    dn_dt = (n[:, 1:-1, 2] - n[:, 1:-1, 0]) / (2 * dt)
+    density = np.einsum("skc,skc->sk", cross3(n[:, 1:-1, 1], dn_dt), dn_dk)
+    return n_t * density.sum(axis=1) * dk * dt / (4 * np.pi)
 
 
 def _triangle_areas(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
     """Signed solid angles of spherical triangles (vectorized, last axis xyz)."""
-    numer = np.einsum("...c,...c->...", v1, np.cross(v2, v3))
+    numer = np.einsum("...c,...c->...", v1, cross3(v2, v3))
     denom = (
         1.0
         + np.einsum("...c,...c->...", v1, v2)
@@ -149,41 +148,39 @@ def _triangle_areas(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarra
     return 2.0 * np.arctan2(numer, denom)
 
 
-def _solid_angle(sub: Submanifold, n_k: int, n_t: int, cp: np.ndarray, cm: np.ndarray) -> float:
+def _solid_angle(lo: np.ndarray, hi: np.ndarray, n_k: int, n_t: int, cp, cm) -> np.ndarray:
     # The strip of plaquettes between tau = 0 and 1/n_t; each of the n_t
     # strips around the period covers the same area.
     n = _bloch_grid(cp, cm, np.array([0.0, 1.0 / n_t]))
-    v00, v01 = n[:-1, 0], n[:-1, 1]
-    v10, v11 = n[1:, 0], n[1:, 1]
+    v00, v01, v10, v11 = n[:, :-1, 0], n[:, :-1, 1], n[:, 1:, 0], n[:, 1:, 1]
     # Orientation (t, k): matches the [n x dn/dt].dn/dk integrand sign.
-    total = _triangle_areas(v00, v01, v11).sum() + _triangle_areas(v00, v11, v10).sum()
-    return float(n_t * total / (4 * np.pi))
+    total = _triangle_areas(v00, v01, v11).sum(axis=1) + _triangle_areas(v00, v11, v10).sum(axis=1)
+    return n_t * total / (4 * np.pi)
 
 
-def _integrate(spec: QuenchSpec, jobs: list[tuple]) -> list[ChernResult]:
-    """A result per (sub, method, n_k, n_t) job, in order, from one overlap
-    solve over the momenta of all jobs.  Each job checks that its own columns
-    oscillate (real E) once the jobs before it are integrated."""
-    ks = [_momenta(*job) for job in jobs]
-    cp, cm, final = overlap_grid(spec, np.concatenate(ks))
-    ends = np.cumsum([len(k) for k in ks]).tolist()
-    results = []
-    for (sub, method, n_k, n_t), lo, hi in zip(jobs, [0] + ends, ends):
-        if np.any(final.quasienergies[lo:hi, 0].imag != 0):
-            raise ExceptionalPoint(
-                "submanifold touches the PT-broken regime; no periodic time cycle"
-            )
+def _integrate(spec: QuenchSpec, subs: list[Submanifold], grids: tuple) -> list[list[ChernResult]]:
+    """Results [sub][grid] for the (method, n_k, n_t) ``grids``, from one overlap
+    solve and one array pass per grid.  A complex E anywhere raises, so errors
+    come in order only for one submanifold and grid (see :func:`chern_numbers`)."""
+    lo, hi = np.array([(sub.k_lo, sub.k_hi) for sub in subs]).T
+    ks = [_momenta(lo, hi, *grid) for grid in grids]
+    cp, cm, final = overlap_grid(spec, np.concatenate(ks, axis=None))
+    if np.any(final.quasienergies[:, 0].imag != 0):
+        raise ExceptionalPoint("submanifold touches the PT-broken regime; no periodic time cycle")
+    cut = np.cumsum([k.size for k in ks])[:-1]
+    values = []
+    for (method, n_k, n_t), p, m in zip(grids, np.split(cp, cut), np.split(cm, cut)):
         integrand = _riemann if method == "riemann" else _solid_angle
-        value = integrand(sub, n_k, n_t, cp[lo:hi], cm[lo:hi])
-        results.append(ChernResult(value, round(value), abs(value - round(value)), method))
-    return results
+        values.append(integrand(lo, hi, n_k, n_t, p.reshape(len(lo), -1), m.reshape(len(lo), -1)))
+    return [[ChernResult(v, round(v), abs(v - round(v)), g[0]) for v, g in zip(row, grids)]
+            for row in np.stack(values, axis=1).tolist()]
 
 
 def chern_riemann(
     sub: Submanifold, spec: QuenchSpec, n_k: int = 256, n_t: int = 256
 ) -> ChernResult:
     """Midpoint-rule integral of the degree density with central differences."""
-    return _integrate(spec, [(sub, "riemann", n_k, n_t)])[0]
+    return _integrate(spec, [sub], (("riemann", n_k, n_t),))[0][0]
 
 
 def chern_solid_angle(
@@ -195,7 +192,7 @@ def chern_solid_angle(
     endpoints at the poles); summed spherical-triangle areas give an exactly
     integer multiple of 4 pi up to floating-point rounding.
     """
-    return _integrate(spec, [(sub, "solid_angle", n_k, n_t)])[0]
+    return _integrate(spec, [sub], (("solid_angle", n_k, n_t),))[0][0]
 
 
 def chern_numbers(
@@ -207,15 +204,14 @@ def chern_numbers(
     exact, takes min(n_k, 128) x min(n_t, 128).  Each result equals
     :func:`chern_riemann` or :func:`chern_solid_angle` alone bit for bit, and
     errors come in their order: submanifold by submanifold, Riemann first.
-    A band touching anywhere stops the one solve, so then the integrators run
-    one at a time and the first to fail raises.
+    A band touching, a complex E or a degenerate triangle anywhere stops the
+    batch, so then the integrators run one at a time and the first to fail raises.
     """
     grids = (("riemann", n_k, n_t), ("solid_angle", min(n_k, 128), min(n_t, 128)))
-    jobs = [(sub, *grid) for sub in subs for grid in grids]
-    if not jobs:
+    if not subs:
         return []
     try:
-        results = _integrate(spec, jobs)
-    except ExceptionalPoint:
-        results = [_integrate(spec, [job])[0] for job in jobs]
-    return list(zip(results[::2], results[1::2]))
+        results = _integrate(spec, subs, grids)
+    except (ExceptionalPoint, DegenerateTriangle):
+        results = [[_integrate(spec, [sub], (grid,))[0][0] for grid in grids] for sub in subs]
+    return [tuple(pair) for pair in results]

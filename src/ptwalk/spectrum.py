@@ -187,11 +187,13 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     h_sigma = np.einsum("kj,jab->kab", h, PAULI[1:])
     m = np.stack([mu, -mu], axis=1)[..., None, None]
     proj = (SIGMA_0 + h_sigma[:, None] / m) / 2
-    col = np.argmax(np.abs(proj).sum(axis=-2), axis=-1)
-    row = np.argmax(np.abs(proj).sum(axis=-1), axis=-1)
-    right = np.take_along_axis(proj, col[..., None, None], axis=-1)[..., 0]
+    # The larger-norm column (row) by |entry| sums; a tie keeps the first, as argmax.
+    size = np.abs(proj)
+    col = (size[..., 0, 1] + size[..., 1, 1] > size[..., 0, 0] + size[..., 1, 0])[..., None]
+    row = (size[..., 1, 0] + size[..., 1, 1] > size[..., 0, 0] + size[..., 0, 1])[..., None]
+    right = np.where(col, proj[..., 1], proj[..., 0])
     right = right / np.linalg.norm(right, axis=-1, keepdims=True)
-    left = np.take_along_axis(proj, row[..., None, None], axis=-2)[..., 0, :]
+    left = np.where(row, proj[..., 1, :], proj[..., 0, :])
     left = left / np.einsum("kbc,kbc->kb", left, right)[..., None]
     vec, mat = batch + (2,), batch + (2, 2)
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))

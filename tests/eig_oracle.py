@@ -1,7 +1,8 @@
-"""np.linalg.eig-based biorthogonal eigensolver: the oracle for the package's solver.
+"""Oracles for the package's eigensolver ``ptwalk.spectrum.walk_eigensystem``.
 
-It shares no code with ``ptwalk.spectrum.walk_eigensystem`` (closed form from
-the d coefficients) beyond the result type and the gap tolerance.  Its band
+:func:`eig_biorthogonal` is an np.linalg.eig-based biorthogonal eigensolver.
+It shares no code with ``walk_eigensystem`` (closed form from the d
+coefficients) beyond the result type and the gap tolerance.  Its band
 rule is generic: if the two quasienergies eps = i log(lambda) have distinct
 imaginary parts, the "+" band is the one with the larger Im(eps); otherwise
 the "+" band has the larger real part.  On a walk operator that is the
@@ -12,9 +13,10 @@ Re E = -pi, so callers compare eps modulo 2 pi.
 
 import numpy as np
 
-from ptwalk.core import EigenSystem
-from ptwalk.errors import DegenerateSpectrum
-from ptwalk.spectrum import GAP_TOL
+from ptwalk.core import PAULI, SIGMA_0, EigenSystem
+from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
+from ptwalk.floquet import d_coefficients
+from ptwalk.spectrum import GAP_TOL, _energy_plus_from_d0
 
 IM_SPLIT_TOL = 1e-12
 
@@ -58,3 +60,42 @@ def eig_biorthogonal(m, gap_tol=GAP_TOL):
         right[b] = psi
         left[b] = bra / overlap
     return EigenSystem(values=lam, quasienergies=eps, right=right, left=left)
+
+
+def walk_projectors(params, k):
+    """(eigenvalues, quasienergies, spectral projectors) of the walk at the
+    momenta ``k`` (flattened), exactly as ``walk_eigensystem`` forms them:
+    shapes (K, 2), (K, 2) and (K, 2, 2, 2), projector [k, band, row, column]."""
+    d = d_coefficients(params, np.asarray(k, dtype=float).reshape(-1))
+    d0 = d[:, 0].real
+    energy = _energy_plus_from_d0(d0)
+    eps = np.stack([energy, -energy], axis=-1)
+    lam = np.exp(-1j * eps)
+    h = d[:, 1:]
+    mu = np.where(d0 < -1.0, -1.0, 1.0) * np.sqrt(np.einsum("kj,kj->k", h, h))
+    gap = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), 2 * np.abs(mu))
+    if np.any(gap <= GAP_TOL):
+        raise ExceptionalPoint(
+            f"eigenvalue gap {gap.min():.3e} <= {GAP_TOL:.1e} somewhere on the grid"
+        )
+    m = np.stack([mu, -mu], axis=1)[..., None, None]
+    return lam, eps, (SIGMA_0 + np.einsum("kj,jab->kab", h, PAULI[1:])[:, None] / m) / 2
+
+
+def walk_eigensystem_by_gather(params, k):
+    """``walk_eigensystem`` with its eigenvector pick written as a gather.
+
+    Each band's ket is the column, and its bra the row, of the projector with
+    the largest sum of |entries|, found by ``argmax`` (the first on a tie) and
+    taken with ``take_along_axis``; the normalization is the package's.
+    """
+    batch = np.shape(k)
+    lam, eps, proj = walk_projectors(params, k)
+    col = np.argmax(np.abs(proj).sum(axis=-2), axis=-1)
+    row = np.argmax(np.abs(proj).sum(axis=-1), axis=-1)
+    right = np.take_along_axis(proj, col[..., None, None], axis=-1)[..., 0]
+    right = right / np.linalg.norm(right, axis=-1, keepdims=True)
+    left = np.take_along_axis(proj, row[..., None, None], axis=-2)[..., 0, :]
+    left = left / np.einsum("kbc,kbc->kb", left, right)[..., None]
+    vec, mat = batch + (2,), batch + (2, 2)
+    return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))

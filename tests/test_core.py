@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coin_params
-from eig_oracle import eig_biorthogonal
-from ptwalk.core import PAULI, pauli_assemble, pauli_expand
+from eig_oracle import eig_biorthogonal, walk_eigensystem_by_gather, walk_projectors
+from ptwalk.core import PAULI, cross3, pauli_assemble, pauli_expand
 from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.spectrum import GAP_TOL, walk_eigensystem
@@ -201,6 +201,75 @@ def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(draw):
             proj = np.outer(system.right[b], system.left[b])
             proj_oracle = np.outer(oracle.right[b], oracle.left[b])
             assert np.abs(proj - proj_oracle).max() <= 1e-10 + cond / gap
+
+
+def pick_cases(rng):
+    """(params, momenta): random walks at random momenta, and the angles on
+    multiples of pi/4 (with beta = 0 and lossy) at k in {0, +-pi/2, pi}, where
+    the |entry| sums of a projector's columns or rows can tie."""
+    special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi])
+    for _ in range(40):
+        yield random_coin_params(rng, p_max=0.99), rng.uniform(-np.pi, np.pi, size=16)
+        yield random_coin_params(rng, p_max=0.0), np.concatenate([special, rng.uniform(-4, 4, 4)])
+    for i in range(-4, 5):
+        for j in range(-4, 5):
+            for p in (0.0, 0.36, 0.9):
+                yield CoinParams(i * np.pi / 4, j * np.pi / 4, p), special
+
+
+def test_the_eigenvector_pick_is_the_argmax_gather_bit_for_bit(rng):
+    """The comparison-and-where pick of walk_eigensystem equals the argmax and
+    take_along_axis gather of tests/eig_oracle.py in every bit, ties included,
+    for batch shapes () and (n,)."""
+    fields = ("values", "quasienergies", "right", "left")
+    ties = solved = 0
+    for params, ks in pick_cases(rng):
+        for batch in [ks] + [k for k in ks[:4]]:
+            try:
+                want = walk_eigensystem_by_gather(params, batch)
+            except ExceptionalPoint:
+                with pytest.raises(ExceptionalPoint):
+                    walk_eigensystem(params, batch)
+                continue
+            got = walk_eigensystem(params, batch)
+            for field in fields:
+                assert getattr(got, field).shape == getattr(want, field).shape, field
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            size = np.abs(walk_projectors(params, batch)[2])
+            ties += np.sum(size.sum(axis=-2)[..., 0] == size.sum(axis=-2)[..., 1])
+            ties += np.sum(size.sum(axis=-1)[..., 0] == size.sum(axis=-1)[..., 1])
+            solved += 1
+    assert solved > 1000 and ties > 100, (solved, ties)
+
+
+def cross_operands(rng, n, dtype, special):
+    """Two (n, 3) batches, normal draws or entries from +-0, +-inf, NaN, +-1."""
+    def draw():
+        if special:
+            values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+            parts = [rng.choice(values, size=(n, 3)) for _ in range(2)]
+        else:
+            parts = [rng.normal(size=(n, 3)) for _ in range(2)]
+        return parts[0] + 1j * parts[1] if dtype is complex else parts[0]
+    return draw(), draw()
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+def test_cross3_is_np_cross_bit_for_bit(rng, special):
+    """Real, complex and mixed (n, 3) batches and (3,) x (n, 3) broadcasts."""
+    pairs = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (1, 2, 3, 7, 16, 65):
+            for dtype_a, dtype_b in ((float, float), (complex, complex), (float, complex)):
+                a, _ = cross_operands(rng, n, dtype_a, special)
+                _, b = cross_operands(rng, n, dtype_b, special)
+                for x, y in ((a, b), (b, a), (a[0], b), (a, b[0]), (a[0], b[0])):
+                    want = np.cross(x, y)
+                    got = cross3(x, y)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (x, y)
+                    pairs += 1
+    assert pairs == 6 * 3 * 5
 
 
 def test_walk_eigensystem_rejects_non_finite_momenta():
