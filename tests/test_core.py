@@ -204,9 +204,10 @@ def test_batch_solve_is_its_members_solve_and_matches_the_eig_oracle(draw):
 
 
 def pick_cases(rng):
-    """(params, momenta): random walks at random momenta, and the angles on
-    multiples of pi/4 (with beta = 0 and lossy) at k in {0, +-pi/2, pi}, where
-    the |entry| sums of a projector's columns or rows can tie."""
+    """(params, momenta): lossy walks at random momenta, lossless ones (beta = 0)
+    at k in {0, +-pi/2, pi} and at random k, and angles on multiples of pi/4,
+    lossless and lossy, at k in {0, +-pi/2, pi}, where the |entry| sums of a
+    projector's columns or rows can tie."""
     special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi])
     for _ in range(40):
         yield random_coin_params(rng, p_max=0.99), rng.uniform(-np.pi, np.pi, size=16)
@@ -242,34 +243,28 @@ def test_the_eigenvector_pick_is_the_argmax_gather_bit_for_bit(rng):
     assert solved > 1000 and ties > 100, (solved, ties)
 
 
-def cross_operands(rng, n, dtype, special):
-    """Two (n, 3) batches, normal draws or entries from +-0, +-inf, NaN, +-1."""
-    def draw():
+def cross_operand(rng, n, dtype, special):
+    """An (n, 3) batch of normal draws, or of entries from +-0, +-inf, NaN, +-1."""
+    def part():
         if special:
-            values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
-            parts = [rng.choice(values, size=(n, 3)) for _ in range(2)]
-        else:
-            parts = [rng.normal(size=(n, 3)) for _ in range(2)]
-        return parts[0] + 1j * parts[1] if dtype is complex else parts[0]
-    return draw(), draw()
+            return rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], size=(n, 3))
+        return rng.normal(size=(n, 3))
+    return part() + 1j * part() if dtype is complex else part()
 
 
 @pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
 def test_cross3_is_np_cross_bit_for_bit(rng, special):
-    """Real, complex and mixed (n, 3) batches and (3,) x (n, 3) broadcasts."""
-    pairs = 0
+    """Real, complex and mixed (n, 3) batches, (3,) x (n, 3) broadcasts both
+    ways and (3,) x (3,)."""
     with np.errstate(invalid="ignore", over="ignore"):
         for n in (1, 2, 3, 7, 16, 65):
             for dtype_a, dtype_b in ((float, float), (complex, complex), (float, complex)):
-                a, _ = cross_operands(rng, n, dtype_a, special)
-                _, b = cross_operands(rng, n, dtype_b, special)
+                a = cross_operand(rng, n, dtype_a, special)
+                b = cross_operand(rng, n, dtype_b, special)
                 for x, y in ((a, b), (b, a), (a[0], b), (a, b[0]), (a[0], b[0])):
-                    want = np.cross(x, y)
-                    got = cross3(x, y)
+                    want, got = np.cross(x, y), cross3(x, y)
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (x, y)
-                    pairs += 1
-    assert pairs == 6 * 3 * 5
 
 
 def test_walk_eigensystem_rejects_non_finite_momenta():
