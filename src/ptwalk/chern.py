@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cross3
 from .errors import DegenerateTriangle, ExceptionalPoint
 from .quench import (
     FixedPoint,
@@ -127,13 +126,13 @@ def _riemann(lo: np.ndarray, hi: np.ndarray, n_k: int, n_t: int, cp, cm) -> np.n
     n = _bloch_grid(cp, cm, (np.arange(-1, 2) + 0.5) * dt)
     dn_dk = (n[:, 2:, 1] - n[:, :-2, 1]) / (2 * dk[:, None, None])
     dn_dt = (n[:, 1:-1, 2] - n[:, 1:-1, 0]) / (2 * dt)
-    density = np.einsum("skc,skc->sk", cross3(n[:, 1:-1, 1], dn_dt), dn_dk)
+    density = np.einsum("skc,skc->sk", np.cross(n[:, 1:-1, 1], dn_dt), dn_dk)
     return n_t * density.sum(axis=1) * dk * dt / (4 * np.pi)
 
 
 def _triangle_areas(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
     """Signed solid angles of spherical triangles (vectorized, last axis xyz)."""
-    numer = np.einsum("...c,...c->...", v1, cross3(v2, v3))
+    numer = np.einsum("...c,...c->...", v1, np.cross(v2, v3))
     denom = (
         1.0
         + np.einsum("...c,...c->...", v1, v2)

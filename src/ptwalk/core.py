@@ -80,15 +80,3 @@ def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_expand`."""
     coeffs = np.asarray(coeffs, dtype=complex)
     return np.einsum("...j,jab->...ab", coeffs, PAULI)
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b on the last axis, numpy's ``cross`` bit for bit without its overhead:
-    like numpy it casts both to one dtype and writes each product into a strided
-    component, as numpy's complex loops round and sign NaNs by memory layout."""
-    a, b = (v.astype(np.result_type(a, b)) for v in (a, b))
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), a.dtype)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[..., j], b[..., k], out=out[..., i])
-        out[..., i] -= np.multiply(a[..., k], b[..., j], out=...)
-    return out

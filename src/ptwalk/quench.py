@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PAULI, EigenSystem, cross3
+from .core import PAULI, EigenSystem
 from .errors import ImaginaryEnergy, SingularNormalization
 from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 from .spectrum import EP_TOL, PTPhase, pt_classify, quasienergies, walk_eigensystem
@@ -296,13 +296,13 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     """
     for _ in range(_NEWTON_STEPS):
         (h_a, h_f), (dh_a, dh_f) = (v.transpose(1, 0, 2) for v in _trig_poly(h_coeffs, theta))
-        w = cross3(h_a, h_f)
-        dw = cross3(dh_a, h_f) + cross3(h_a, dh_f)
+        w = np.cross(h_a, h_f)
+        dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
         m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))
         with np.errstate(divide="ignore", invalid="ignore"):
             dm = np.sum(h_a * dh_a, axis=1, keepdims=True) / m
-            big_w = cross3(h_a, w) + 1j * m * w
-            d_big_w = cross3(dh_a, w) + cross3(h_a, dw) + 1j * (dm * w + m * dw)
+            big_w = np.cross(h_a, w) + 1j * m * w
+            d_big_w = np.cross(dh_a, w) + np.cross(h_a, dw) + 1j * (dm * w + m * dw)
             slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
             step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
         step = np.where(np.isfinite(step), step, 0.0)
@@ -338,7 +338,7 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)
-    w = cross3(h_a, h_f)
+    w = np.cross(h_a, h_f)
     scale = np.max(np.linalg.norm(h_a, axis=1) * np.linalg.norm(h_f, axis=1))
     if np.any(w.imag):
         g = np.einsum("kc,kc->k", w, w)

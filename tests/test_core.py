@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_coin_params
 from eig_oracle import eig_biorthogonal, walk_eigensystem_by_gather, walk_projectors
-from ptwalk.core import PAULI, cross3, pauli_assemble, pauli_expand
+from ptwalk.core import PAULI, pauli_assemble, pauli_expand
 from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.spectrum import GAP_TOL, walk_eigensystem
@@ -241,30 +241,6 @@ def test_the_eigenvector_pick_is_the_argmax_gather_bit_for_bit(rng):
             ties += np.sum(size.sum(axis=-1)[..., 0] == size.sum(axis=-1)[..., 1])
             solved += 1
     assert solved > 1000 and ties > 100, (solved, ties)
-
-
-def cross_operand(rng, n, dtype, special):
-    """An (n, 3) batch of normal draws, or of entries from +-0, +-inf, NaN, +-1."""
-    def part():
-        if special:
-            return rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0], size=(n, 3))
-        return rng.normal(size=(n, 3))
-    return part() + 1j * part() if dtype is complex else part()
-
-
-@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
-def test_cross3_is_np_cross_bit_for_bit(rng, special):
-    """Real, complex and mixed (n, 3) batches, (3,) x (n, 3) broadcasts both
-    ways and (3,) x (3,)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        for n in (1, 2, 3, 7, 16, 65):
-            for dtype_a, dtype_b in ((float, float), (complex, complex), (float, complex)):
-                a = cross_operand(rng, n, dtype_a, special)
-                b = cross_operand(rng, n, dtype_b, special)
-                for x, y in ((a, b), (b, a), (a[0], b), (a, b[0]), (a[0], b[0])):
-                    want, got = np.cross(x, y), cross3(x, y)
-                    assert got.shape == want.shape and got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), (x, y)
 
 
 def test_walk_eigensystem_rejects_non_finite_momenta():
