@@ -30,7 +30,14 @@ import numpy as np
 from .core import PAULI, EigenSystem
 from .errors import ImaginaryEnergy, SingularNormalization
 from .floquet import CoinParams, d_coefficients, momentum_operator_closed
-from .spectrum import EP_TOL, PTPhase, pt_classify, quasienergies, walk_eigensystem
+from .spectrum import (
+    EP_TOL,
+    PTPhase,
+    lower_band_kets,
+    pt_classify,
+    quasienergies,
+    walk_eigensystem,
+)
 
 __all__ = [
     "QuenchSpec",
@@ -114,12 +121,18 @@ class BlochField:
 
 
 def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
-    """The initial spinor in each momentum sector, shape (n_k, 2)."""
+    """The initial spinor in each momentum sector, shape (n_k, 2).
+
+    For an eigenstate start this is the initial operator's minus-band ket from
+    :func:`~ptwalk.spectrum.lower_band_kets`, the solve and column pick of
+    ``walk_eigensystem`` without the plus band and the bras, so it equals
+    ``walk_eigensystem(spec.initial, ks).right[:, 1, :]`` bit for bit.
+    """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if spec.initial_state is not None:
         state = np.array(spec.initial_state, dtype=complex)
         return np.broadcast_to(state, (len(ks), 2)).copy()
-    return walk_eigensystem(spec.initial, ks).right[:, 1, :]
+    return lower_band_kets(spec.initial, ks)
 
 
 def initial_state_residual(spec: QuenchSpec) -> float:
@@ -252,16 +265,6 @@ def _bloch_axes(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.broadcast_to(h_a, h_f.shape), h_f
 
 
-def _trig_poly(coeffs: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_m a_m e^{i m theta} and its theta derivative at each theta.
-
-    ``coeffs`` holds a_m on axis 0 in FFT order; trailing axes are carried.
-    """
-    m = np.fft.fftfreq(len(coeffs), 1.0 / len(coeffs))
-    phase = np.exp(1j * np.outer(theta, m))
-    return tuple(np.tensordot(phase * (1j * m) ** order, coeffs, axes=1) for order in (0, 1))
-
-
 def _unit_circle_angles(samples: np.ndarray, degree: int, floor: float) -> np.ndarray:
     """Angles of the zeros on or near the unit circle of a sampled trigonometric
     polynomial of ``degree`` in theta, one ``np.roots`` call.
@@ -279,6 +282,16 @@ def _unit_circle_angles(samples: np.ndarray, degree: int, floor: float) -> np.nd
     return np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b on the last axis, rounded as ``np.cross`` rounds it: each
+    component is one product minus another.
+
+    Two array products over gathered components in place of ``np.cross``'s six
+    strided ones, so that a stack of small cross products costs one call.
+    """
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.ndarray:
     """Refine candidate angles to the zeros of W = h_a x w + i m w; drop the others.
 
@@ -293,16 +306,28 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     root, so Gauss-Newton steps reach full precision.  An angle is kept if,
     before the last step, it lies within ``_ROOT_TOL`` of a zero of W in theta
     (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
+
+    Each step evaluates h and dh/dtheta from one phase matrix, and its five
+    cross products as two stacked calls of :func:`_cross`: [h_a, dh_a, h_a]
+    x [h_f, h_f, dh_f] gives w and the two terms of dw, then [h_a, dh_a, h_a]
+    x [w, w, dw] the cross terms of W and dW.  The sums are those of five
+    ``np.cross`` calls, so every angle keeps its bits.
     """
+    harmonics = np.fft.fftfreq(len(h_coeffs), 1.0 / len(h_coeffs))
+    derivative = 1j * harmonics
     for _ in range(_NEWTON_STEPS):
-        (h_a, h_f), (dh_a, dh_f) = (v.transpose(1, 0, 2) for v in _trig_poly(h_coeffs, theta))
-        w = np.cross(h_a, h_f)
-        dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
+        phase = np.exp(1j * np.outer(theta, harmonics))
+        h_a, h_f = np.tensordot(phase, h_coeffs, axes=1).transpose(1, 0, 2)
+        dh_a, dh_f = np.tensordot(phase * derivative, h_coeffs, axes=1).transpose(1, 0, 2)
+        lhs = np.stack([h_a, dh_a, h_a])
+        w, dw_a, dw_f = _cross(lhs, np.stack([h_f, h_f, dh_f]))
+        dw = dw_a + dw_f
         m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))
         with np.errstate(divide="ignore", invalid="ignore"):
             dm = np.sum(h_a * dh_a, axis=1, keepdims=True) / m
-            big_w = np.cross(h_a, w) + 1j * m * w
-            d_big_w = np.cross(dh_a, w) + np.cross(h_a, dw) + 1j * (dm * w + m * dw)
+            a_w, da_w, a_dw = _cross(lhs, np.stack([w, w, dw]))
+            big_w = a_w + 1j * m * w
+            d_big_w = da_w + a_dw + 1j * (dm * w + m * dw)
             slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
             step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
         step = np.where(np.isfinite(step), step, 0.0)

@@ -8,8 +8,10 @@ growing and decaying modes and the + band is the growing one, Im E > 0 (with
 Re E = -pi on the d0 < -1 branch of the principal logarithm).  Every path
 takes E from d0 by that one rule, the biorthogonal eigensystem
 (:func:`walk_eigensystem`) included, which is built in closed form from the
-d coefficients.  d0 is an affine function of cos(2k), so its extrema sit at
-k = 0 and k = pi/2, which makes the broken/unbroken classification exact.
+d coefficients; :func:`lower_band_kets` runs the same solve for the
+minus-band kets alone.  d0 is an affine function of cos(2k), so its extrema
+sit at k = 0 and k = pi/2, which makes the broken/unbroken classification
+exact.
 
 Winding numbers are global Berry phases: the sum of the two bands' generalized
 Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  One closed form
@@ -45,6 +47,7 @@ __all__ = [
     "phase_diagram",
     "min_gap",
     "walk_eigensystem",
+    "lower_band_kets",
 ]
 
 EP_TOL = 1e-12
@@ -140,6 +143,39 @@ def pt_classify(params: CoinParams) -> PTPhase:
     return PTPhase.BROKEN if min_gap(params) < -EP_TOL else PTPhase.UNBROKEN
 
 
+def _solve(params: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, lambda, mu, h.sigma) at the momenta ``k`` flattened: the solve
+    that :func:`walk_eigensystem` and :func:`lower_band_kets` share.
+
+    Numpy's 0-d (scalar) arithmetic rounds differently from its array loops,
+    so every batch, shape () included, is solved as a flat 1-D batch.
+    """
+    k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("momenta must be finite")
+    d = d_coefficients(params, k.reshape(-1))
+    d0 = d[:, 0].real
+    energy = _energy_plus_from_d0(d0)
+    eps = np.stack([energy, -energy], axis=-1)
+    lam = np.exp(-1j * eps)
+    h = d[:, 1:]
+    mu = np.where(d0 < -1.0, -1.0, 1.0) * np.sqrt(np.einsum("kj,kj->k", h, h))
+    gap = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), 2 * np.abs(mu))
+    if np.any(gap <= GAP_TOL):
+        raise ExceptionalPoint(
+            f"eigenvalue gap {gap.min():.3e} <= {GAP_TOL:.1e} somewhere on the grid"
+        )
+    return eps, lam, mu, np.einsum("kj,jab->kab", h, PAULI[1:])
+
+
+def _unit_kets(proj: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The larger-norm column of each projector by |entry| sums (``size``),
+    a tie keeping the first, as argmax; unit-norm."""
+    col = (size[..., 0, 1] + size[..., 1, 1] > size[..., 0, 0] + size[..., 1, 0])[..., None]
+    right = np.where(col, proj[..., 1], proj[..., 0])
+    return right / np.linalg.norm(right, axis=-1, keepdims=True)
+
+
 def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     """Biorthogonal eigensystem of Ut_k at every momentum of ``k`` (any shape).
 
@@ -155,7 +191,8 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
     (1 + h.sigma / m) / 2, m = +-mu, whose scale also fixes their phase; right
     vectors are unit-norm and left vectors rescaled so that
     <chi_b|psi_b> = 1.  Each momentum's result does not depend on the batch
-    it sits in.
+    it sits in.  The solve up to h.sigma, with its gap check, is the one
+    :func:`lower_band_kets` runs, so the two give the same minus-band ket.
 
     Raises
     ------
@@ -166,37 +203,32 @@ def walk_eigensystem(params: CoinParams, k) -> EigenSystem:
         (the smaller of the two roundings) is at or below ``GAP_TOL`` at some
         momentum (band touching).
     """
-    k = np.asarray(k, dtype=float)
-    if not np.isfinite(k).all():
-        raise ValueError("momenta must be finite")
-    # Numpy's 0-d (scalar) arithmetic rounds differently from its array loops,
-    # so every batch, shape () included, is solved as a flat 1-D batch.
-    batch = k.shape
-    d = d_coefficients(params, k.reshape(-1))
-    d0 = d[:, 0].real
-    energy = _energy_plus_from_d0(d0)
-    eps = np.stack([energy, -energy], axis=-1)
-    lam = np.exp(-1j * eps)
-    h = d[:, 1:]
-    mu = np.where(d0 < -1.0, -1.0, 1.0) * np.sqrt(np.einsum("kj,kj->k", h, h))
-    gap = np.minimum(np.abs(lam[:, 0] - lam[:, 1]), 2 * np.abs(mu))
-    if np.any(gap <= GAP_TOL):
-        raise ExceptionalPoint(
-            f"eigenvalue gap {gap.min():.3e} <= {GAP_TOL:.1e} somewhere on the grid"
-        )
-    h_sigma = np.einsum("kj,jab->kab", h, PAULI[1:])
+    batch = np.shape(k)
+    eps, lam, mu, h_sigma = _solve(params, k)
     m = np.stack([mu, -mu], axis=1)[..., None, None]
     proj = (SIGMA_0 + h_sigma[:, None] / m) / 2
-    # The larger-norm column (row) by |entry| sums; a tie keeps the first, as argmax.
     size = np.abs(proj)
-    col = (size[..., 0, 1] + size[..., 1, 1] > size[..., 0, 0] + size[..., 1, 0])[..., None]
+    right = _unit_kets(proj, size)
+    # The larger-norm row by the same rule.
     row = (size[..., 1, 0] + size[..., 1, 1] > size[..., 0, 0] + size[..., 0, 1])[..., None]
-    right = np.where(col, proj[..., 1], proj[..., 0])
-    right = right / np.linalg.norm(right, axis=-1, keepdims=True)
     left = np.where(row, proj[..., 1, :], proj[..., 0, :])
     left = left / np.einsum("kbc,kbc->kb", left, right)[..., None]
     vec, mat = batch + (2,), batch + (2, 2)
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
+
+
+def lower_band_kets(params: CoinParams, k) -> np.ndarray:
+    """The minus-band kets of Ut_k at every momentum of ``k``, shape k.shape + (2,).
+
+    Bit for bit ``walk_eigensystem(params, k).right[..., 1, :]``, with the
+    same errors: the same solve, then only the minus-band projector
+    (1 + h.sigma / (-mu)) / 2 and its larger-norm column, unit-norm.  The
+    plus band, the bras and their normalization are not formed.
+    """
+    batch = np.shape(k)
+    _, _, mu, h_sigma = _solve(params, k)
+    proj = (SIGMA_0 + h_sigma / (-mu)[:, None, None]) / 2
+    return _unit_kets(proj, np.abs(proj)).reshape(batch + (2,))
 
 
 def zak_phase(params: CoinParams, band: int, n_k: int = 512) -> float:

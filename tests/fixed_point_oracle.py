@@ -1,4 +1,7 @@
-"""Grid-scan fixed-point search: the independent reference for the root solver.
+"""Fixed-point references: a grid-scan search, and the root polish one
+cross product at a time.
+
+:func:`grid_fixed_points` is the independent reference for the root solver.
 
 Scans |c_+-|^2 on a uniform momentum grid, brackets every local minimum below
 1e-2 (with periodic wraparound) and refines it by golden-section search on
@@ -6,6 +9,11 @@ the bracket [k - dk, k + dk].  A refined minimum counts as a fixed point when
 its |c|^2 is below ``FIXED_POINT_RESIDUAL``.  It can miss a pair of close
 zeros that one grid cell holds, but it never invents one, so a point it
 finds and the solver lacks is a solver defect.
+
+:func:`polish_by_np_cross` is the Gauss-Newton polish of
+``ptwalk.quench._polish_on_start`` written plainly: a phase matrix per
+derivative order and five ``np.cross`` calls per step.  The package's stacked polish must return the
+same angles bit for bit.
 """
 
 import math
@@ -13,6 +21,9 @@ import math
 import numpy as np
 
 from ptwalk.quench import (
+    _NEWTON_STEPS,
+    _ROOT_TOL,
+    _W_ROUNDING,
     FIXED_POINT_RESIDUAL,
     FixedPoint,
     FixedPointKind,
@@ -78,3 +89,32 @@ def grid_fixed_points(spec, n_k: int = 512) -> list[FixedPoint]:
             continue
         deduped.append(fp)
     return deduped
+
+
+def _trig_poly(coeffs, theta):
+    """sum_m a_m e^{i m theta} and its theta derivative at each theta."""
+    m = np.fft.fftfreq(len(coeffs), 1.0 / len(coeffs))
+    phase = np.exp(1j * np.outer(theta, m))
+    return tuple(np.tensordot(phase * (1j * m) ** order, coeffs, axes=1) for order in (0, 1))
+
+
+def polish_by_np_cross(h_coeffs, sign, theta):
+    """The Gauss-Newton polish of candidate angles, with five ``np.cross`` per step."""
+    for _ in range(_NEWTON_STEPS):
+        (h_a, h_f), (dh_a, dh_f) = (v.transpose(1, 0, 2) for v in _trig_poly(h_coeffs, theta))
+        w = np.cross(h_a, h_f)
+        dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
+        m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dm = np.sum(h_a * dh_a, axis=1, keepdims=True) / m
+            big_w = np.cross(h_a, w) + 1j * m * w
+            d_big_w = np.cross(dh_a, w) + np.cross(h_a, dw) + 1j * (dm * w + m * dw)
+            slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
+            step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
+        step = np.where(np.isfinite(step), step, 0.0)
+        theta = theta - step
+        if np.all(np.abs(step) <= 1e-15):
+            break
+    size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
+    rounding = (_W_ROUNDING * size) ** 2
+    return theta[np.sum(np.abs(big_w) ** 2, axis=1) <= _ROOT_TOL**2 * slope + rounding]

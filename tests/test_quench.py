@@ -5,11 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixed_point_oracle import grid_fixed_points
+from fixed_point_oracle import grid_fixed_points, polish_by_np_cross
 from measurement_oracle import bloch_from_density, density_matrix, tau_basis
-from ptwalk.errors import ImaginaryEnergy, WalkError
+import ptwalk.quench
+from ptwalk.errors import ExceptionalPoint, ImaginaryEnergy, WalkError
 from ptwalk.floquet import CoinParams, d_coefficients
+from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import (
+    _cross,
     FIXED_POINT_RESIDUAL,
     FixedPointKind,
     QuenchSpec,
@@ -502,6 +505,94 @@ def test_a_fixed_point_next_to_a_band_touching_is_reported():
         _, (c_minus,), _ = overlap_grid(NEAR_EXCEPTIONAL, np.array([fp.k + step]))
         assert abs(c_minus) ** 2 > 1e-4
     assert any(zone_distance(o.k, fp.k + PI) < 1e-12 for o in fps if o is not fp)
+
+
+# The 8-submanifold quench of the CI smoke step.
+CHERN8 = QuenchSpec(
+    initial=CoinParams(3.0164423629324615, -0.47799822555225857, 0.18581753724986383),
+    final=CoinParams(2.3064608091792387, 0.015475035026474515, 0.18581753724986383),
+)
+
+
+def polish_test_quenches():
+    """The presets, the CHERN8 quench, and random eigenstate and explicit-state
+    starts, lossless (beta = 0) and lossy, from a fixed seed."""
+    specs = [build_spec(preset) for preset in PRESETS.values()] + [CHERN8]
+    rng = np.random.default_rng(21)
+    while len(specs) < 49:
+        p = 0.0 if len(specs) % 2 else float(rng.uniform(0.0, 0.6))
+        final = CoinParams(*rng.uniform(-PI, PI, 2), p)
+        if len(specs) % 3:
+            initial = CoinParams(*rng.uniform(-PI, PI, 2), p)
+            if pt_classify(initial) is PTPhase.UNBROKEN:
+                specs.append(QuenchSpec(initial=initial, final=final))
+        else:
+            mix, phi = rng.uniform(-PI, PI, 2)
+            state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
+            specs.append(QuenchSpec(initial=final, final=final, initial_state=state))
+    return specs
+
+
+def test_the_stacked_polish_is_the_np_cross_polish_bit_for_bit(monkeypatch):
+    """``_polish_on_start`` returns the angles of the five-``np.cross`` oracle
+    in every bit: on the candidates ``find_fixed_points`` hands it, on their
+    first one alone, and on random batches of 8 and of 1 angle (numpy's
+    complex loops may round a one-element batch differently)."""
+    polish = ptwalk.quench._polish_on_start
+    calls = []
+
+    def spy(h_coeffs, sign, theta):
+        calls.append((h_coeffs, sign, theta))
+        return polish(h_coeffs, sign, theta)
+
+    monkeypatch.setattr(ptwalk.quench, "_polish_on_start", spy)
+    for spec in polish_test_quenches():
+        try:
+            find_fixed_points(spec)
+        except WalkError:
+            pass
+    assert len(calls) >= 45
+    rng = np.random.default_rng(22)
+    for h_coeffs, sign, theta in calls:
+        for batch in (theta, theta[:1], rng.uniform(-PI, PI, 8), rng.uniform(-PI, PI, 1)):
+            want = polish_by_np_cross(h_coeffs, sign, batch)
+            assert polish(h_coeffs, sign, batch).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (16, 3), (3, 1, 3), (3, 8, 3)])
+def test_the_cross_helper_is_np_cross_bit_for_bit(shape):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a.real[rng.random(shape) < 0.2] = -0.0
+        a.imag[rng.random(shape) < 0.2] = 0.0
+        b.real[rng.random(shape) < 0.2] = 0.0
+        b.imag[rng.random(shape) < 0.2] = -0.0
+        for x, y in ((a, b), (a, b.real), (b.real, a)):
+            want = np.cross(x, y)
+            got = _cross(x, y)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_initial_spinors_are_the_minus_band_kets_of_walk_eigensystem(rng):
+    for size in (1, 1, 2, 7, 64, 300):
+        spec = QuenchSpec(initial=random_coin_params(rng, p_max=0.6), final=CoinParams(0.3, 0.2))
+        ks = rng.uniform(-PI, PI, size)
+        want = walk_eigensystem(spec.initial, ks).right[:, 1, :]
+        assert initial_spinors(spec, ks).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, error", [(0.0, ExceptionalPoint), (np.nan, ValueError),
+                                      (np.inf, ValueError)])
+def test_initial_spinors_raise_what_walk_eigensystem_raises(k, error):
+    spec = QuenchSpec(initial=CoinParams(0.0, 0.0), final=CoinParams(0.3, 0.2))  # d0 = cos 2k
+    ks = np.array([0.5, k])
+    with pytest.raises(error) as want:
+        walk_eigensystem(spec.initial, ks)
+    with pytest.raises(error) as got:
+        initial_spinors(spec, ks)
+    assert str(got.value) == str(want.value)
 
 
 def test_overflowing_dressed_weights_raise(spec_fig4):
