@@ -287,7 +287,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     component is one product minus another.
 
     Two array products over gathered components in place of ``np.cross``'s six
-    strided ones, so that a stack of small cross products costs one call.
+    strided ones, so that a stack of small cross products costs one call.  It
+    passes no ufunc ``out=``, so it runs on every numpy the package allows.
     """
     return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
