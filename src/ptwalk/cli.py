@@ -43,6 +43,10 @@ def _say(args, text: str) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _gather(text: list[str], inverse: np.ndarray) -> list[str]:
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def _float_cells(values, fmt: str) -> list[str]:
     # Each distinct bit pattern is formatted once (k and t repeat through a
     # Bloch table); bits, not values, so that -0.0 keeps its sign.
@@ -55,18 +59,22 @@ def _float_cells(values, fmt: str) -> list[str]:
         text = list(map(float.__repr__, distinct.tolist()))
         if not np.isfinite(distinct).all():
             text = [_JSON_NONFINITE.get(s, s) for s in text]
-    return np.array(text, dtype=object)[inverse].tolist()
+    return _gather(text, inverse)
 
 
 def _column_cells(values: Sequence, fmt: str) -> list[str]:
     """The text of every cell of one column; a column holds one value type."""
+    encode = str if fmt == "csv" else json.dumps
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             return _float_cells(values, fmt)
+        if values.dtype.kind in "biu":
+            # Bool and integer cells: each distinct value is encoded once.
+            distinct, inverse = np.unique(values.reshape(-1), return_inverse=True)
+            return _gather(list(map(encode, distinct.tolist())), inverse)
         values = values.tolist()
     elif len(values) and isinstance(values[0], float):
         return _float_cells(values, fmt)
-    encode = str if fmt == "csv" else json.dumps
     text = {v: encode(v) for v in set(values)}
     return list(map(text.__getitem__, values))
 

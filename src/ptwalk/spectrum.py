@@ -119,12 +119,12 @@ def _min_gaps(alpha: float, c1, s1, c2, s2) -> np.ndarray:
 
     d0 = alpha (cos 2k c1 c2 - s1 s2) is affine in cos 2k, so its extrema sit
     at cos 2k = +-1 and max_k |d0| = |alpha c1 c2| + |alpha s1 s2|.  The square
-    is Python's float power (the C library's pow), not numpy's x*x: the two
-    differ in the last bit for about one value in a thousand.
+    is one IEEE multiply, so it is correctly rounded; Python's ``x**2`` (the C
+    library's pow) is not, and misses it in the last bit for about one value
+    in a thousand.
     """
     extreme = np.abs(alpha * c1 * c2) + np.abs(alpha * s1 * s2)
-    squares = [e**2 for e in np.ravel(extreme).tolist()]
-    return 1.0 - np.reshape(squares, np.shape(extreme))
+    return 1.0 - extreme * extreme
 
 
 def min_gap(params: CoinParams) -> float:

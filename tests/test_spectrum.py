@@ -1,6 +1,7 @@
 """Bands, PT classification, Zak phases, winding numbers, phase diagram."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,14 +53,45 @@ def test_exceptional_point_raises():
         quasienergies(params, 0.0)
 
 
+def _extreme(params: CoinParams) -> float:
+    """max_k |d0| of one walk, in the operation order min_gap uses."""
+    th1, th2 = params.theta1, params.theta2
+    a = params.alpha * math.cos(th1) * math.cos(th2)
+    b = -params.alpha * math.sin(th1) * math.sin(th2)
+    return abs(a) + abs(b)
+
+
 def test_min_gap_is_its_scalar_formula_bit_for_bit(rng):
-    # The published gap squares with Python's float power; numpy's x*x
-    # differs from it in the last bit for about one value in a thousand.
     for th1, th2, p in rng.uniform((-np.pi, -np.pi, 0.0), (np.pi, np.pi, 0.95), (20000, 3)):
         params = CoinParams(float(th1), float(th2), float(p))
-        a = params.alpha * math.cos(th1) * math.cos(th2)
-        b = -params.alpha * math.sin(th1) * math.sin(th2)
-        assert min_gap(params) == 1.0 - (abs(a) + abs(b)) ** 2
+        e = _extreme(params)
+        assert min_gap(params) == 1.0 - e * e
+
+
+# Python's x**2 (the C library's pow) misses the rounded square of this
+# walk's max |d0| by one ulp.
+POW_MISSES = CoinParams(0.6824285933795462, -0.6006370749507517, 0.25967413616133167)
+
+
+def _rounded_gap(x: float) -> float:
+    """1 - x^2 with the square taken exactly and rounded once to a float."""
+    return 1.0 - float(Fraction(x) ** 2)
+
+
+def test_min_gap_squares_are_correctly_rounded(rng):
+    x = _extreme(POW_MISSES)
+    assert 1.0 - x**2 != _rounded_gap(x)
+    draws = rng.uniform((-np.pi, -np.pi, 0.0), (np.pi, np.pi, 0.95), (2000, 3))
+    for params in [POW_MISSES, *(CoinParams(*map(float, row)) for row in draws)]:
+        assert min_gap(params) == _rounded_gap(_extreme(params))
+    # The diagram's column, on a grid through the same walk.
+    thetas1 = np.append(np.linspace(-np.pi, np.pi, 31, endpoint=False), POW_MISSES.theta1)
+    thetas2 = np.append(np.linspace(-np.pi, np.pi, 31, endpoint=False), POW_MISSES.theta2)
+    cells = phase_diagram(thetas1, thetas2, POW_MISSES.p)
+    want = [_rounded_gap(_extreme(CoinParams(th1, th2, POW_MISSES.p)))
+            for th1, th2 in zip(cells.theta1.tolist(), cells.theta2.tolist())]
+    assert cells.min_gap.tolist() == want
+    assert cells.min_gap[-1] == min_gap(POW_MISSES)
 
 
 def test_pt_classify_examples():
