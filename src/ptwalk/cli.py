@@ -43,10 +43,6 @@ def _say(args, text: str) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _gather(text: list[str], inverse: np.ndarray) -> list[str]:
-    return np.array(text, dtype=object)[inverse].tolist()
-
-
 def _float_cells(values, fmt: str) -> list[str]:
     # Each distinct bit pattern is formatted once (k and t repeat through a
     # Bloch table); bits, not values, so that -0.0 keeps its sign.
@@ -59,7 +55,7 @@ def _float_cells(values, fmt: str) -> list[str]:
         text = list(map(float.__repr__, distinct.tolist()))
         if not np.isfinite(distinct).all():
             text = [_JSON_NONFINITE.get(s, s) for s in text]
-    return _gather(text, inverse)
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _column_cells(values: Sequence, fmt: str) -> list[str]:
@@ -71,7 +67,8 @@ def _column_cells(values: Sequence, fmt: str) -> list[str]:
         if values.dtype.kind in "biu":
             # Bool and integer cells: each distinct value is encoded once.
             distinct, inverse = np.unique(values.reshape(-1), return_inverse=True)
-            return _gather(list(map(encode, distinct.tolist())), inverse)
+            text = list(map(encode, distinct.tolist()))
+            return np.array(text, dtype=object)[inverse].tolist()
         values = values.tolist()
     elif len(values) and isinstance(values[0], float):
         return _float_cells(values, fmt)
