@@ -13,25 +13,18 @@ from .chern import (
     ChernResult,
     Submanifold,
     build_submanifolds,
-    chern_riemann,
-    chern_solid_angle,
+    chern_numbers,
 )
-from .core import EigenSystem, pauli_assemble, pauli_expand
+from .core import EigenSystem, pauli_assemble
 from .errors import (
     ConfigError,
     DegenerateSpectrum,
     DegenerateTriangle,
     ExceptionalPoint,
-    ImaginaryEnergy,
     SingularNormalization,
     WalkError,
 )
-from .floquet import (
-    CoinParams,
-    d_coefficients,
-    momentum_operator_closed,
-    momentum_operator_direct,
-)
+from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 from .measurement import (
     onsite_probabilities,
     reconstruct_bloch_field,
@@ -45,9 +38,7 @@ from .quench import (
     FixedPointKind,
     QuenchSpec,
     bloch_field,
-    bloch_vector,
     find_fixed_points,
-    oscillation_period,
 )
 from .spectrum import (
     BandStructure,
@@ -55,9 +46,7 @@ from .spectrum import (
     band_structure,
     phase_diagram,
     pt_classify,
-    quasienergies,
     winding_number,
-    zak_phase,
 )
 from .walksim import PositionState, evolve, step_position
 
@@ -74,7 +63,6 @@ __all__ = [
     "ExceptionalPoint",
     "FixedPoint",
     "FixedPointKind",
-    "ImaginaryEnergy",
     "PRESETS",
     "PTPhase",
     "PositionState",
@@ -84,27 +72,20 @@ __all__ = [
     "WalkError",
     "band_structure",
     "bloch_field",
-    "bloch_vector",
     "build_spec",
     "build_submanifolds",
-    "chern_riemann",
-    "chern_solid_angle",
+    "chern_numbers",
     "d_coefficients",
     "evolve",
     "find_fixed_points",
     "momentum_operator_closed",
-    "momentum_operator_direct",
     "onsite_probabilities",
-    "oscillation_period",
     "pauli_assemble",
-    "pauli_expand",
     "phase_diagram",
     "pt_classify",
-    "quasienergies",
     "reconstruct_bloch_field",
     "reconstruct_matrix_elements",
     "sample_shot_noise",
     "step_position",
     "winding_number",
-    "zak_phase",
 ]

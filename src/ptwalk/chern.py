@@ -14,10 +14,10 @@ cancels identically.  In tau the dressed coefficients are simply
 (c_+(k), c_-(k) e^{2 pi i tau}) up to a global phase, so each column of the
 field costs one eigensystem.
 
-``chern_riemann`` discretizes the integral by the midpoint rule with central
-differences; ``chern_solid_angle`` sums exact signed spherical-triangle areas
-over grid plaquettes, which yields an exactly integer total for any admissible
-grid.  The two must agree after rounding.
+The Riemann integrator discretizes the integral by the midpoint rule with
+central differences; the solid-angle integrator sums exact signed
+spherical-triangle areas over grid plaquettes, which yields an exactly integer
+total for any admissible grid.  The two must agree after rounding.
 
 One tau row stands for all ``n_t`` of them.  The phase e^{i pi tau} turns
 n1 + i n2 = 2 conj(c_+) c_- e^{2 pi i tau} / n0 and leaves n3 alone, so row
@@ -30,9 +30,9 @@ multiplies by ``n_t``: the same lattice, differences and triangulation as the
 full grid, equal to it up to rounding.  The full-grid sums are kept in the
 tests as the oracle.
 
-``chern_numbers`` evaluates both integrators on every submanifold of a
-quench from one overlap solve, in one array pass per integrator over them all;
-``chern_riemann`` and ``chern_solid_angle`` run the same code for one.
+:func:`chern_numbers`, the one entry point, evaluates both integrators on
+every submanifold of a quench from one overlap solve, in one array pass per
+integrator over them all.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ __all__ = [
     "Submanifold",
     "ChernResult",
     "build_submanifolds",
-    "chern_riemann",
-    "chern_solid_angle",
     "chern_numbers",
 ]
 
@@ -175,36 +173,17 @@ def _integrate(spec: QuenchSpec, subs: list[Submanifold], grids: tuple) -> list[
             for row in np.stack(values, axis=1).tolist()]
 
 
-def chern_riemann(
-    sub: Submanifold, spec: QuenchSpec, n_k: int = 256, n_t: int = 256
-) -> ChernResult:
-    """Midpoint-rule integral of the degree density with central differences."""
-    return _integrate(spec, [sub], (("riemann", n_k, n_t),))[0][0]
-
-
-def chern_solid_angle(
-    sub: Submanifold, spec: QuenchSpec, n_k: int = 128, n_t: int = 128
-) -> ChernResult:
-    """Degree of the n map as total signed spherical area over 4 pi.
-
-    The (k, tau) rectangle is triangulated on grid nodes (tau periodic, k
-    endpoints at the poles); summed spherical-triangle areas give an exactly
-    integer multiple of 4 pi up to floating-point rounding.
-    """
-    return _integrate(spec, [sub], (("solid_angle", n_k, n_t),))[0][0]
-
-
 def chern_numbers(
     spec: QuenchSpec, subs: list[Submanifold], n_k: int = 256, n_t: int = 256
 ) -> list[tuple[ChernResult, ChernResult]]:
     """(Riemann, solid-angle) result per submanifold, from one overlap solve.
 
     The Riemann grid is ``n_k`` x ``n_t``; the triangulation, whose areas are
-    exact, takes min(n_k, 128) x min(n_t, 128).  Each result equals
-    :func:`chern_riemann` or :func:`chern_solid_angle` alone bit for bit, and
-    errors come in their order: submanifold by submanifold, Riemann first.
-    A band touching, a complex E or a degenerate triangle anywhere stops the
-    batch, so then the integrators run one at a time and the first to fail raises.
+    exact, takes min(n_k, 128) x min(n_t, 128).  Each result equals its
+    integrator run on that submanifold alone bit for bit, and errors come in
+    that order: submanifold by submanifold, Riemann first.  A band touching,
+    a complex E or a degenerate triangle anywhere stops the batch, so then the
+    integrators run one at a time and the first to fail raises.
     """
     grids = (("riemann", n_k, n_t), ("solid_angle", min(n_k, 128), min(n_t, 128)))
     if not subs:

@@ -22,11 +22,9 @@ __all__ = [
     "SIGMA_1",
     "SIGMA_2",
     "SIGMA_3",
-    "KET_H",
     "KET_L",
     "KET_D",
     "EigenSystem",
-    "pauli_expand",
     "pauli_assemble",
 ]
 
@@ -36,8 +34,7 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3])
 
-# Polarization basis states of the coin.
-KET_H = np.array([1, 0], dtype=complex)
+# Polarization basis states of the coin that the interference measurements use.
 KET_L = np.array([1, -1j], dtype=complex) / np.sqrt(2)
 KET_D = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
@@ -57,26 +54,8 @@ class EigenSystem:
     right: np.ndarray         # (..., 2, 2) kets, right[..., band, component]
     left: np.ndarray          # (..., 2, 2) bras, left[..., band, component]
 
-    @property
-    def psi_plus(self) -> np.ndarray:
-        return self.right[..., 0, :]
-
-    @property
-    def psi_minus(self) -> np.ndarray:
-        return self.right[..., 1, :]
-
-    def completeness(self) -> np.ndarray:
-        """sum_mu |psi_mu><chi_mu|, identity for a biorthonormal system."""
-        return np.einsum("...bc,...bd->...cd", self.right, self.left)
-
-
-def pauli_expand(m: np.ndarray) -> np.ndarray:
-    """Coefficients c_j with m = sum_j c_j sigma_j, via c_j = Tr(m sigma_j)/2."""
-    m = np.asarray(m, dtype=complex)
-    return np.einsum("jab,...ba->...j", PAULI, m) / 2
-
 
 def pauli_assemble(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pauli_expand`."""
+    """The matrix sum_j c_j sigma_j of the Pauli coefficients c on the last axis."""
     coeffs = np.asarray(coeffs, dtype=complex)
     return np.einsum("...j,jab->...ab", coeffs, PAULI)

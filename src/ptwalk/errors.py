@@ -17,10 +17,6 @@ class ExceptionalPoint(DegenerateSpectrum):
     """Band touching of the non-unitary operator (|d0| = 1 at some momentum)."""
 
 
-class ImaginaryEnergy(WalkError):
-    """Operation requires a real quasienergy but the band is imaginary here."""
-
-
 class SingularNormalization(WalkError):
     """A density-matrix normalization denominator vanished."""
 

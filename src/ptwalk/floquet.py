@@ -14,9 +14,10 @@ determinant and the closed Pauli form
 
     Ut_k = d0 sigma_0 - i(d1 sigma_1 + d2 sigma_2 + d3 sigma_3),   d1 = i beta,
 
-with d0, d2, d3 real trigonometric polynomials in (2k, theta1, theta2).  Both
-the closed form and the direct product are provided; they must agree to
-machine precision, which pins every sign convention above.
+with d0, d2, d3 real trigonometric polynomials in (2k, theta1, theta2).  Only
+the closed form is computed here; the tests multiply the factors out and
+require agreement to machine precision, which pins every sign convention
+above.  The position-space walk applies the same coin and loss factors.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from .core import pauli_assemble
 __all__ = [
     "CoinParams",
     "coin_rotation",
-    "shift_matrix",
     "loss_matrix",
     "d_coefficients",
     "momentum_operator_closed",
-    "momentum_operator_direct",
 ]
 
 
@@ -79,15 +78,6 @@ def coin_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def shift_matrix(k) -> np.ndarray:
-    """Momentum representation diag(e^{ik}, e^{-ik}) of the double-sided shift."""
-    k = np.asarray(k, dtype=float)
-    out = np.zeros(k.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * k)
-    out[..., 1, 1] = np.exp(-1j * k)
-    return out
-
-
 def loss_matrix(p: float) -> np.ndarray:
     """M = |+><+| + sqrt(1-p)|-><-| in the polarization basis."""
     m = math.sqrt(1.0 - p)
@@ -115,16 +105,3 @@ def d_coefficients(params: CoinParams, k) -> np.ndarray:
 def momentum_operator_closed(params: CoinParams, k) -> np.ndarray:
     """Rescaled operator Ut_k from the closed-form d coefficients, (..., 2, 2)."""
     return pauli_assemble(d_coefficients(params, k) * np.array([1, -1j, -1j, -1j]))
-
-
-def momentum_operator_direct(params: CoinParams, k) -> np.ndarray:
-    """gamma times the raw operator product, assembled factor by factor.
-
-    Cross-check for :func:`momentum_operator_closed`; the two must agree
-    elementwise to machine precision for all parameters.
-    """
-    r1 = coin_rotation(params.theta1 / 2)
-    r2 = coin_rotation(params.theta2 / 2)
-    s = shift_matrix(k)
-    inner = r2 @ loss_matrix(params.p) @ r2
-    return params.gamma * (r1 @ s @ inner @ s @ r1)

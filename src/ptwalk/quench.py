@@ -28,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PAULI, EigenSystem
-from .errors import ImaginaryEnergy, SingularNormalization
+from .errors import SingularNormalization
 from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 from .spectrum import (
     EP_TOL,
     PTPhase,
     lower_band_kets,
     pt_classify,
-    quasienergies,
     walk_eigensystem,
 )
 
@@ -46,10 +45,8 @@ __all__ = [
     "BlochField",
     "overlap_grid",
     "bloch_from_coefficients",
-    "bloch_vector",
     "bloch_field",
     "find_fixed_points",
-    "oscillation_period",
     "initial_state_residual",
 ]
 
@@ -202,13 +199,6 @@ def bloch_from_coefficients(ct_plus, ct_minus) -> np.ndarray:
     return np.stack(
         [2 * cross.real / n0, 2 * cross.imag / n0, (wp - wm) / n0], axis=-1
     )
-
-
-def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
-    """n(k,t) as a real unit 3-vector; t is continuous and >= 0 is not required."""
-    cp, cm, final = overlap_grid(spec, np.array([k]))
-    ct_p, ct_m = _dressed_coefficients(cp[0], cm[0], final.quasienergies[0, 0], t)
-    return bloch_from_coefficients(ct_p, ct_m)
 
 
 def bloch_field(
@@ -419,17 +409,3 @@ def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
             continue
         deduped.append(fp)
     return deduped
-
-
-def oscillation_period(spec: QuenchSpec, k: float) -> float:
-    """t0 = pi / E_k of the final operator (continuous time units).
-
-    Raises
-    ------
-    ImaginaryEnergy
-        If E_k is not real at this momentum.
-    """
-    energy, _ = quasienergies(spec.final, k)
-    if energy.imag != 0:
-        raise ImaginaryEnergy(f"E = {energy:.6g} is not real at k = {k!r}")
-    return float(np.pi / energy.real)

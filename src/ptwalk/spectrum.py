@@ -1,4 +1,4 @@
-"""Quasienergy bands, PT classification, generalized Zak phases, and windings.
+"""Quasienergy bands, the biorthogonal eigensystem, PT classification, and windings.
 
 The rescaled operator has unit determinant, so its eigenvalues pair up as
 lambda_{k,+-} = e^{-+iE_k} = d0 -+ i sin E_k with quasienergies
@@ -18,10 +18,10 @@ Zak phases over the full zone k in [-pi, pi), divided by 2 pi.  One closed form
 in the coin angles gives them (:func:`winding_number` for one operator,
 :func:`phase_diagram` over a grid).  The diagram is one numpy record array,
 a record per cell with the columns ``theta1``, ``theta2``, ``nu`` (a float,
-NaN where the winding is undefined), ``pt_broken`` and ``min_gap``.
-:func:`zak_phase` is the Wilson loop of biorthogonal overlaps
-<chi_kj | psi_kj+1>, accumulated link by link to the continuum integral; its
-band sum is the reference the tests check against.
+NaN where the winding is undefined), ``pt_broken`` and ``min_gap``.  The
+tests check the closed form against the Wilson loop of biorthogonal overlaps
+<chi_kj | psi_kj+1> over :func:`walk_eigensystem`, kept with them as the
+oracle.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .floquet import CoinParams, d_coefficients
 __all__ = [
     "PTPhase",
     "BandStructure",
-    "quasienergies",
     "band_structure",
     "pt_classify",
-    "zak_phase",
     "winding_number",
     "phase_diagram",
     "min_gap",
@@ -80,21 +78,6 @@ def _energy_plus_from_d0(d0: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.maximum(d0 * d0 - 1.0, 0.0))
     lam_grow = np.where(broken, d0 + np.sign(d0) * root, 1.0).astype(complex)
     return np.where(broken, 1j * np.log(lam_grow), np.arccos(np.clip(d0, -1.0, 1.0)))
-
-
-def quasienergies(params: CoinParams, k: float) -> tuple[complex, complex]:
-    """(eps_+, eps_-) at one momentum, with eps_- = -eps_+ exactly.
-
-    Raises
-    ------
-    ExceptionalPoint
-        If |d0^2 - 1| <= 1e-12 (band touching).
-    """
-    d0 = float(d_coefficients(params, k)[..., 0].real)
-    if abs(d0 * d0 - 1.0) <= EP_TOL:
-        raise ExceptionalPoint(f"band touching at k = {k!r} (d0 = {d0!r})")
-    e_plus = complex(_energy_plus_from_d0(d0))
-    return e_plus, -e_plus
 
 
 def band_structure(params: CoinParams, ks: np.ndarray) -> BandStructure:
@@ -231,30 +214,6 @@ def lower_band_kets(params: CoinParams, k) -> np.ndarray:
     return _unit_kets(proj, np.abs(proj)).reshape(batch + (2,))
 
 
-def zak_phase(params: CoinParams, band: int, n_k: int = 512) -> float:
-    """Generalized Zak phase of one band over the full zone k in [-pi, pi).
-
-    The Wilson-loop phase is accumulated link by link with periodic
-    wraparound, so the returned value is the continuum line integral (the
-    per-band winding is kept, not reduced mod 2 pi).  ``band`` is +1 or -1.
-
-    Raises
-    ------
-    ExceptionalPoint
-        If ``min_gap(params) <= 1e-12``: PT-broken or at a band touching.
-    """
-    if band not in (+1, -1):
-        raise ValueError("band must be +1 or -1")
-    if n_k < 16:
-        raise ValueError("n_k must be >= 16")
-    if min_gap(params) <= EP_TOL:
-        raise ExceptionalPoint("PT-broken regime or band touching: Zak phase undefined")
-    grid = walk_eigensystem(params, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
-    b = 0 if band == +1 else 1
-    links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
-    return float(-np.angle(links).sum())
-
-
 def _windings(c1, s1, c2, s2) -> np.ndarray:
     """The closed-form winding of :func:`phase_diagram`, elementwise over cos/sin."""
     return np.where(np.abs(c1 * s2) < np.abs(s1 * c2), np.where(s1 > 0, 2, -2), 0)
@@ -287,8 +246,8 @@ def phase_diagram(theta1s: np.ndarray, theta2s: np.ndarray, p: float) -> np.reca
     It holds on every unbroken cell.  The winding can only change where
     d2 = d3 = 0, where the sum rule gives d0^2 = 1 + beta^2; for p > 0 every
     such gap-closing line therefore lies inside broken cells, and for p = 0 it
-    is the band touching itself.  The Zak phase band sum of :func:`zak_phase`
-    (the Wilson loop) is the reference that the tests compare against.
+    is the band touching itself.  The band sum of the generalized Zak phases
+    (the Wilson loop, in the tests) is the reference it is compared against.
 
     One record per cell, theta1-major: fields ``theta1``, ``theta2``, ``nu``
     (float), ``pt_broken`` and ``min_gap``, each a column over the n1 * n2

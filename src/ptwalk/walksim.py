@@ -41,10 +41,6 @@ class PositionState:
     def sites(self) -> np.ndarray:
         return np.arange(self.x_min, self.x_max + 1)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _shift(amps: np.ndarray) -> np.ndarray:
     """Move a components one site left and b components one site right."""

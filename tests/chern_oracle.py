@@ -5,11 +5,15 @@ same lattice, central differences and triangulation as the package, and sum
 all ``n_k`` x ``n_t`` terms.  The package sums one row and multiplies by
 ``n_t``, which rests on n(k, tau) = R_z(2 pi tau) n(k, 0); a difference beyond
 rounding between the two is a defect in that step.
+
+``chern_riemann_one`` and ``chern_solid_angle_one`` run one of the package's
+one-row integrators on one submanifold alone, the path ``chern_numbers``
+falls back to when its batch raises; the batch must equal them bit for bit.
 """
 
 import numpy as np
 
-from ptwalk.chern import ChernResult, Submanifold, _bloch_grid, _triangle_areas
+from ptwalk.chern import ChernResult, Submanifold, _bloch_grid, _integrate, _triangle_areas
 from ptwalk.errors import ExceptionalPoint
 from ptwalk.quench import QuenchSpec, overlap_grid
 
@@ -79,3 +83,13 @@ def chern_solid_angle_full(
         raise ValueError("triangulation grid must be at least 8x8")
     areas = triangle_area_grid(sub, spec, n_k, n_t)
     return _result(float((areas[0].sum() + areas[1].sum()) / (4 * np.pi)), "solid_angle")
+
+
+def chern_riemann_one(sub: Submanifold, spec: QuenchSpec, n_k: int, n_t: int) -> ChernResult:
+    """The package's one-row Riemann sum on ``sub`` alone."""
+    return _integrate(spec, [sub], (("riemann", n_k, n_t),))[0][0]
+
+
+def chern_solid_angle_one(sub: Submanifold, spec: QuenchSpec, n_k: int, n_t: int) -> ChernResult:
+    """The package's one-strip solid-angle sum on ``sub`` alone."""
+    return _integrate(spec, [sub], (("solid_angle", n_k, n_t),))[0][0]

@@ -9,14 +9,20 @@ the "+" band has the larger real part.  On a walk operator that is the
 package's rule except where d0 < -1: there i log of the negative eigenvalue
 lands on Re eps = +-pi by the sign of a rounding zero, and the package fixes
 Re E = -pi, so callers compare eps modulo 2 pi.
+
+:func:`quasienergies` is E at one momentum from a 0-d d0, a scalar path
+beside the package's batch solve.  :func:`zak_phase` is the Wilson loop of
+biorthogonal overlaps <chi_kj | psi_kj+1> over ``walk_eigensystem``; the band
+sum of the two Zak phases over 2 pi is the reference for the closed-form
+winding of ``winding_number`` and ``phase_diagram``.
 """
 
 import numpy as np
 
 from ptwalk.core import PAULI, SIGMA_0, EigenSystem
 from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
-from ptwalk.floquet import d_coefficients
-from ptwalk.spectrum import GAP_TOL, _energy_plus_from_d0
+from ptwalk.floquet import CoinParams, d_coefficients
+from ptwalk.spectrum import EP_TOL, GAP_TOL, _energy_plus_from_d0, min_gap, walk_eigensystem
 
 IM_SPLIT_TOL = 1e-12
 
@@ -99,3 +105,36 @@ def walk_eigensystem_by_gather(params, k):
     left = left / np.einsum("kbc,kbc->kb", left, right)[..., None]
     vec, mat = batch + (2,), batch + (2, 2)
     return EigenSystem(lam.reshape(vec), eps.reshape(vec), right.reshape(mat), left.reshape(mat))
+
+
+def quasienergies(params: CoinParams, k: float) -> tuple[complex, complex]:
+    """(eps_+, eps_-) at one momentum, with eps_- = -eps_+ exactly.
+
+    Raises ``ExceptionalPoint`` if |d0^2 - 1| <= 1e-12 (band touching).
+    """
+    d0 = float(d_coefficients(params, k)[..., 0].real)
+    if abs(d0 * d0 - 1.0) <= EP_TOL:
+        raise ExceptionalPoint(f"band touching at k = {k!r} (d0 = {d0!r})")
+    e_plus = complex(_energy_plus_from_d0(d0))
+    return e_plus, -e_plus
+
+
+def zak_phase(params: CoinParams, band: int, n_k: int = 512) -> float:
+    """Generalized Zak phase of one band over the full zone k in [-pi, pi).
+
+    The Wilson-loop phase is accumulated link by link with periodic
+    wraparound, so the returned value is the continuum line integral (the
+    per-band winding is kept, not reduced mod 2 pi).  ``band`` is +1 or -1.
+    Raises ``ExceptionalPoint`` if ``min_gap(params) <= 1e-12``: PT-broken or
+    at a band touching.
+    """
+    if band not in (+1, -1):
+        raise ValueError("band must be +1 or -1")
+    if n_k < 16:
+        raise ValueError("n_k must be >= 16")
+    if min_gap(params) <= EP_TOL:
+        raise ExceptionalPoint("PT-broken regime or band touching: Zak phase undefined")
+    grid = walk_eigensystem(params, np.linspace(-np.pi, np.pi, n_k, endpoint=False))
+    b = 0 if band == +1 else 1
+    links = np.einsum("kc,kc->k", grid.left[:, b, :], np.roll(grid.right[:, b, :], -1, axis=0))
+    return float(-np.angle(links).sum())

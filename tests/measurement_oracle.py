@@ -19,9 +19,10 @@ maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
 ``stokes_add_at``, as the package did before it transformed and mapped all
 steps at once; the two must agree bit for bit.
 
-``density_matrix`` is the quench's non-Hermitian density matrix
-|psi(t)><chi(t)| / <chi(t)|psi(t)> built from the evolved states, the
-reference for ``ptwalk.quench.bloch_vector``.
+``bloch_vector`` is n(k, t) at one point from ``overlap_grid`` and the
+coefficient form, and ``density_matrix`` the quench's non-Hermitian density
+matrix |psi(t)><chi(t)| / <chi(t)|psi(t)> built from the evolved states, its
+reference.
 
 ``to_nonhermitian``, ``tau_basis`` and ``bloch_from_density`` are the
 textbook frame map: rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] as a 2x2
@@ -46,7 +47,14 @@ from ptwalk.measurement import (
     reconstruct_matrix_elements,
     sample_shot_noise,
 )
-from ptwalk.quench import NORM_FLOOR, QuenchSpec, initial_spinors
+from ptwalk.quench import (
+    NORM_FLOOR,
+    QuenchSpec,
+    _dressed_coefficients,
+    bloch_from_coefficients,
+    initial_spinors,
+    overlap_grid,
+)
 from ptwalk.spectrum import walk_eigensystem
 from ptwalk.walksim import evolve
 
@@ -231,8 +239,8 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
 
     Built explicitly from the evolving right state and its associated left
     state in the polarization basis; trace 1 by construction.  This is an
-    independent code path from ``ptwalk.quench.bloch_vector``, checked
-    against it via n_j = Tr[rho tau_j] with tau from :func:`tau_basis`.
+    independent code path from :func:`bloch_vector`, checked against it via
+    n_j = Tr[rho tau_j] with tau from :func:`tau_basis`.
 
     Raises
     ------
@@ -250,3 +258,10 @@ def density_matrix(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
     if abs(denom) <= NORM_FLOOR:
         raise SingularNormalization(f"<chi(t)|psi(t)> = {denom:.3e} at k = {k!r}")
     return np.outer(psi_t, chi_t) / denom
+
+
+def bloch_vector(spec: QuenchSpec, k: float, t: float) -> np.ndarray:
+    """n(k,t) as a real unit 3-vector; t is continuous and >= 0 is not required."""
+    cp, cm, final = overlap_grid(spec, np.array([k]))
+    ct_p, ct_m = _dressed_coefficients(cp[0], cm[0], final.quasienergies[0, 0], t)
+    return bloch_from_coefficients(ct_p, ct_m)

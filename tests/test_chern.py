@@ -7,13 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptwalk.chern import (
-    Submanifold,
-    build_submanifolds,
-    chern_numbers,
-    chern_riemann,
-    chern_solid_angle,
-)
+from chern_oracle import chern_riemann_one, chern_solid_angle_one
+from ptwalk.chern import Submanifold, build_submanifolds, chern_numbers
 from ptwalk.errors import DegenerateTriangle, ExceptionalPoint, WalkError
 from ptwalk.floquet import CoinParams
 from ptwalk.quench import FixedPointKind, QuenchSpec, find_fixed_points
@@ -26,9 +21,8 @@ PI = np.pi
 def all_cherns(spec, n_k=128, n_t=128):
     fps = find_fixed_points(spec)
     subs = build_submanifolds(fps)
-    return subs, [chern_riemann(s, spec, n_k, n_t) for s in subs], [
-        chern_solid_angle(s, spec, min(n_k, 128), min(n_t, 128)) for s in subs
-    ]
+    pairs = chern_numbers(spec, subs, n_k, n_t)
+    return subs, [r for r, _ in pairs], [s for _, s in pairs]
 
 
 def test_submanifold_geometry_fig3a(spec_fig3a):
@@ -84,10 +78,10 @@ def test_same_kind_gives_zero_fig6(spec_fig6):
 def test_grid_refinement_stability(spec_fig3b):
     sub = build_submanifolds(find_fixed_points(spec_fig3b))[0]
     values = {
-        n: chern_riemann(sub, spec_fig3b, n, n).rounded for n in (128, 256, 512)
+        n: chern_riemann_one(sub, spec_fig3b, n, n).rounded for n in (128, 256, 512)
     }
     assert len(set(values.values())) == 1
-    solid = {n: chern_solid_angle(sub, spec_fig3b, n, n).rounded for n in (64, 128)}
+    solid = {n: chern_solid_angle_one(sub, spec_fig3b, n, n).rounded for n in (64, 128)}
     assert set(solid.values()) == set(values.values())
 
 
@@ -120,8 +114,8 @@ def test_methods_agree_on_random_quenches(rng):
             subs = build_submanifolds(fps)
             total = 0
             for sub in subs:
-                r = chern_riemann(sub, spec, 128, 128)
-                s = chern_solid_angle(sub, spec, 96, 96)
+                r = chern_riemann_one(sub, spec, 128, 128)
+                s = chern_solid_angle_one(sub, spec, 96, 96)
                 assert r.rounded == s.rounded, (spec, sub, r.value, s.value)
                 assert r.residual < 0.3
                 assert r.rounded == (pole(sub.kind_hi) - pole(sub.kind_lo)) // 2, (spec, sub)
@@ -152,7 +146,8 @@ def unbroken_quenches(rng):
 def one_at_a_time(spec, subs, n_k, n_t):
     """Both integrators per submanifold on their own, with the grids of chern_numbers."""
     solid = (min(n_k, 128), min(n_t, 128))
-    return [(chern_riemann(s, spec, n_k, n_t), chern_solid_angle(s, spec, *solid)) for s in subs]
+    return [(chern_riemann_one(s, spec, n_k, n_t), chern_solid_angle_one(s, spec, *solid))
+            for s in subs]
 
 
 def bits(pairs):
@@ -169,8 +164,8 @@ def raised(func, *args):
 
 
 def test_the_batch_equals_the_integrators_one_at_a_time(rng):
-    """chern_numbers gives the same bits as chern_riemann and chern_solid_angle
-    called per submanifold, on the presets at the CLI grids and on the random
+    """chern_numbers gives the same bits as each integrator run on each
+    submanifold alone, on the presets at the CLI grids and on the random
     quenches at 128 x 96."""
     from ptwalk.presets import PRESETS, build_spec
 
@@ -275,8 +270,8 @@ def test_degenerate_triangle_raises():
 
 def test_riemann_grid_precondition(spec_fig3a):
     sub = build_submanifolds(find_fixed_points(spec_fig3a))[0]
-    with pytest.raises(ValueError):
-        chern_riemann(sub, spec_fig3a, 32, 32)
+    with pytest.raises(ValueError, match="integration grid must be at least 64x64"):
+        chern_numbers(spec_fig3a, [sub], 32, 32)
 
 
 def rotation_z(angle):
@@ -414,9 +409,9 @@ def test_one_row_integrators_match_the_full_grid_oracle(case):
 
     spec, sub, riemann, solid = case
     pairs = [
-        (outcome(chern_riemann, sub, spec, *riemann),
+        (outcome(chern_riemann_one, sub, spec, *riemann),
          outcome(chern_riemann_full, sub, spec, *riemann)),
-        (outcome(chern_solid_angle, sub, spec, *solid),
+        (outcome(chern_solid_angle_one, sub, spec, *solid),
          outcome(chern_solid_angle_full, sub, spec, *solid)),
     ]
     for got, want in pairs:

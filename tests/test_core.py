@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import random_coin_params
 from eig_oracle import eig_biorthogonal, walk_eigensystem_by_gather, walk_projectors
-from ptwalk.core import PAULI, pauli_assemble, pauli_expand
+from ptwalk.core import PAULI, pauli_assemble
 from ptwalk.errors import DegenerateSpectrum, ExceptionalPoint
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.spectrum import GAP_TOL, walk_eigensystem
+
+
+def pauli_expand(m):
+    """Coefficients c_j with m = sum_j c_j sigma_j, via c_j = Tr(m sigma_j)/2."""
+    return np.einsum("jab,...ba->...j", PAULI, np.asarray(m, dtype=complex)) / 2
 
 
 def quadratic_eigenvalues(m):
@@ -45,7 +50,7 @@ def test_walk_operator_biorthonormality_and_oracle():
     gram = system.left @ system.right.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
     # completeness sum_mu |psi_mu><chi_mu| = 1
-    np.testing.assert_allclose(system.completeness(), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(system.right.T @ system.left, np.eye(2), atol=1e-12)
     # eigenvalues against the quadratic-formula oracle
     lam_a, lam_b = quadratic_eigenvalues(m)
     assert sorted(np.round(system.values, 12)) == pytest.approx(

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eig_oracle import quasienergies
 from fixed_point_oracle import grid_fixed_points, polish_by_np_cross
-from measurement_oracle import bloch_from_density, density_matrix, tau_basis
+from measurement_oracle import bloch_from_density, bloch_vector, density_matrix, tau_basis
 import ptwalk.quench
-from ptwalk.errors import ExceptionalPoint, ImaginaryEnergy, WalkError
+from ptwalk.errors import ExceptionalPoint, WalkError
 from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import (
@@ -18,11 +19,9 @@ from ptwalk.quench import (
     QuenchSpec,
     bloch_field,
     bloch_from_coefficients,
-    bloch_vector,
     find_fixed_points,
     initial_spinors,
     initial_state_residual,
-    oscillation_period,
     overlap_grid,
 )
 from ptwalk.spectrum import (
@@ -30,10 +29,9 @@ from ptwalk.spectrum import (
     _energy_plus_from_d0,
     band_structure,
     pt_classify,
-    quasienergies,
     walk_eigensystem,
 )
-from conftest import random_coin_params
+from conftest import period, random_coin_params
 
 PI = np.pi
 
@@ -95,7 +93,7 @@ def test_overlap_completeness_reconstruction(rng):
         except Exception:
             continue
         psi_i = initial_spinors(spec, np.array([k]))[0]
-        rebuilt = c_plus * system.psi_plus + c_minus * system.psi_minus
+        rebuilt = c_plus * system.right[0] + c_minus * system.right[1]
         np.testing.assert_allclose(rebuilt, psi_i, atol=1e-12)
 
 
@@ -155,7 +153,7 @@ def test_real_regime_periodicity(rng, spec_fig3a, spec_fig3b):
         for _ in range(10):
             k = float(rng.uniform(-PI, PI))
             t = float(rng.uniform(0, 5))
-            t0 = oscillation_period(spec, k)
+            t0 = period(spec, k)
             np.testing.assert_allclose(
                 bloch_vector(spec, k, t + t0), bloch_vector(spec, k, t), atol=1e-10
             )
@@ -199,8 +197,8 @@ def test_density_matrix_hermitian_limit(rng):
         system = walk_eigensystem(spec.final, k)
         (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([k]))
         energy, _ = quasienergies(spec.final, k)
-        psi_t = c_plus * np.exp(-1j * energy * t) * system.psi_plus + \
-            c_minus * np.exp(1j * energy * t) * system.psi_minus
+        psi_t = c_plus * np.exp(-1j * energy * t) * system.right[0] + \
+            c_minus * np.exp(1j * energy * t) * system.right[1]
         proj = np.outer(psi_t, psi_t.conj()) / np.linalg.norm(psi_t) ** 2
         np.testing.assert_allclose(rho, proj, atol=1e-10)
 
@@ -328,7 +326,7 @@ def test_fixed_points_sit_at_poles(spec_fig3a, spec_fig3b):
     for spec in (spec_fig3a, spec_fig3b):
         for fp in find_fixed_points(spec):
             pole = 1.0 if fp.kind is FixedPointKind.C_MINUS_ZERO else -1.0
-            t0 = oscillation_period(spec, fp.k)
+            t0 = period(spec, fp.k)
             for t in np.linspace(0, t0, 13):
                 n = bloch_vector(spec, fp.k, float(t))
                 assert np.abs(n - [0, 0, pole]).max() < 1e-6
@@ -610,11 +608,11 @@ def test_overflowing_dressed_weights_raise(spec_fig4):
 def test_oscillation_periods(spec_fig3a, spec_fig3b, spec_fig4, spec_fig6, rng):
     for spec in (spec_fig3a, spec_fig3b):
         for k in rng.uniform(-PI, PI, size=8):
-            assert oscillation_period(spec, float(k)) == pytest.approx(6.0, abs=1e-9)
-    with pytest.raises(ImaginaryEnergy):
-        oscillation_period(spec_fig4, 0.3)
+            assert period(spec, float(k)) == pytest.approx(6.0, abs=1e-9)
+    # broken bands: E is imaginary, so there is no period
+    assert walk_eigensystem(spec_fig4.final, 0.3).quasienergies[0].imag > 0
     # curved bands: momentum-dependent period
-    periods = [oscillation_period(spec_fig6, float(k)) for k in np.linspace(0.1, 1.4, 7)]
+    periods = [period(spec_fig6, float(k)) for k in np.linspace(0.1, 1.4, 7)]
     assert np.ptp(periods) > 0.5
 
 

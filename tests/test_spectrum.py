@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eig_oracle import zak_phase
 from ptwalk.errors import ExceptionalPoint
 from ptwalk.floquet import CoinParams
 from ptwalk.spectrum import (
@@ -17,10 +18,8 @@ from ptwalk.spectrum import (
     min_gap,
     phase_diagram,
     pt_classify,
-    quasienergies,
     walk_eigensystem,
     winding_number,
-    zak_phase,
 )
 
 P36 = 0.36
@@ -33,24 +32,25 @@ def test_flat_real_band_period_six():
     ks = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     for params in (CoinParams(-np.pi / 2, np.pi / 3, 0.0), FLAT_REAL):
         for k in ks:
-            ep, em = quasienergies(params, float(k))
+            ep, em = walk_eigensystem(params, float(k)).quasienergies
             assert ep == pytest.approx(np.pi / 6, abs=1e-12)
-            assert em == pytest.approx(-np.pi / 6, abs=1e-12)
+            assert em == -ep
 
 
 def test_flat_imaginary_band():
     ks = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     for k in ks:
-        ep, _ = quasienergies(FLAT_IMAG, float(k))
+        ep, em = walk_eigensystem(FLAT_IMAG, float(k)).quasienergies
         assert abs(ep.real) < 1e-10
         assert ep.imag > 0
+        assert em == -ep
 
 
 def test_exceptional_point_raises():
     # theta1 + theta2 = 0 at p = 0 closes the gap at k = 0 (d0 = 1)
     params = CoinParams(0.4, -0.4, 0.0)
     with pytest.raises(ExceptionalPoint):
-        quasienergies(params, 0.0)
+        walk_eigensystem(params, 0.0)
 
 
 def _extreme(params: CoinParams) -> float:

@@ -1,6 +1,8 @@
-"""Structure guard: one eigen-solver path, no private cross-module imports, no scipy."""
+"""Structure guard: one eigen-solver path, no private cross-module imports, no
+scipy, and a pinned public surface."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -106,3 +108,34 @@ def test_importing_the_cli_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # benchmarks/tracing.py reads every name of every layer's __all__ with
+    # getattr under --trace 1, so a stale entry would crash a traced run.
+    module = importlib.import_module("ptwalk" if path.stem == "__init__" else f"ptwalk.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+# The package's public names.  A change to this list is a change to the
+# public surface and is declared in CHANGES.md.
+PUBLIC = [
+    "BandStructure", "BlochField", "ChernResult", "CoinParams", "ConfigError",
+    "DegenerateSpectrum", "DegenerateTriangle", "EigenSystem", "ExceptionalPoint",
+    "FixedPoint", "FixedPointKind", "PRESETS", "PTPhase", "PositionState",
+    "QuenchSpec", "SingularNormalization", "Submanifold", "WalkError", "__version__",
+    "band_structure", "bloch_field", "build_spec", "build_submanifolds",
+    "chern_numbers", "d_coefficients", "evolve", "find_fixed_points",
+    "momentum_operator_closed", "onsite_probabilities", "pauli_assemble",
+    "phase_diagram", "pt_classify", "reconstruct_bloch_field",
+    "reconstruct_matrix_elements", "sample_shot_noise", "step_position",
+    "winding_number",
+]
+
+
+def test_the_public_surface_is_pinned():
+    import ptwalk
+
+    assert sorted(ptwalk.__all__) == PUBLIC
