@@ -43,41 +43,38 @@ def _say(args, text: str) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_cells(values, fmt: str) -> list[str]:
-    # Each distinct bit pattern is formatted once (k and t repeat through a
-    # Bloch table); bits, not values, so that -0.0 keeps its sign.
-    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if fmt == "csv":
-        text = list(map("%.17g".__mod__, distinct.tolist()))
-    else:
-        text = list(map(float.__repr__, distinct.tolist()))
-        if not np.isfinite(distinct).all():
+def _column_text(values, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value of one column, and each cell's index into it.
+
+    The index keeps the column's own shape; a column holds one value type.
+    """
+    column = np.asarray(values)
+    if column.dtype.kind == "U":  # numpy text drops trailing NULs; keep Python's strings
+        column = np.array(values, dtype=object)
+    key = column.reshape(-1)
+    floats = column.dtype.kind == "f"
+    if floats:  # bits, not values, so that -0.0 keeps its sign
+        key = np.ascontiguousarray(key, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(key, return_inverse=True)
+    if floats:
+        distinct = distinct.view(np.float64)
+        text = list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, distinct.tolist()))
+        if fmt == "json" and not np.isfinite(distinct).all():
             text = [_JSON_NONFINITE.get(s, s) for s in text]
-    return np.array(text, dtype=object)[inverse].tolist()
+    else:
+        text = list(map(str if fmt == "csv" else json.dumps, distinct.tolist()))
+    return np.array(text, dtype=object), inverse.reshape(column.shape)
 
 
-def _column_cells(values: Sequence, fmt: str) -> list[str]:
-    """The text of every cell of one column; a column holds one value type."""
-    encode = str if fmt == "csv" else json.dumps
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            return _float_cells(values, fmt)
-        if values.dtype.kind in "biu":
-            # Bool and integer cells: each distinct value is encoded once.
-            distinct, inverse = np.unique(values.reshape(-1), return_inverse=True)
-            text = list(map(encode, distinct.tolist()))
-            return np.array(text, dtype=object)[inverse].tolist()
-        values = values.tolist()
-    elif len(values) and isinstance(values[0], float):
-        return _float_cells(values, fmt)
-    text = {v: encode(v) for v in set(values)}
-    return list(map(text.__getitem__, values))
+def _table_cells(columns: dict[str, Sequence], fmt: str) -> list[list[str]]:
+    """Every column's cells, in row order over the shape the columns broadcast to."""
+    texts, indexes = zip(*(_column_text(values, fmt) for values in columns.values()))
+    return [text[index.reshape(-1)].tolist()
+            for text, index in zip(texts, np.broadcast_arrays(*indexes))]
 
 
 def _csv_text(columns: dict[str, Sequence]) -> str:
-    cells = [_column_cells(values, "csv") for values in columns.values()]
+    cells = _table_cells(columns, "csv")
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -85,7 +82,7 @@ def _json_text(columns: dict[str, Sequence], meta: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) of the table, byte for byte."""
     text = json.dumps({"meta": meta, "columns": list(columns), "rows": []},
                       indent=2, sort_keys=True)
-    cells = [_column_cells(values, "json") for values in columns.values()]
+    cells = _table_cells(columns, "json")
     rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
     if rows:
         # "rows" sorts last, so the payload ends with its empty list: '[]\n}'.
@@ -142,7 +139,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         return args
     try:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object of flag values")
@@ -265,17 +262,15 @@ def _initial_state(text: str) -> tuple[str, str] | None:
 
 
 def _bloch_columns(field) -> dict[str, Sequence]:
-    """The n(k, t) table, k-major: n_t rows per momentum."""
-    n_k, n_t = field.n.shape[:2]
-    regime = np.where(field.real_regime, "real", "imaginary")
+    """The n(k, t) table, k-major: each column at its own shape, broadcast to (n_k, n_t)."""
     return {
-        "k": np.repeat(field.ks, n_t),
-        "t": np.tile(field.ts, n_k),
+        "k": field.ks[:, None],
+        "t": field.ts,
         "n1": field.n[..., 0],
         "n2": field.n[..., 1],
         "n3": field.n[..., 2],
-        "regime": np.repeat(regime, n_t),
-        "source": [field.source] * (n_k * n_t),
+        "regime": np.where(field.real_regime, "real", "imaginary")[:, None],
+        "source": field.source,
     }
 
 

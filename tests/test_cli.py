@@ -574,6 +574,97 @@ def test_bad_config_value_is_a_config_error_naming_the_key(config, argv, tmp_pat
     assert repr(next(iter(config))) in payload["message"]
 
 
+def test_initial_state_eigenstate_is_the_default(capsys):
+    for argv in (["quench", "--preset", "fig3b"],
+                 ["quench", "--theta1=0.4", "--theta2=0.3", "--theta1-f=0.3", "--theta2-f=0.4"]):
+        argv += ["--kgrid", "16", "--tgrid", "5"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert run_cli([*argv, "--initial-state", "eigenstate"], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize("state", ["1", "1,2,3", ""])
+def test_initial_state_takes_two_amplitudes(state, capsys):
+    code, out, err = run_cli(["quench", "--preset", "fig3b", f"--initial-state={state}"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ConfigError",
+        "message": "--initial-state takes 'eigenstate' or two comma-separated amplitudes",
+    }
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config 'run.json': [Errno 2] No such file or directory"),
+        (b'{"kgrid": 8', "cannot read config 'run.json': Expecting ',' delimiter"),
+        (b'\xff{"kgrid": 8}', "cannot read config 'run.json': 'utf-8' codec can't decode"),
+        (b"[8]", "config file must hold a JSON object of flag values"),
+    ],
+    ids=["missing", "not-json", "not-utf-8", "array"],
+)
+def test_a_config_that_is_not_a_json_object_is_a_config_error(
+        content, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "run.json").write_bytes(content)
+    code, out, err = run_cli(["spectrum", "--preset", "fig4", "--config", "run.json"], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
+
+
+def test_a_null_config_value_leaves_its_flag_unset(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kgrid": None, "format": None, "theta1": None}))
+    argv = ["spectrum", "--preset", "fig4"]
+    code, out, _ = run_cli([*argv, "--config", str(path)], capsys)
+    assert code == 0
+    assert len(read_csv(out)) == 512
+    assert out == run_cli(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chern_without_two_fixed_points_writes_only_the_header(fmt, capsys):
+    # Initial and final walks are the same: n(k, t) never moves.
+    argv = ["chern", "--theta1=0.3", "--theta2=0.2", "--theta1-f=0.3", "--theta2-f=0.2"]
+    code, out, err = run_cli([*argv, "--format", fmt], capsys)
+    assert code == 0
+    assert err == "fewer than two fixed points: no submanifolds\n"
+    names = ["k_lo", "k_hi", "kind_lo", "kind_hi", "c_riemann", "c_riemann_rounded",
+             "c_solid_angle", "c_solid_angle_rounded"]
+    if fmt == "csv":
+        assert out == ",".join(names) + "\n"
+    else:
+        table = json.loads(out)
+        assert (table["columns"], table["rows"], table["meta"]["submanifolds"]) == (names, [], 0)
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("0.5j", "literal 0.5j is not a number"),
+        ("1/0", "division by zero in expression"),
+        ("floor(1)", "unsupported function call Name(id='floor'"),
+        ("sin(1, 2)", "unsupported function call Name(id='sin'"),
+        ("arcsin(2)", "domain error in arcsin: math domain error"),
+        ("sin(i)", "sin expects a real argument"),
+        ("pi[0]", "unsupported syntax: Subscript("),
+        ("1e308*10", "'1e308*10' does not evaluate to a finite number"),
+        ("1+i", "'1+i' is not real-valued"),
+    ],
+    ids=["complex-literal", "division-by-zero", "unknown-call", "two-arguments", "domain",
+         "complex-argument", "subscript", "overflow-to-inf", "not-real"],
+)
+def test_expression_errors_are_config_errors(expression, message, capsys):
+    code, out, err = run_cli(["spectrum", f"--theta1={expression}", "--theta2=0"], capsys)
+    assert code == 1 and out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
+
+
 def test_the_parser_keeps_no_state_between_calls(capsys):
     argv = ["spectrum", "--preset", "fig4", "--kgrid", "16"]
     code, out, _ = run_cli([*argv, "--format", "json"], capsys)

@@ -17,6 +17,12 @@ def test_p_one_rejected():
     CoinParams(0.1, 0.2, 0.0)  # boundary p = 0 is fine
 
 
+@pytest.mark.parametrize("angles", [(np.nan, 0.2), (0.1, np.inf), (-np.inf, np.nan)])
+def test_non_finite_coin_angles_are_rejected(angles):
+    with pytest.raises(ValueError, match="^coin angles must be finite$"):
+        CoinParams(*angles, 0.36)
+
+
 def test_derived_loss_parameters():
     params = CoinParams(0.0, 0.0, 0.36)
     assert params.gamma == pytest.approx(1.1180339887498949, abs=1e-12)

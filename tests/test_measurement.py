@@ -12,6 +12,7 @@ from ptwalk.errors import ExceptionalPoint, SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.measurement import (
     MatrixElementTable,
+    SiteProbabilities,
     _frame_map,
     _stokes_frame,
     onsite_probabilities,
@@ -515,6 +516,18 @@ def test_pair_noise_rejects_an_intensity_above_one():
     over = replace(pairs, p_d=np.where(pairs.p_d > 0, 1.0 + 2e-9, 0.0))
     with pytest.raises(ValueError):
         sample_shot_noise(over, 50, seed=1)
+
+
+def test_shot_noise_preconditions():
+    pairs = pair_intensities(PositionState(x_min=0, amplitudes=[[0.5, 0], [0.5, 0]]))
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        sample_shot_noise(pairs, 0, seed=1)
+    # The H and V columns of one site share a configuration, so they may not sum past 1.
+    site = SiteProbabilities(x_min=0, probs=np.array([[0.6, 0.5, 0.3, 0.3]]))
+    with pytest.raises(ValueError, match=r"^probabilities sum to 1\.100000 > 1; not a sub-d"):
+        sample_shot_noise(site, 100, seed=1)
+    with pytest.raises(TypeError, match="^cannot resample ndarray$"):
+        sample_shot_noise(site.probs, 100, seed=1)
 
 
 def test_noisy_steps_use_the_step_keyed_streams(spec_fig3b):

@@ -1,6 +1,8 @@
 """Column-wise table encoding against the row-at-a-time writer it replaced."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from output_oracle import table_text
-from ptwalk.cli import _table_text
+from ptwalk.cli import _bloch_columns, _table_text
+from ptwalk.floquet import CoinParams
+from ptwalk.presets import PRESETS, build_spec
+from ptwalk.quench import bloch_field
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                   -2.2250738585072e-308, 1.7976931348623157e308, 0.1, 1e16, 1e-7,
@@ -49,6 +54,88 @@ def test_column_encoding_matches_the_row_writer(table, fmt):
     names, columns, meta = table
     want = table_text(fmt, names, oracle_rows(columns), meta)
     assert _table_text(fmt, dict(zip(names, columns)), meta) == want
+
+
+def nested(flat, shape):
+    """A flat list as nested Python lists of the given shape (at most two axes)."""
+    if not shape:
+        return flat[0]
+    if len(shape) == 1:
+        return list(flat)
+    return [flat[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
+
+
+@st.composite
+def broadcast_tables(draw):
+    # Columns at the shapes a Bloch table passes: (n, 1) per momentum, (m,) per
+    # time, (n, m) per cell and () for the whole table.  n >= 1, because as
+    # nested Python lists an (0, 1) column would read as shape (0,).
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    shapes = {"cell": (n, m), "row": (n, 1), "time": (m,), "table": ()}
+    names = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    columns = []
+    for _ in names:
+        shape = shapes[draw(st.sampled_from(sorted(shapes)))]
+        kind = draw(st.sampled_from(sorted(KINDS)))
+        elements, dtype = KINDS[kind]
+        size = math.prod(shape)
+        flat = draw(st.lists(elements, min_size=size, max_size=size))
+        if kind == "str" and draw(st.booleans()):
+            columns.append((nested(flat, shape), shape))  # Python text
+        else:
+            columns.append((np.array(flat, dtype=dtype).reshape(shape), shape))
+    meta = draw(st.dictionaries(texts, st.one_of(floats, ints, texts), max_size=3))
+    return names, columns, meta
+
+
+def broadcast_rows(columns):
+    """The rows of a table of broadcast columns, one cell at a time in C order.
+
+    A column of shape s fills cell (i, j) of an (n, m) table from its trailing
+    indices, with index 0 along each axis where s has length 1.
+    """
+    shape = np.broadcast_shapes(*(s for _, s in columns))
+    values = [(c.tolist() if isinstance(c, np.ndarray) else c, s) for c, s in columns]
+    rows = []
+    for cell in itertools.product(*map(range, shape)):
+        row = []
+        for value, column_shape in values:
+            for i, size in zip(cell[len(cell) - len(column_shape):], column_shape):
+                value = value[0 if size == 1 else i]
+            row.append(value)
+        rows.append(tuple(row))
+    return rows
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(broadcast_tables(), st.sampled_from(["csv", "json"]))
+def test_broadcast_columns_match_the_row_writer_on_the_materialized_rows(table, fmt):
+    names, columns, meta = table
+    want = table_text(fmt, names, broadcast_rows(columns), meta)
+    assert _table_text(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_bloch_table_with_both_regimes_matches_the_row_writer(fmt):
+    # fig4's start quenched into a final walk that is PT-broken at some momenta.
+    fig4 = build_spec(PRESETS["fig4"])
+    spec = replace(fig4, final=CoinParams(0.3, 0.4, fig4.final.p))
+    field = bloch_field(spec, n_k=256, ts=np.linspace(0.0, 6.0, 61))
+    assert 0 < field.real_regime.sum() < 256
+    names = ["k", "t", "n1", "n2", "n3", "regime", "source"]
+    rows = [
+        (k, t, *field.n[i, j].tolist(), "real" if field.real_regime[i] else "imaginary",
+         field.source)
+        for i, k in enumerate(field.ks.tolist()) for j, t in enumerate(field.ts.tolist())
+    ]
+    meta = {"command": "quench"}
+    want = table_text(fmt, names, rows, meta)
+    columns = _bloch_columns(field)
+    assert list(columns) == names
+    got = _table_text(fmt, columns, meta)
+    # The first wrong lines, not a diff of two texts of 15 000 lines.
+    assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
+    assert got == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

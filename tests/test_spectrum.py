@@ -221,6 +221,14 @@ def test_phase_diagram_resolution_precondition():
         phase_diagram(np.zeros(8), np.zeros(8), 0.0)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_phase_diagram_rejects_a_non_finite_angle(axis):
+    thetas = [np.linspace(-np.pi, np.pi, 32, endpoint=False) for _ in range(2)]
+    thetas[axis][5] = np.nan
+    with pytest.raises(ValueError, match="^coin angles must be finite$"):
+        phase_diagram(*thetas, 0.36)
+
+
 @pytest.mark.parametrize("p", [0.0, P36])
 def test_phase_diagram_is_one_record_array_of_every_cell(p):
     # The CLI's default axis (reversed for theta2): at p = 0 some cells sit on

@@ -26,6 +26,13 @@ def test_double_left_shift_of_h():
     assert np.linalg.norm(stepped.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_position_state_and_evolve_preconditions():
+    with pytest.raises(ValueError, match=r"^amplitudes must be \(n_sites, 2\), got \(4, 3\)$"):
+        PositionState(x_min=0, amplitudes=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="^t_max must be >= 0$"):
+        evolve([1, 0], CoinParams(0.8, -0.5, 0.36), -1)
+
+
 def test_unitary_norm_conservation(rng):
     params = CoinParams(0.9, -0.3, 0.0)
     coin = rng.normal(size=2) + 1j * rng.normal(size=2)
