@@ -49,7 +49,7 @@ def _eval_node(node: ast.AST, names: dict[str, complex]) -> complex:
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, names)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
             return complex(node.value)
         raise ConfigError(f"literal {node.value!r} is not a number")
     if isinstance(node, ast.Name):
@@ -70,7 +70,7 @@ def _eval_node(node: ast.AST, names: dict[str, complex]) -> complex:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         func = _FUNCTIONS.get(node.func.id)
         if func is None or node.keywords or len(node.args) != 1:
-            raise ConfigError(f"unsupported function call {ast.dump(node.func)}")
+            raise ConfigError(f"unsupported function call {ast.unparse(node)}")
         arg = _eval_node(node.args[0], names)
         if arg.imag == 0:
             try:
@@ -78,7 +78,7 @@ def _eval_node(node: ast.AST, names: dict[str, complex]) -> complex:
             except ValueError as exc:
                 raise ConfigError(f"domain error in {node.func.id}: {exc}") from None
         raise ConfigError(f"{node.func.id} expects a real argument")
-    raise ConfigError(f"unsupported syntax: {ast.dump(node)}")
+    raise ConfigError(f"unsupported syntax: {ast.unparse(node)}")
 
 
 def evaluate(expression: str, p: float | None = None) -> complex:

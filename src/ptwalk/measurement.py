@@ -27,11 +27,16 @@ so n = Re((Lambda s)_{1..3} / (Lambda s)_0) for any decayed norm, with one
 real 4x4 matrix Lambda_ji = Tr[sigma_j L sigma_i L^dag] / 2 per momentum.
 
 Each walk step is measured as whole arrays: the pair intensities of every
-ordered site pair at once, the identities as array algebra, and the sums of
-the table along its diagonals x1 - x2, read off a skewed view.  The sums of
-all steps share one stack, so one phase matrix and one matmul give s at
-every step, and one call maps them through Lambda to n(k, t).  The
-one-pair, one-step form is the test oracle (``tests/measurement_oracle.py``).
+ordered site pair at once (per-site products with each conjugate ket, added
+over the pairs by broadcasting), the identities as array algebra, and the
+sums of the table along its diagonals x1 - x2, read off a skewed view.  The
+sums of all steps share one stack.  On the grid k_m = -pi + 2 pi m / n_k,
+exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), so one FFT over the offsets
+d mod n_k gives s at every step, and one call maps them through Lambda to
+n(k, t).  Lambda = Re(P T P^T) / 2 is one matrix product, with P the Pauli
+matrices as rows and T[(a, b), (c, d)] = L_bc conj(L_ad).  The one-pair,
+one-step form and the phase-matrix transform are the test oracles
+(``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
 configuration, with one deterministic stream per (seed, step, configuration
@@ -120,17 +125,19 @@ def onsite_probabilities(state: PositionState) -> SiteProbabilities:
 
 
 def pair_intensities(state: PositionState) -> PairIntensities:
-    """Two-site {L, D} interference intensities of every ordered pair at once."""
+    """Two-site {L, D} interference intensities of every ordered pair at once.
+
+    Each preparation's amplitude in an analysis basis is a first-site term
+    plus a second-site term, so the per-site products with the conjugate ket
+    are taken once and broadcast over the pairs.
+    """
     amps = state.amplitudes
     n = len(amps)
     a, b = amps[:, 0], amps[:, 1]
-    phis = np.empty((n, n, 4, 2), dtype=complex)
-    phis[:, :, 0, 0], phis[:, :, 0, 1] = a[:, None], a[None, :]
-    phis[:, :, 1, 0], phis[:, :, 1, 1] = b[:, None], -b[None, :]
-    phis[:, :, 2, 0], phis[:, :, 2, 1] = b[:, None], a[None, :]
-    phis[:, :, 3, 0], phis[:, :, 3, 1] = a[:, None], b[None, :]
-    p_l = np.abs(phis @ KET_L.conj()) ** 2
-    p_d = np.abs(phis @ KET_D.conj()) ** 2
+    kets = np.array([KET_L, KET_D]).conj()[:, None, None, :]
+    first = np.stack([a, b, b, a], axis=-1) * kets[..., 0]  # (basis, x1, j)
+    second = np.stack([a, -b, a, b], axis=-1) * kets[..., 1]  # (basis, x2, j)
+    p_l, p_d = np.abs(first[:, :, None] + second[:, None, :]) ** 2
     diag = np.arange(n)
     p_l[diag, diag] = p_d[diag, diag] = 0.0
     return PairIntensities(x_min=state.x_min, p_l=p_l, p_d=p_d)
@@ -157,15 +164,12 @@ def reconstruct_matrix_elements(
     sum_plus = (ph1 + ph2 + pv1 + pv2) / 2
     sum_cross = (pv1 + ph2 + ph1 + pv2) / 2
     skew = (pv1 + ph2 - ph1 - pv2) / 2
-    table = np.stack(
-        [
-            (p1d - p2d - sum_minus) + 1j * (p1l - p2l - sum_minus),
-            (p3d + p4d - sum_cross) + 1j * (p3l + p4l - sum_cross),
-            (p3l - p4l - skew) + 1j * (p4d - p3d + skew),
-            (p1d + p2d - sum_plus) + 1j * (p1l + p2l - sum_plus),
-        ],
-        axis=-1,
-    )
+    table = np.empty((n, n, 4), dtype=complex)
+    re, im = table.real, table.imag
+    re[..., 0], im[..., 0] = p1d - p2d - sum_minus, p1l - p2l - sum_minus
+    re[..., 1], im[..., 1] = p3d + p4d - sum_cross, p3l + p4l - sum_cross
+    re[..., 2], im[..., 2] = p3l - p4l - skew, p4d - p3d + skew
+    re[..., 3], im[..., 3] = p1d + p2d - sum_plus, p1l + p2l - sum_plus
     diag = np.arange(n)
     table[diag, diag, 0] = ph + pv
     table[diag, diag, 1] = 2 * pd - ph - pv
@@ -183,11 +187,39 @@ def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
     return skewed.reshape(-1, 4)[: n * (2 * width - 1)].reshape(n, -1, 4).sum(0, initial=0)
 
 
+def _momentum_transform(by_offset: np.ndarray, n_k: int) -> np.ndarray:
+    """s[..., m, :] = sum_d by_offset[..., d + w - 1, :] exp(-i k_m d) at the
+    n_k momenta k_m = -pi + 2 pi m / n_k, from (..., 2 w - 1, 4) diagonal sums.
+
+    As exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), this is one FFT of the
+    signed sums over d mod n_k.  Offsets that share a residue (2 w - 1 > n_k)
+    are added one at a time in order of d, so sums padded with zero offsets
+    fold to the same bits.
+    """
+    rows = by_offset.shape[-2]
+    offsets = np.arange(1 - (rows + 1) // 2, (rows + 1) // 2)
+    signed = by_offset.swapaxes(-1, -2) * (1.0 - 2.0 * (offsets % 2))
+    folded = np.zeros(by_offset.shape[:-2] + (4, n_k), dtype=complex)
+    for lo in range(0, rows, n_k):  # n_k consecutive offsets have distinct residues
+        folded[..., offsets[lo : lo + n_k] % n_k] += signed[..., lo : lo + n_k]
+    return np.fft.fft(folded).swapaxes(-1, -2)
+
+
+# kron(P, P)^T with P = PAULI.reshape(4, 4): row (ab, cd), column (j, i)
+_PAULI_PAIRS = np.kron(PAULI.reshape(4, 4), PAULI.reshape(4, 4)).T
+
+
 def _stokes_frame(left: np.ndarray) -> np.ndarray:
     """Lambda (n_k, 4, 4) of bras L (n_k, 2, 2); it keeps s_0^2 - |s|^2 up to
     |det L|^2, so a rank-one rho' (null s) maps to a unit n.  Without loss,
-    Lambda = diag(1, R) with R a rotation."""
-    return 0.5 * np.einsum("jab,kbc,icd,kad->kji", PAULI, left, PAULI, left.conj()).real
+    Lambda = diag(1, R) with R a rotation.
+
+    Lambda = Re(P T P^T) / 2 with P = PAULI.reshape(4, 4) and
+    T[k, (a, b), (c, d)] = L[k, b, c] conj(L[k, a, d]), taken as one product
+    of the flattened T with kron(P, P)^T.
+    """
+    products = left[:, None, :, :, None] * left.conj()[:, :, None, None, :]
+    return 0.5 * (products.reshape(-1, 16) @ _PAULI_PAIRS).real.reshape(-1, 4, 4)
 
 
 def _frame_map(stokes: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -305,8 +337,7 @@ def reconstruct_bloch_field(
         if on_step is not None:
             on_step(t, site, pairs)
         by_offset[t] = _diagonal_sums(reconstruct_matrix_elements(site, pairs).table, width)
-    phases = np.exp(-1j * np.multiply.outer(ks, np.arange(1.0 - width, width)))
-    n = _frame_map(phases @ by_offset, _stokes_frame(final.left))
+    n = _frame_map(_momentum_transform(by_offset, n_k), _stokes_frame(final.left))
     return BlochField(
         ks=ks,
         ts=np.arange(t_max + 1, dtype=float),

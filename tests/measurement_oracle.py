@@ -7,17 +7,22 @@ amplitudes, the reference for the identities themselves.
 ``matrix_elements_from_pairs`` applies the on-site and the eight Re/Im
 identities pair by pair to the ``PairProbabilities`` of
 ``all_pair_probabilities``, with the operand order of the array code, so the
-intensities and the table must agree bit for bit.  ``assemble_einsum`` is
-rho'(k) summed over every (x1, x2) term directly; the package sums along the
-diagonals x1 - x2 first, so the two agree only to rounding.
+intensities and the table must agree bit for bit.  ``pair_intensities_matmul``
+is the package's former pair stage, every prepared spinor contracted with
+each conjugate ket in one stacked matmul; it too must agree bit for bit.
+``assemble_einsum`` is rho'(k) summed over every (x1, x2) term directly; the
+package sums along the diagonals x1 - x2 first, so the two agree only to
+rounding.  ``phase_matrix_transform`` is the package's former momentum
+transform, one phase matrix exp(-i k d) at any momenta and one matmul; the
+package's FFT on the grid agrees with it to rounding.
 ``assemble_add_at`` is the package's former diagonal sum: ``np.add.at`` in
 order of x1 and a phase matrix of the table's own width, which
 ``assemble_hermitian_density``, the package's skewed diagonal sums made into
 one table's rho'(k), must match bit for bit.  ``fourier``
 is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
 maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
-``stokes_add_at``, as the package did before it transformed and mapped all
-steps at once; the two must agree bit for bit.
+``diagonal_sums_add_at`` through the package's FFT, as the package did before
+it transformed and mapped all steps at once; the two must agree bit for bit.
 
 ``bloch_vector`` is n(k, t) at one point from ``overlap_grid`` and the
 coefficient form, and ``density_matrix`` the quench's non-Hermitian density
@@ -39,8 +44,10 @@ from ptwalk.core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
 from ptwalk.errors import SingularNormalization
 from ptwalk.measurement import (
     MatrixElementTable,
+    PairIntensities,
     _diagonal_sums,
     _frame_map,
+    _momentum_transform,
     _stokes_frame,
     onsite_probabilities,
     pair_intensities,
@@ -109,6 +116,25 @@ def matrix_elements_direct(state) -> MatrixElementTable:
     return MatrixElementTable(x_min=state.x_min, table=table)
 
 
+def pair_intensities_matmul(state) -> PairIntensities:
+    """Every ordered pair's intensities from an (n, n, 4, 2) array of the
+    prepared spinors contracted with each conjugate ket (the package's former
+    form)."""
+    amps = state.amplitudes
+    n = len(amps)
+    a, b = amps[:, 0], amps[:, 1]
+    phis = np.empty((n, n, 4, 2), dtype=complex)
+    phis[:, :, 0, 0], phis[:, :, 0, 1] = a[:, None], a[None, :]
+    phis[:, :, 1, 0], phis[:, :, 1, 1] = b[:, None], -b[None, :]
+    phis[:, :, 2, 0], phis[:, :, 2, 1] = b[:, None], a[None, :]
+    phis[:, :, 3, 0], phis[:, :, 3, 1] = a[:, None], b[None, :]
+    p_l = np.abs(phis @ KET_L.conj()) ** 2
+    p_d = np.abs(phis @ KET_D.conj()) ** 2
+    diag = np.arange(n)
+    p_l[diag, diag] = p_d[diag, diag] = 0.0
+    return PairIntensities(x_min=state.x_min, p_l=p_l, p_d=p_d)
+
+
 def matrix_elements_from_pairs(site, pairs) -> MatrixElementTable:
     """<psi_x2|sigma_j|psi_x1> from site probabilities and a list of pairs."""
     n = len(site.probs)
@@ -146,16 +172,29 @@ def assemble_einsum(table: MatrixElementTable, k) -> np.ndarray:
     return 0.5 * np.einsum("...xy,xyj,jab->...ab", phases, table.table, PAULI)
 
 
+def phase_matrix_transform(by_offset: np.ndarray, k) -> np.ndarray:
+    """s(k) = sum_d by_offset[d + w - 1] e^{-ikd} of (..., 2 w - 1, 4) diagonal
+    sums at any momenta, as one phase matrix and one matmul (the package's
+    former transform)."""
+    width = (by_offset.shape[-2] + 1) // 2
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(k, float), np.arange(1.0 - width, width)))
+    return phases @ by_offset
+
+
+def diagonal_sums_add_at(table: MatrixElementTable) -> np.ndarray:
+    """(2n - 1, 4) sums of the table along x1 - x2 = d (row d + n - 1),
+    accumulated one table entry at a time."""
+    n = len(table.table)
+    by_offset = np.zeros((2 * n - 1, 4), dtype=complex)
+    offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
+    np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
+    return by_offset
+
+
 def stokes_add_at(table: MatrixElementTable, k) -> np.ndarray:
     """s(k) with 2 rho'(k) = sum_j s_j sigma_j, from diagonal sums accumulated
     one table entry at a time."""
-    k = np.asarray(k, dtype=float)
-    n = len(table.table)
-    by_offset = np.zeros((2 * n - 1, 4), dtype=complex)  # row d + n - 1 sums x1 - x2 = d
-    offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
-    np.add.at(by_offset, offset_row, table.table.reshape(n * n, 4))
-    phases = np.exp(-1j * np.multiply.outer(k, np.arange(1 - n, n, dtype=float)))
-    return phases @ by_offset
+    return phase_matrix_transform(diagonal_sums_add_at(table), k)
 
 
 def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
@@ -167,8 +206,7 @@ def assemble_hermitian_density(table: MatrixElementTable, k) -> np.ndarray:
     transform runs over d alone.
     """
     n = len(table.table)
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(k, float), np.arange(1.0 - n, n)))
-    return 0.5 * pauli_assemble(phases @ _diagonal_sums(table.table, n))
+    return 0.5 * pauli_assemble(phase_matrix_transform(_diagonal_sums(table.table, n), k))
 
 
 def assemble_add_at(table: MatrixElementTable, k) -> np.ndarray:
@@ -195,7 +233,8 @@ def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         table = reconstruct_matrix_elements(site, pairs)
-        n_field[:, t, :] = _frame_map(stokes_add_at(table, ks), _stokes_frame(final.left))
+        stokes = _momentum_transform(diagonal_sums_add_at(table), n_k)
+        n_field[:, t, :] = _frame_map(stokes, _stokes_frame(final.left))
     return n_field
 
 

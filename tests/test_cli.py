@@ -318,7 +318,9 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # of a general 2x2 solve (max |dn| 5.3e-15, |dC| 4.4e-16, fixed-point k
 # byte-identical and residuals moved by 4.9e-32).  The reconstruct digest was
 # re-pinned when rho' came to be mapped to n through one real 4x4 frame per
-# momentum instead of the 2x2 non-Hermitian density matrix (max |dn| 8.9e-16).
+# momentum instead of the 2x2 non-Hermitian density matrix (max |dn| 8.9e-16),
+# and again when the momentum transform became one FFT over the diagonal
+# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -329,7 +331,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["chern", "--preset", "fig3b"],
          "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "51f67b52d798bf1e6dfb6586b2272038ee8e39209a49b2f3eaebf1a43286d9d6"),
+         "fc0f0b83c58538a9b0e05bdb373a41861f82f52728ff17ef5a45782850730aef"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -352,7 +354,9 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # was re-pinned when that command lost its --kgrid flag, once the PT verdict
 # came from min_gap alone: its meta no longer holds "kgrid": 256, and every
 # other byte is the same.  The reconstruct digest was re-pinned when rho' came
-# to be mapped to n through one real 4x4 frame per momentum (max |dn| 8.9e-16).
+# to be mapped to n through one real 4x4 frame per momentum (max |dn| 8.9e-16),
+# and again when the momentum transform became one FFT over the diagonal
+# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -365,7 +369,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["chern", "--preset", "fig6"],
          "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "c5a240f9e2571d3c74bf0c77aebed2f2fddb30fc42a75cd4d371be1cd69dc010"),
+         "07b7ec9486098ca005921857ecc3f79f78fd0f2489ce7263570bbad9fe7ca4f2"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
 )
@@ -393,7 +397,9 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     # table was re-pinned when the walk eigensystem came to be built from the
     # d coefficients (the dump did not change), and again when rho' came to be
     # mapped to n through one real 4x4 frame per momentum (max |dn| 1.2e-14;
-    # the dump did not change).
+    # the dump did not change), and again when the momentum transform became
+    # one FFT over the diagonal offsets and the frame a product with
+    # kron(P, P) (max |dn| 1.3e-13; the dump did not change).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -402,7 +408,7 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "4236f7a2ac420cdd6bb907310ec7c6807d215a719334af16f613b3c4dc6981d0"
+        "b6928d02285c25acad7281a280aea500647e374f0a65e6b244833214b2f90d58"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"
@@ -645,17 +651,20 @@ def test_chern_without_two_fixed_points_writes_only_the_header(fmt, capsys):
     "expression, message",
     [
         ("0.5j", "literal 0.5j is not a number"),
+        ("True", "literal True is not a number"),
+        ("False", "literal False is not a number"),
         ("1/0", "division by zero in expression"),
-        ("floor(1)", "unsupported function call Name(id='floor'"),
-        ("sin(1, 2)", "unsupported function call Name(id='sin'"),
+        ("floor(1)", "unsupported function call floor(1)"),
+        ("sin(1, 2)", "unsupported function call sin(1, 2)"),
         ("arcsin(2)", "domain error in arcsin: math domain error"),
         ("sin(i)", "sin expects a real argument"),
-        ("pi[0]", "unsupported syntax: Subscript("),
+        ("pi[0]", "unsupported syntax: pi[0]"),
         ("1e308*10", "'1e308*10' does not evaluate to a finite number"),
         ("1+i", "'1+i' is not real-valued"),
     ],
-    ids=["complex-literal", "division-by-zero", "unknown-call", "two-arguments", "domain",
-         "complex-argument", "subscript", "overflow-to-inf", "not-real"],
+    ids=["complex-literal", "true-literal", "false-literal", "division-by-zero", "unknown-call",
+         "two-arguments", "domain", "complex-argument", "subscript", "overflow-to-inf",
+         "not-real"],
 )
 def test_expression_errors_are_config_errors(expression, message, capsys):
     code, out, err = run_cli(["spectrum", f"--theta1={expression}", "--theta2=0"], capsys)
