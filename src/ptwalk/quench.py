@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PAULI, EigenSystem
-from .errors import SingularNormalization
+from .errors import ExceptionalPoint, SingularNormalization
 from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 from .spectrum import (
     EP_TOL,
@@ -54,11 +54,11 @@ FIXED_POINT_RESIDUAL = 1e-10
 EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
 NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
 _RESIDUAL_SAMPLES = 64      # momenta at which initial_state_residual probes the start
-_W_DEGREE = 2               # degree of w = h_a x h_f in theta = 2k; g = w.w has twice that
-_G_SAMPLES = 16             # samples in theta; more than 4 * _W_DEGREE + 1, so no aliasing
+_G_SAMPLES = 16             # samples in theta: more than 2 * 4 + 1, so g (degree 4) does not alias
 _COEFF_FLOOR = 1e-13        # end coefficients below this times the largest are rounding
 _COMMUTING_FLOOR = 1e-12    # |w| below this times |h_a| |h_f| everywhere: w = 0 to rounding
 _UNIT_CIRCLE_TOL = 1e-3     # |log |z|| up to which a root is a candidate momentum
+_SPLIT_SCALE = 10.0         # m roots within this times eps^(1/m) are one split m-fold root
 _NEWTON_STEPS = 9           # most Gauss-Newton steps per root
 _ROOT_TOL = 1e-11           # distance in theta up to which a polished angle is a zero
 _W_ROUNDING = 1e-14         # |W| below this times |h_a|^2 |h_f| is zero to rounding
@@ -234,11 +234,6 @@ def bloch_field(
     )
 
 
-def _wrap_zone(k):
-    """Wrap momenta into [-pi, pi)."""
-    return (k + np.pi) % (2 * np.pi) - np.pi
-
-
 def _bloch_axes(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h_a, h_f), shape (n_k, 3): the vectors h of the operators d0 - i h.sigma.
 
@@ -255,21 +250,22 @@ def _bloch_axes(spec: QuenchSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.broadcast_to(h_a, h_f.shape), h_f
 
 
-def _unit_circle_angles(samples: np.ndarray, degree: int, floor: float) -> np.ndarray:
-    """Angles of the zeros on or near the unit circle of a sampled trigonometric
-    polynomial of ``degree`` in theta, one ``np.roots`` call.
-
-    Empty when no coefficient exceeds ``floor``: the polynomial is zero to
-    rounding and has no isolated zero.
-    """
-    coeffs = np.fft.fft(samples) / len(samples)
-    ascending = coeffs[np.arange(-degree, degree + 1)]
-    size = np.abs(ascending)
-    if size.max() <= floor:
-        return np.empty(0)
-    kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
-    roots = np.roots(ascending[kept[0]:kept[-1] + 1][::-1])
-    return np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
+def _merge_split_roots(roots: np.ndarray) -> np.ndarray:
+    """Each group of m roots at most ``_SPLIT_SCALE`` eps^(1/m) across, replaced by
+    its mean: ``np.roots`` splits an m-fold root into an m-gon about eps^(1/m)
+    wide, but the sum of the m is exact to rounding.  A root's group is the most
+    of its nearest roots that fit; groups keep their order, a lone root its bits."""
+    gap = np.abs(roots[:, None] - roots)
+    near = np.argsort(gap, axis=1, kind="stable")
+    spread = gap[near[:, :, None], near[:, None, :]]  # gaps among each root's m nearest
+    width = np.maximum.accumulate(np.maximum.accumulate(spread, 1), 2).diagonal(axis1=1, axis2=2)
+    sizes = np.arange(1, len(roots) + 1)
+    limit = _SPLIT_SCALE * np.finfo(float).eps ** (1 / sizes)
+    fit = np.max(sizes * (width <= limit), axis=1, initial=1)
+    member = np.argsort(near, axis=1) < fit[:, None]
+    same = np.all(member[:, None] == member, axis=2)
+    groups = member[~np.tril(same, -1).any(axis=1)].astype(float)  # each group once
+    return groups @ roots / groups.sum(axis=1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,10 +289,11 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     the lower band, +1 for an explicit state), and ``h_coeffs`` (n, 2, 3)
     holds the Fourier coefficients of h_a and h_f in theta.
 
-    W has a simple zero at each root of the start, also where g has a double
-    root, so Gauss-Newton steps reach full precision.  An angle is kept if,
-    before the last step, it lies within ``_ROOT_TOL`` of a zero of W in theta
-    (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
+    Gauss-Newton steps reach full precision at a simple zero of W.  At a
+    multiple one the merged root is already exact and W / W' is noise, so a
+    step longer than ``_ROOT_TOL`` is skipped where |W| is zero to rounding.
+    An angle is kept if, before the last step, it lies within ``_ROOT_TOL`` of
+    a zero of W (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
 
     Each step evaluates h and dh/dtheta from one phase matrix, and its five
     cross products as two stacked calls of :func:`_cross`: [h_a, dh_a, h_a]
@@ -321,13 +318,15 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
             d_big_w = da_w + a_dw + 1j * (dm * w + m * dw)
             slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
             step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
-        step = np.where(np.isfinite(step), step, 0.0)
+        size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
+        rounding = (_W_ROUNDING * size) ** 2
+        residual = np.sum(np.abs(big_w) ** 2, axis=1)
+        floored = (residual <= rounding) & (np.abs(step) > _ROOT_TOL)  # W / W' is noise there
+        step = np.where(np.isfinite(step) & ~floored, step, 0.0)
         theta = theta - step
         if np.all(np.abs(step) <= 1e-15):
             break
-    size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
-    rounding = (_W_ROUNDING * size) ** 2
-    return theta[np.sum(np.abs(big_w) ** 2, axis=1) <= _ROOT_TOL**2 * slope + rounding]
+    return theta[residual <= _ROOT_TOL**2 * slope + rounding]
 
 
 def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
@@ -342,26 +341,32 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     theta: 16 samples give its coefficients by FFT, and its zeros are the
     unit-circle roots of a polynomial of degree <= 8 in z = e^{i theta}.
 
-    Where w is real (beta = 0 in the final operator, and in the initial one
-    under an eigenstate start) g = |w|^2 doubles the order of every zero of
-    w, so the roots of w's largest component are the candidates then.
-    ``np.roots`` splits a root of order q by about eps^(1/q): at a third-order
-    zero of w (h_a and h_f turning together, as from CoinParams(0, pi/4) into
-    CoinParams(pi/2, 0) at k = 0) the sixfold root of g splits by 3e-3, out
-    of the ``_UNIT_CIRCLE_TOL`` band.  g = 0 also where the shared vector is
-    the start's partner.  :func:`_polish_on_start` keeps the roots of the
-    start alone and polishes them.
+    Without loss (w real) every root of g is at least double: a third-order
+    zero, as from CoinParams(0, pi/4) into CoinParams(pi/2, 0) at k = 0, is a
+    sixfold root split by 3e-3.  :func:`_merge_split_roots` joins each split
+    root before the unit-circle test.  g = 0 also where the shared vector is
+    the start's partner; :func:`_polish_on_start` keeps the start's roots.  A
+    root where the initial bands of an eigenstate start touch (1 - d0^2 =
+    h_a.h_a within ``EP_TOL``) and the final ones do not raises
+    ``ExceptionalPoint``: the start is undefined there.
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)
     w = np.cross(h_a, h_f)
     scale = np.max(np.linalg.norm(h_a, axis=1) * np.linalg.norm(h_f, axis=1))
-    if np.any(w.imag):
-        g = np.einsum("kc,kc->k", w, w)
-        theta = _unit_circle_angles(g, 2 * _W_DEGREE, (_COMMUTING_FLOOR * scale) ** 2)
-    else:
-        largest = w[:, np.argmax(np.sum(w.real**2, axis=0))]
-        theta = _unit_circle_angles(largest, _W_DEGREE, _COMMUTING_FLOOR * scale)
+    coeffs = np.fft.fft(np.einsum("kc,kc->k", w, w)) / _G_SAMPLES
+    ascending = coeffs[np.arange(-4, 5)]
+    size = np.abs(ascending)
+    if size.max() <= (_COMMUTING_FLOOR * scale) ** 2:
+        return np.empty(0)  # g is zero to rounding: no zero is isolated
+    kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
+    roots = _merge_split_roots(np.roots(ascending[kept[0]:kept[-1] + 1][::-1]))
+    theta = np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
+    if spec.initial_state is None:
+        touching = [np.abs(1.0 - d_coefficients(op, theta / 2)[:, 0].real ** 2) <= EP_TOL
+                    for op in (spec.initial, spec.final)]
+        if np.any(touching[0] & ~touching[1]):
+            raise ExceptionalPoint("initial bands touch at a root of g: the start is undefined")
     h_coeffs = np.fft.fft(np.stack([h_a, h_f], axis=1), axis=0) / _G_SAMPLES
     return _polish_on_start(h_coeffs, -1 if spec.initial_state is None else 1, theta)
 
@@ -388,7 +393,7 @@ def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
     theta = theta[np.abs(d0 * d0 - 1.0) > EP_TOL]
     if theta.size == 0:
         return []
-    ks = _wrap_zone(np.concatenate([theta / 2, theta / 2 + np.pi]))
+    ks = (np.concatenate([theta / 2, theta / 2 + np.pi]) + np.pi) % (2 * np.pi) - np.pi
     cp, cm, final = overlap_grid(spec, ks)
     weights = np.abs(np.stack([cp, cm], axis=1)) ** 2
     # The k and k + pi of one root are one operator, so they are decided together.

@@ -111,10 +111,13 @@ def polish_by_np_cross(h_coeffs, sign, theta):
             d_big_w = np.cross(dh_a, w) + np.cross(h_a, dw) + 1j * (dm * w + m * dw)
             slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
             step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
+        size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
+        rounding = (_W_ROUNDING * size) ** 2
+        residual = np.sum(np.abs(big_w) ** 2, axis=1)
+        # At the rounding floor W / W' is noise: a step longer than _ROOT_TOL is not taken.
+        step[(residual <= rounding) & (np.abs(step) > _ROOT_TOL)] = 0.0
         step = np.where(np.isfinite(step), step, 0.0)
         theta = theta - step
         if np.all(np.abs(step) <= 1e-15):
             break
-    size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
-    rounding = (_W_ROUNDING * size) ** 2
-    return theta[np.sum(np.abs(big_w) ** 2, axis=1) <= _ROOT_TOL**2 * slope + rounding]
+    return theta[residual <= _ROOT_TOL**2 * slope + rounding]

@@ -305,6 +305,12 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "SingularNormalization"
 
 
+def argv_ids(cases):
+    """(argv, digest) cases, each with its argv alone as the test id, so that a
+    declared re-pin does not rename the test."""
+    return [pytest.param(args, digest, id=" ".join(args)) for args, digest in cases]
+
+
 # Digests of the output before the solver and the quench core were merged;
 # the merged code must reproduce every byte.  The reconstruct digest was
 # re-pinned when rho' assembly moved to diagonal sums, which sum in another
@@ -323,7 +329,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
 @pytest.mark.parametrize(
     "args, digest",
-    [
+    argv_ids([
         (["preset", "fig3b"],
          "cfddacc3d4c4d07e2cd7d90274313427a9785872c87b29e9ae0b0ed0d7fc68d6"),
         (["fixed-points", "--preset", "fig6"],
@@ -332,8 +338,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
          "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "fc0f0b83c58538a9b0e05bdb373a41861f82f52728ff17ef5a45782850730aef"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
+    ]),
 )
 def test_quench_outputs_are_pinned(args, digest, capsys):
     code, out, _ = run_cli(args, capsys)
@@ -359,7 +364,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
 @pytest.mark.parametrize(
     "args, digest",
-    [
+    argv_ids([
         (["quench", "--preset", "fig3b"],
          "c064beea15bce8a45341b230fea184754e99883fc5563bb2d2b9a9b2aaf6f3be"),
         (["phase-diagram", "--p", "0.36"],
@@ -370,8 +375,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
          "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "07b7ec9486098ca005921857ecc3f79f78fd0f2489ce7263570bbad9fe7ca4f2"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8],
+    ]),
 )
 def test_json_outputs_are_pinned(args, digest, capsys):
     code, out, _ = run_cli([*args, "--format", "json"], capsys)

@@ -9,6 +9,7 @@ from eig_oracle import quasienergies
 from fixed_point_oracle import grid_fixed_points, polish_by_np_cross
 from measurement_oracle import bloch_from_density, bloch_vector, density_matrix, tau_basis
 import ptwalk.quench
+from ptwalk.chern import build_submanifolds, chern_numbers
 from ptwalk.errors import ExceptionalPoint, WalkError
 from ptwalk.floquet import CoinParams, d_coefficients
 from ptwalk.presets import PRESETS, build_spec
@@ -465,20 +466,143 @@ def test_a_root_shared_by_the_partner_band_is_not_a_fixed_point():
 
 
 TURNING_TOGETHER = QuenchSpec(initial=CoinParams(0.0, PI / 4), final=CoinParams(PI / 2, 0.0))
+# |c_+|^2 vanishes to fourth order at k = +-pi/2: g = w.w has a fourfold root there.
+LOSSY_DOUBLE_ZERO = QuenchSpec(
+    initial=CoinParams(0.0, PI / 4, 0.3), final=CoinParams(-PI / 2, PI / 4, 0.3)
+)
 
 
 def test_a_third_order_fixed_point_is_found():
     """h_a = (0, 1, -sin 2k) / sqrt(2) and h_f = (0, cos 2k, -sin 2k) turn together
     at k = 0, so w = h_a x h_f and c_+ have third-order zeros there.
 
-    g = w.w then has a sixfold root, which ``np.roots`` splits off the unit
-    circle; the lossless candidates must still reach it, with its kind, as
-    they reach the simple zeros of c_- at k = +-pi/2.
+    g = w.w then has a sixfold root, which ``np.roots`` splits by about
+    eps^(1/6); the merged split roots must reach it to rounding, with its
+    kind, once, and with no near miss beside it, as the simple zeros of c_-
+    at k = +-pi/2 are reached.
     """
     fps = find_fixed_points(TURNING_TOGETHER)
-    for k, kind in ((-PI, FixedPointKind.C_PLUS_ZERO), (-PI / 2, FixedPointKind.C_MINUS_ZERO),
-                    (0.0, FixedPointKind.C_PLUS_ZERO), (PI / 2, FixedPointKind.C_MINUS_ZERO)):
-        assert any(zone_distance(fp.k, k) < 1e-6 and fp.kind is kind for fp in fps), (k, fps)
+    want = [(-PI, FixedPointKind.C_PLUS_ZERO), (-PI / 2, FixedPointKind.C_MINUS_ZERO),
+            (0.0, FixedPointKind.C_PLUS_ZERO), (PI / 2, FixedPointKind.C_MINUS_ZERO)]
+    assert len(fps) == len(want), fps
+    for fp, (k, kind) in zip(fps, want):
+        assert abs(fp.k - k) <= 1e-12 and fp.kind is kind, (fp, k)
+
+
+def test_a_third_order_fixed_point_bounds_unit_chern_submanifolds():
+    """Four points give four submanifolds, with no C = 0 sliver beside k = 0 or pi."""
+    subs = build_submanifolds(find_fixed_points(TURNING_TOGETHER))
+    results = chern_numbers(TURNING_TOGETHER, subs)
+    assert [r.rounded for r, _ in results] == [s.rounded for _, s in results] == [1, -1, 1, -1]
+
+
+def test_a_lossy_double_zero_is_found():
+    """The fourfold root of g at k = +-pi/2 is one c_+ zero, beside the simple ones."""
+    fps = find_fixed_points(LOSSY_DOUBLE_ZERO)
+    assert len(fps) == 6
+    for k in (-PI / 2, PI / 2):
+        hits = [fp for fp in fps if zone_distance(fp.k, k) <= 1e-9]
+        assert len(hits) == 1 and hits[0].kind is FixedPointKind.C_PLUS_ZERO, (k, fps)
+
+
+@pytest.mark.parametrize("final", [CoinParams(1.0, PI / 3), CoinParams(PI / 3, 1.0)])
+def test_a_root_of_g_on_a_band_touching_of_the_start_raises(final):
+    """The lower bands of CoinParams(-pi/4, -pi/4) touch at k = +-pi/2, where
+    h_a = 0, so g has a root there for any final operator.  The start is
+    undefined there, which the candidate step checks before the polish: W has
+    a double zero at the touching, and whether Gauss-Newton steps from the
+    split root of g keep it is not a test of anything."""
+    with pytest.raises(ExceptionalPoint):
+        find_fixed_points(QuenchSpec(initial=CoinParams(-PI / 4, -PI / 4), final=final))
+
+
+# Lossy quenches (initial theta1, theta2; p; final theta1; theta2_f at a 4 -> 8 pair
+# creation; the side of it with 8 points), bisected to the last bit of theta2_f.
+PAIR_CREATIONS = [
+    (1.9348490455536158, 0.0962933399642707, 0.42200116949815214, -1.3458496214483335,
+     -1.8718367738677872, -1),
+    (-0.7328149346083426, -0.5750798109183086, 0.12157228095266258, -2.857120220482243,
+     -2.950787801394588, 1),
+    (2.979399722353973, 2.498682104261955, 0.2739790208900568, 2.1628673977784247,
+     -1.0475869395229114, 1),
+    (-0.0438376661931823, 1.1101719393600389, 0.2569618657339113, -2.7595579408950774,
+     -1.167208736020302, 1),
+]
+
+
+@pytest.mark.parametrize("theta1, theta2, p, theta1_f, theta2_f, side", PAIR_CREATIONS)
+def test_a_freshly_created_pair_keeps_both_points(theta1, theta2, p, theta1_f, theta2_f, side):
+    """Off the transition by 1e-10 to 1e-3 in theta2_f the two new zeros lie
+    about 1e-5 to 5e-2 apart in k: as simple roots they must not merge.  A
+    merge radius that does not shrink with the root count, such as 1e-2, loses
+    them up to offsets of 1e-5 or 1e-4."""
+    for offset in (1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3):
+        final = CoinParams(theta1_f, theta2_f + side * offset, p)
+        fps = find_fixed_points(QuenchSpec(initial=CoinParams(theta1, theta2, p), final=final))
+        assert len(fps) == 8, (offset, fps)
+
+
+def special_angle_quenches(p):
+    """A slice of the special-angle grids: operators with theta1 in {0, pi/2,
+    pi/3} and theta2 in {0, pi/4, pi/3} at loss p, each final one reached from
+    every PT-unbroken one and from two explicit states.
+
+    It holds the families where multiple zeros of c occur: the third-order
+    zeros from (0, pi/4) into (pi/2, 0), the double zeros from (pi/2, pi/4)
+    into (0, pi/4) at p = 0.3, and those from (0, pi/3) into (pi/3, pi/3).
+    """
+    ops = [CoinParams(a, b, p) for a in (0.0, PI / 2, PI / 3) for b in (0.0, PI / 4, PI / 3)]
+    for final in ops:
+        for initial in ops:
+            if pt_classify(initial) is PTPhase.UNBROKEN:
+                yield QuenchSpec(initial=initial, final=final)
+        for state in ((1.0, 1j), (np.cos(1.0), np.exp(1j * PI / 3) * np.sin(1.0))):
+            yield QuenchSpec(initial=final, final=final, initial_state=state)
+
+
+GRID_MOMENTA = np.arange(-64, 64) * PI / 64
+
+
+def grid_zeros(spec):
+    """(k, kind) of every exact zero of c on the momenta k = m pi / 64.
+
+    A zero has a real E, 1 - d0^2 >= 1e-6 in the final operator, |c|^2 <=
+    1e-28 at k and |c|^2 > 1e-24 at k + 1e-3, so that c is not zero to
+    rounding over a whole stretch of k.
+    """
+    cp, cm, final = overlap_grid(spec, np.concatenate([GRID_MOMENTA, GRID_MOMENTA + 1e-3]))
+    d0 = d_coefficients(spec.final, GRID_MOMENTA)[:, 0].real
+    n = len(GRID_MOMENTA)
+    clear = (final.quasienergies[:n, 0].imag == 0) & (1 - d0 * d0 >= 1e-6)
+    zeros = []
+    for kind, c in ((FixedPointKind.C_PLUS_ZERO, cp), (FixedPointKind.C_MINUS_ZERO, cm)):
+        weight = np.abs(c) ** 2
+        hit = clear & (weight[:n] <= 1e-28) & (weight[n:] > 1e-24)
+        zeros += [(k, kind) for k in GRID_MOMENTA[hit]]
+    return zeros
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_every_exact_zero_on_the_special_angle_grid_is_found(p):
+    """Every grid zero is a reported point to 1e-9 with its kind, and every
+    other point clear of a band touching is a zero of c (Newton depth at most
+    1e-13), not a near miss beside a multiple zero."""
+    count = 0
+    for spec in special_angle_quenches(p):
+        try:
+            fps = find_fixed_points(spec)
+            zeros = grid_zeros(spec)
+        except WalkError:
+            continue  # a band touching of the start on the grid or at a root
+        count += len(zeros)
+        for k, kind in zeros:
+            assert any(zone_distance(fp.k, k) <= 1e-9 and fp.kind is kind for fp in fps), (
+                spec, k, kind, fps)
+        for fp in fps:
+            on_grid = any(zone_distance(fp.k, k) <= 1e-9 and fp.kind is kind for k, kind in zeros)
+            if not on_grid and clear_of_band_touching(spec, fp.k):
+                assert depth_of_minimum(spec, fp) <= 1e-13, (spec, fp)
+    assert count >= 20  # 196 at p = 0, 28 at p = 0.3
 
 
 NEAR_EXCEPTIONAL = QuenchSpec(
@@ -513,8 +637,9 @@ CHERN8 = QuenchSpec(
 
 
 def polish_test_quenches():
-    """The presets, the CHERN8 quench, and random eigenstate and explicit-state
-    starts, lossless (beta = 0) and lossy, from a fixed seed."""
+    """The presets, the CHERN8 quench, random eigenstate and explicit-state
+    starts, lossless (beta = 0) and lossy, from a fixed seed, and the two
+    multiple-zero quenches, whose merged roots sit where a step is skipped."""
     specs = [build_spec(preset) for preset in PRESETS.values()] + [CHERN8]
     rng = np.random.default_rng(21)
     while len(specs) < 49:
@@ -528,7 +653,7 @@ def polish_test_quenches():
             mix, phi = rng.uniform(-PI, PI, 2)
             state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
             specs.append(QuenchSpec(initial=final, final=final, initial_state=state))
-    return specs
+    return specs + [TURNING_TOGETHER, LOSSY_DOUBLE_ZERO]
 
 
 def test_the_stacked_polish_is_the_np_cross_polish_bit_for_bit(monkeypatch):
