@@ -34,6 +34,7 @@ from .spectrum import (
     EP_TOL,
     PTPhase,
     lower_band_kets,
+    min_gap,
     pt_classify,
     walk_eigensystem,
 )
@@ -256,11 +257,13 @@ def _merge_split_roots(roots: np.ndarray) -> np.ndarray:
     wide, but the sum of the m is exact to rounding.  A root's group is the most
     of its nearest roots that fit; groups keep their order, a lone root its bits."""
     gap = np.abs(roots[:, None] - roots)
+    sizes = np.arange(1, len(roots) + 1)
+    limit = _SPLIT_SCALE * np.finfo(float).eps ** (1 / sizes)
+    if not np.any(np.sort(gap, axis=1)[:, 1:] <= limit[1:]):
+        return roots  # no root has m - 1 others as close as an m-fold split
     near = np.argsort(gap, axis=1, kind="stable")
     spread = gap[near[:, :, None], near[:, None, :]]  # gaps among each root's m nearest
     width = np.maximum.accumulate(np.maximum.accumulate(spread, 1), 2).diagonal(axis1=1, axis2=2)
-    sizes = np.arange(1, len(roots) + 1)
-    limit = _SPLIT_SCALE * np.finfo(float).eps ** (1 / sizes)
     fit = np.max(sizes * (width <= limit), axis=1, initial=1)
     member = np.argsort(near, axis=1) < fit[:, None]
     same = np.all(member[:, None] == member, axis=2)
@@ -289,11 +292,10 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     the lower band, +1 for an explicit state), and ``h_coeffs`` (n, 2, 3)
     holds the Fourier coefficients of h_a and h_f in theta.
 
-    Gauss-Newton steps reach full precision at a simple zero of W.  At a
-    multiple one the merged root is already exact and W / W' is noise, so a
-    step longer than ``_ROOT_TOL`` is skipped where |W| is zero to rounding.
-    An angle is kept if, before the last step, it lies within ``_ROOT_TOL`` of
-    a zero of W (|W| / |dW/dtheta| at most that) or |W| is zero to rounding.
+    Gauss-Newton steps reach full precision at a simple zero of W.  Where |W|
+    is zero to rounding W / W' is noise, so a step longer than ``_ROOT_TOL`` is
+    skipped.  An angle is kept if, before the last step, |W| / |dW/dtheta| is
+    at most ``_ROOT_TOL`` (a zero of W is that close) or |W| is zero to rounding.
 
     Each step evaluates h and dh/dtheta from one phase matrix, and its five
     cross products as two stacked calls of :func:`_cross`: [h_a, dh_a, h_a]
@@ -341,14 +343,12 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     theta: 16 samples give its coefficients by FFT, and its zeros are the
     unit-circle roots of a polynomial of degree <= 8 in z = e^{i theta}.
 
-    Without loss (w real) every root of g is at least double: a third-order
-    zero, as from CoinParams(0, pi/4) into CoinParams(pi/2, 0) at k = 0, is a
-    sixfold root split by 3e-3.  :func:`_merge_split_roots` joins each split
-    root before the unit-circle test.  g = 0 also where the shared vector is
-    the start's partner; :func:`_polish_on_start` keeps the start's roots.  A
-    root where the initial bands of an eigenstate start touch (1 - d0^2 =
-    h_a.h_a within ``EP_TOL``) and the final ones do not raises
-    ``ExceptionalPoint``: the start is undefined there.
+    Without loss every root of g is at least double, and the sixfold root of a
+    third-order zero (from CoinParams(0, pi/4) into CoinParams(pi/2, 0) at
+    k = 0) splits by 3e-3: :func:`_merge_split_roots` joins split roots before
+    the unit-circle test.  :func:`_polish_on_start` keeps the start's roots,
+    not its partner's.  Where the initial bands of an eigenstate start touch at
+    a root and the final ones do not, the start is undefined: ExceptionalPoint.
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)
@@ -362,7 +362,7 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
     roots = _merge_split_roots(np.roots(ascending[kept[0]:kept[-1] + 1][::-1]))
     theta = np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
-    if spec.initial_state is None:
+    if spec.initial_state is None and min_gap(spec.initial) <= EP_TOL:
         touching = [np.abs(1.0 - d_coefficients(op, theta / 2)[:, 0].real ** 2) <= EP_TOL
                     for op in (spec.initial, spec.final)]
         if np.any(touching[0] & ~touching[1]):
