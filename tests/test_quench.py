@@ -509,9 +509,8 @@ def test_a_lossy_double_zero_is_found():
 def test_a_root_of_g_on_a_band_touching_of_the_start_raises(final):
     """The lower bands of CoinParams(-pi/4, -pi/4) touch at k = +-pi/2, where
     h_a = 0, so g has a root there for any final operator.  The start is
-    undefined there, which the candidate step checks before the polish: W has
-    a double zero at the touching, and whether Gauss-Newton steps from the
-    split root of g keep it is not a test of anything."""
+    undefined there, and the candidate step says so before the polish, whose
+    steps on the double zero of W at the touching would decide by rounding."""
     with pytest.raises(ExceptionalPoint):
         find_fixed_points(QuenchSpec(initial=CoinParams(-PI / 4, -PI / 4), final=final))
 
@@ -533,9 +532,9 @@ PAIR_CREATIONS = [
 @pytest.mark.parametrize("theta1, theta2, p, theta1_f, theta2_f, side", PAIR_CREATIONS)
 def test_a_freshly_created_pair_keeps_both_points(theta1, theta2, p, theta1_f, theta2_f, side):
     """Off the transition by 1e-10 to 1e-3 in theta2_f the two new zeros lie
-    about 1e-5 to 5e-2 apart in k: as simple roots they must not merge.  A
+    about 1e-5 to 1e-1 apart in k: as simple roots they must not merge.  A
     merge radius that does not shrink with the root count, such as 1e-2, loses
-    them up to offsets of 1e-5 or 1e-4."""
+    them up to offsets of 1e-6 or 1e-5."""
     for offset in (1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3):
         final = CoinParams(theta1_f, theta2_f + side * offset, p)
         fps = find_fixed_points(QuenchSpec(initial=CoinParams(theta1, theta2, p), final=final))
