@@ -223,12 +223,18 @@ def test_phase_diagram_export(capsys):
     assert any(r["nu"] == "nan" for r in rows)  # boundary cells stay undefined
 
 
+def argv_ids(cases):
+    """(argv, digest) cases, each with its argv alone as the test id, so that a
+    declared re-pin does not rename the test."""
+    return [pytest.param(args, digest, id=" ".join(args)) for args, digest in cases]
+
+
 @pytest.mark.parametrize(
     "args, digest",
-    [
+    argv_ids([
         (["--p", "0"], "62cc76b36d14ad5480c1ef69f516b3e393a730ea681609f8959a58060a751f2d"),
         (["--p", "0.36"], "b7b67a0d8474920d2f7af3a70e79de45e093c640b62099d9d99e15111a32f51e"),
-    ],
+    ]),
 )
 def test_phase_diagram_default_csv_is_pinned(args, digest, capsys):
     # Digests of the CSV written by the Wilson-loop implementation of the
@@ -303,12 +309,6 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "SingularNormalization"
-
-
-def argv_ids(cases):
-    """(argv, digest) cases, each with its argv alone as the test id, so that a
-    declared re-pin does not rename the test."""
-    return [pytest.param(args, digest, id=" ".join(args)) for args, digest in cases]
 
 
 # Digests of the output before the solver and the quench core were merged;

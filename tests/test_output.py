@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from output_oracle import table_text
+from ptwalk import floattext
 from ptwalk.cli import _bloch_columns, _table_text
+from ptwalk.floattext import g17_text
 from ptwalk.floquet import CoinParams
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import bloch_field
@@ -177,3 +179,23 @@ def test_long_bool_and_int_columns_match_the_row_writer(fmt, rng):
     # The first wrong lines, not a diff of two texts of 10 000 lines.
     assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
     assert got == want
+
+
+@pytest.mark.parametrize("n_distinct", [1023, 1024])
+def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_writer(
+        n_distinct, rng, monkeypatch):
+    # CSV float text comes from floattext.g17_text from 1024 distinct values on.
+    # A mostly fixed-notation column, with every value it leaves to '%' mixed in.
+    calls = []
+    monkeypatch.setattr(floattext, "g17_text", lambda v: calls.append(v.size) or g17_text(v))
+    powers = [float(f"1e{q}") for q in range(-6, 19) if q not in (-1, 16)]  # not special yet
+    leftover = SPECIAL_FLOATS + powers + [math.nextafter(p, 0.0) for p in powers]
+    values = np.concatenate([leftover, 1e15 + np.arange(1, 5) / 4,
+                             rng.uniform(-1, 1, n_distinct - len(leftover) - 4)])
+    values = np.concatenate([values, values[rng.integers(0, n_distinct, 500)]])
+    assert np.unique(values.view(np.int64)).size == n_distinct
+    columns = {"row": np.arange(values.size), "x": values}
+    meta = {"command": "test"}
+    want = table_text("csv", list(columns), oracle_rows(list(columns.values())), meta)
+    assert _table_text("csv", columns, meta) == want
+    assert calls == ([n_distinct] if n_distinct >= 1024 else [])
