@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ptwalk.floattext import _fixed_text, g17_text
+from ptwalk.floattext import _BLOCK, _fixed_text, g17_text
 
 N = 10**6
-BLOCK = 2**14
 
 
 def oracle(values):
@@ -55,8 +54,8 @@ def test_the_encoder_writes_what_percent_writes_on_a_million_values(name):
     # row to '%' itself, so the rows _fixed_text takes carry all its risk.
     values = CLASSES[name](np.random.default_rng(sorted(CLASSES).index(name)), N)
     rows, text = [], []
-    for start in range(0, N, BLOCK):
-        block_rows, block_text = _fixed_text(values[start:start + BLOCK])
+    for start in range(0, N, _BLOCK):
+        block_rows, block_text = _fixed_text(values[start:start + _BLOCK])
         rows.append(start + block_rows)
         text += block_text
     rows = np.concatenate(rows)
@@ -75,7 +74,7 @@ def mixed(rng, n):
 
 def test_a_mixed_column_over_many_blocks_is_percent_text(rng):
     values = mixed(rng, 30_000)
-    assert values.size > 10 * BLOCK
+    assert values.size > 10 * _BLOCK
     assert_same_text("\n".join(g17_text(values)), oracle(values))
 
 

@@ -187,7 +187,12 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     # CSV float text comes from floattext.g17_text from 1024 distinct values on.
     # A mostly fixed-notation column, with every value it leaves to '%' mixed in.
     calls = []
-    monkeypatch.setattr(floattext, "g17_text", lambda v: calls.append(v.size) or g17_text(v))
+
+    def counted(values):
+        calls.append(values.size)
+        return g17_text(values)
+
+    monkeypatch.setattr(floattext, "g17_text", counted)
     powers = [float(f"1e{q}") for q in range(-6, 19) if q not in (-1, 16)]  # not special yet
     leftover = SPECIAL_FLOATS + powers + [math.nextafter(p, 0.0) for p in powers]
     values = np.concatenate([leftover, 1e15 + np.arange(1, 5) / 4,
