@@ -41,22 +41,15 @@ def _say(args, text: str) -> None:
 # with str(), so bools read True/False.  JSON writes what json.dumps writes:
 # float.__repr__ with NaN/Infinity/-Infinity, true/false, ASCII-escaped strings.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# From this many distinct floats on, floattext.g17_text writes a CSV column, in
-# half the time '%' takes.  It breaks even near 256 (uniform doubles, 2 CPUs);
-# below 1024 the saving is under 0.2 ms a column.
+# From this many distinct floats in one column on, a table is laid out as bytes,
+# its float text written by floattext in numpy.  Tables of few distinct floats
+# (phase-diagram, chern) are faster in the Python join.
 _G17_DISTINCT = 1024
+_JSON_CELL, _JSON_ROW = ",\n      ", "\n    ],\n    [\n      "
 
 
-def _column_text(values, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The text of each distinct value of one column, and each cell's index into it.
-
-    The index keeps the column's own shape; a column holds one value type.
-    CSV floats are '%.17g' text: '%' itself below 1024 distinct values, and
-    ``floattext.g17_text`` from 1024 on.  That encoder is byte-identical to '%':
-    it forms the 17-digit integer of each fixed-notation value exactly (an
-    error-free product with an exact power of ten, rounded half to even) and
-    leaves every other value (exponent form, zeros, inf, nan) to '%'.
-    """
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct values, and each cell's index into them at the column's shape."""
     column = np.asarray(values)
     if column.dtype.kind == "U":  # numpy text drops trailing NULs; keep Python's strings
         column = np.array(values, dtype=object)
@@ -65,47 +58,76 @@ def _column_text(values, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     if floats:  # bits, not values, so that -0.0 keeps its sign
         key = np.ascontiguousarray(key, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(key, return_inverse=True)
-    if floats:
-        distinct = distinct.view(np.float64)
-        if fmt == "csv" and distinct.size >= _G17_DISTINCT:
-            # Imported on first use: its code and tables cost about 1 ms, which only
-            # a column this large repays.
-            from .floattext import g17_text
-
-            return g17_text(distinct), inverse.reshape(column.shape)
-        text = list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, distinct.tolist()))
-        if fmt == "json" and not np.isfinite(distinct).all():
-            text = [_JSON_NONFINITE.get(s, s) for s in text]
-    else:
-        text = list(map(str if fmt == "csv" else json.dumps, distinct.tolist()))
-    return np.array(text, dtype=object), inverse.reshape(column.shape)
+    return (distinct.view(np.float64) if floats else distinct), inverse.reshape(column.shape)
 
 
-def _table_cells(columns: dict[str, Sequence], fmt: str) -> list[list[str]]:
-    """Every column's cells, in row order over the shape the columns broadcast to."""
-    texts, indexes = zip(*(_column_text(values, fmt) for values in columns.values()))
-    return [text[index.reshape(-1)].tolist()
-            for text, index in zip(texts, np.broadcast_arrays(*indexes))]
+def _column_text(distinct: np.ndarray, fmt: str) -> list[str]:
+    """The cell text of each distinct value of one column, by Python itself.
+
+    A table with a float column of 1024 or more distinct values is laid out as
+    bytes instead: every float column's text comes from ``floattext.float_rows``
+    ('%.17g' for CSV, float.__repr__ for JSON, exact in numpy for the values in
+    fixed notation and by this function for the rest), every other column's
+    from this function as UTF-8, each distinct value one row padded with 0xFF.
+    """
+    if distinct.dtype.kind != "f":
+        return list(map(str if fmt == "csv" else json.dumps, distinct.tolist()))
+    text = list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, distinct.tolist()))
+    if fmt == "json" and not np.isfinite(distinct).all():
+        text = [_JSON_NONFINITE.get(s, s) for s in text]
+    return text
 
 
-def _csv_text(columns: dict[str, Sequence]) -> str:
-    cells = _table_cells(columns, "csv")
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+def _table_rows(columns: dict[str, Sequence], fmt: str, cell_sep: str, row_sep: str) -> bytes:
+    """Each row's cells joined by cell_sep and ended by row_sep, in row order over
+    the shape the columns broadcast to."""
+    distincts, indexes = zip(*map(_distinct, columns.values()))
+    indexes = [index.reshape(-1) for index in np.broadcast_arrays(*indexes)]
+    if not any(d.dtype.kind == "f" and d.size >= _G17_DISTINCT for d in distincts):
+        cells = [np.array(_column_text(distinct, fmt), dtype=object)[index].tolist()
+                 for distinct, index in zip(distincts, indexes)]
+        return row_sep.join([*map(cell_sep.join, zip(*cells)), ""]).encode()
+    # Imported on first use: its code and tables cost about 1 ms, which only a
+    # table this large repays.
+    from .floattext import float_rows, text_rows
+
+    floats = [d for d in distincts if d.dtype.kind == "f"]  # in one call: each costs 0.1-0.2 ms
+    float_text = iter(np.split(
+        float_rows(np.concatenate(floats), fmt == "json", lambda rest: _column_text(rest, fmt)),
+        np.cumsum([d.size for d in floats])[:-1]))
+    rows = [next(float_text) if d.dtype.kind == "f" else text_rows(_column_text(d, fmt))
+            for d in distincts]
+    seps = [np.frombuffer(sep.encode(), dtype=np.uint8)
+            for sep in [cell_sep] * (len(rows) - 1) + [row_sep]]
+    table = np.empty((indexes[0].size, sum(r.shape[1] + s.size for r, s in zip(rows, seps))),
+                     dtype=np.uint8)
+    start = 0
+    for row, index, sep in zip(rows, indexes, seps):
+        end = start + row.shape[1]
+        # The indexes are in range; mode "clip" lets take write into the strided out unbuffered.
+        np.take(row, index, axis=0, out=table[:, start:end], mode="clip")
+        table[:, end:end + sep.size] = sep
+        start = end + sep.size
+    return table.tobytes().translate(None, b"\xff")
 
 
-def _json_text(columns: dict[str, Sequence], meta: dict) -> str:
+def _csv_text(columns: dict[str, Sequence]) -> bytes:
+    return (",".join(columns) + "\n").encode() + _table_rows(columns, "csv", ",", "\n")
+
+
+def _json_text(columns: dict[str, Sequence], meta: dict) -> bytes:
     """json.dumps(payload, indent=2, sort_keys=True) of the table, byte for byte."""
     text = json.dumps({"meta": meta, "columns": list(columns), "rows": []},
                       indent=2, sort_keys=True)
-    cells = _table_cells(columns, "json")
-    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-    if rows:
-        # "rows" sorts last, so the payload ends with its empty list: '[]\n}'.
-        text = text[:-4] + "[\n    [\n      " + rows + "\n    ]\n  ]\n}"
-    return text + "\n"
+    rows = _table_rows(columns, "json", _JSON_CELL, _JSON_ROW)
+    if not rows:
+        return (text + "\n").encode()
+    # "rows" sorts last, so the payload ends with its empty list: '[]\n}'.
+    head = (text[:-4] + "[\n    [\n      ").encode()
+    return head + rows[:-len(_JSON_ROW)] + b"\n    ]\n  ]\n}\n"
 
 
-def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
+def _table_data(fmt: str, columns: dict[str, Sequence], meta: dict) -> bytes:
     if fmt == "csv":
         return _csv_text(columns)
     if fmt == "json":
@@ -113,20 +135,24 @@ def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-def _write_file(path: str, text: str) -> None:
+def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
+    return _table_data(fmt, columns, meta).decode("utf-8")
+
+
+def _write_file(path: str, data: bytes) -> None:
     """Write one output file; a path that cannot be written is a ConfigError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _write_output(args, columns: dict[str, Sequence], meta: dict) -> None:
-    text = _table_text(args.format, columns, meta)
+    data = _table_data(args.format, columns, meta)
     if args.out:
-        _write_file(args.out, text)
+        _write_file(args.out, data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _rows_to_columns(names: list[str], rows: list[tuple]) -> dict[str, Sequence]:
@@ -177,8 +203,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 def _config_value(key: str, value, keywords: dict):
     """A config value as its flag would hold it; text goes through the flag's type.
 
-    A JSON number stays as it is where the flag takes one (any number for a
-    float flag, an integer for an int flag); anything else is a ConfigError.
+    A JSON number where the flag takes one (any number for a float flag, an
+    integer for an int flag) becomes the flag's type, so that {"p": 0} writes
+    the meta "p": 0.0 as --p 0 does; anything else is a ConfigError.
     """
     kind = keywords.get("type", str)
     if isinstance(value, str):
@@ -188,7 +215,9 @@ def _config_value(key: str, value, keywords: dict):
             raise ConfigError(
                 f"config key {key!r}: {value!r} is not a valid {kind.__name__}"
             ) from None
-    elif not (type(value) is kind or kind is float and type(value) is int):
+    elif type(value) is kind or kind is float and type(value) is int:
+        value = kind(value)
+    else:
         raise ConfigError(
             f"config key {key!r} takes a {kind.__name__}, got {type(value).__name__} {value!r}"
         )

@@ -553,6 +553,30 @@ def test_config_text_goes_through_the_flag_type(config, flags, tmp_path, capsys)
     assert out == run_cli(["spectrum", "--preset", "fig4", *flags], capsys)[1]
 
 
+def test_a_config_number_writes_the_bytes_its_flag_writes(tmp_path, capsys):
+    # JSON's 0 is an int; --p holds a float, so the meta must read "p": 0.0 either way.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"p": 0}))
+    argv = ["spectrum", "--preset", "fig3a", "--kgrid", "4", "--format", "json"]
+    code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["meta"]["p"] == 0.0 and '"p": 0.0' in out
+    assert out == run_cli([*argv, "--p", "0"], capsys)[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_is_the_out_file_for_a_table_laid_out_as_bytes(fmt, tmp_path, capsys):
+    # 32 x 61 cells: the n columns hold over 1024 distinct floats each.
+    argv = ["quench", "--preset", "fig3b", "--kgrid", "32", "--tgrid", "61", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    path = tmp_path / f"n.{fmt}"
+    assert run_cli([*argv, "--out", str(path)], capsys)[0] == code == 0
+    n1 = ([r["n1"] for r in read_csv(out)] if fmt == "csv"
+          else [r[2] for r in json.loads(out)["rows"]])
+    assert len(set(n1)) >= 1024
+    assert out.encode("utf-8") == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from output_oracle import table_text
 from ptwalk import floattext
 from ptwalk.cli import _bloch_columns, _table_text
-from ptwalk.floattext import g17_text
+from ptwalk.floattext import float_rows
 from ptwalk.floquet import CoinParams
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import bloch_field
@@ -117,6 +117,57 @@ def test_broadcast_columns_match_the_row_writer_on_the_materialized_rows(table, 
     assert _table_text(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
 
 
+INT64_EDGES = [-(2**63), -1, 0, 1, 2**63 - 1]
+# The values each kind's pool always holds, beside a few drawn ones.
+POOLS = {"float": SPECIAL_FLOATS, "int": INT64_EDGES, "bool": [True, False],
+         "str": SPECIAL_TEXT}
+
+
+@st.composite
+def big_tables(draw):
+    # One float column of at least 1024 distinct values lays the whole table out
+    # as bytes.  The other columns draw their cells from a pool of specials and a
+    # few drawn values, at a one-axis shape or at the shapes of a Bloch table.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1024, 1100)),)
+        shapes = [shape, ()]
+    else:
+        shape = (draw(st.integers(32, 40)), draw(st.integers(32, 40)))
+        shapes = [shape, (shape[0], 1), (shape[1],), ()]
+    size = math.prod(shape)
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-6.0, 18.0, size)
+    big = rng.permutation(np.concatenate([SPECIAL_FLOATS, rng.uniform(-1, 1, size), spread]))
+    big = big[:size]
+    assert np.unique(big.view(np.int64)).size >= 1024
+    names = draw(st.lists(texts, min_size=2, max_size=6, unique=True))
+    big_at = draw(st.integers(0, len(names) - 1))
+    columns = []
+    for i in range(len(names)):
+        if i == big_at:
+            kind, column_shape, flat = "float", shape, big.tolist()
+        else:
+            kind = draw(st.sampled_from(sorted(KINDS)))
+            column_shape = draw(st.sampled_from(shapes))
+            pool = POOLS[kind] + draw(st.lists(KINDS[kind][0], max_size=4))
+            flat = [pool[j] for j in rng.integers(0, len(pool), math.prod(column_shape))]
+        if draw(st.booleans()):
+            columns.append((nested(flat, column_shape), column_shape))  # Python values
+        else:
+            column = np.array(flat, dtype=KINDS[kind][1]).reshape(column_shape)
+            columns.append((column, column_shape))
+    meta = draw(st.dictionaries(texts, st.one_of(floats, ints, texts), max_size=3))
+    return names, columns, meta
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(big_tables(), st.sampled_from(["csv", "json"]))
+def test_tables_laid_out_as_bytes_match_the_row_writer(table, fmt):
+    names, columns, meta = table
+    want = table_text(fmt, names, broadcast_rows(columns), meta)
+    assert _table_text(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_bloch_table_with_both_regimes_matches_the_row_writer(fmt):
     # fig4's start quenched into a final walk that is PT-broken at some momenta.
@@ -157,9 +208,6 @@ def test_special_values_and_short_tables(fmt, n_rows):
     assert _table_text(fmt, columns, meta) == want
 
 
-INT64_EDGES = [-(2**63), -1, 0, 1, 2**63 - 1]
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_long_bool_and_int_columns_match_the_row_writer(fmt, rng):
     # Few distinct values over many rows, as in a phase diagram's pt_broken
@@ -181,26 +229,28 @@ def test_long_bool_and_int_columns_match_the_row_writer(fmt, rng):
     assert got == want
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_distinct", [1023, 1024])
 def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_writer(
-        n_distinct, rng, monkeypatch):
-    # CSV float text comes from floattext.g17_text from 1024 distinct values on.
-    # A mostly fixed-notation column, with every value it leaves to '%' mixed in.
+        n_distinct, fmt, rng, monkeypatch):
+    # From 1024 distinct values on, one floattext.float_rows call writes every float column.
+    # A mostly fixed-notation column, with every value it leaves to Python mixed in.
     calls = []
 
-    def counted(values):
-        calls.append(values.size)
-        return g17_text(values)
+    def counted(values, shortest, texts):
+        calls.append((values.size, shortest))
+        return float_rows(values, shortest, texts)
 
-    monkeypatch.setattr(floattext, "g17_text", counted)
+    monkeypatch.setattr(floattext, "float_rows", counted)
     powers = [float(f"1e{q}") for q in range(-6, 19) if q not in (-1, 16)]  # not special yet
     leftover = SPECIAL_FLOATS + powers + [math.nextafter(p, 0.0) for p in powers]
     values = np.concatenate([leftover, 1e15 + np.arange(1, 5) / 4,
                              rng.uniform(-1, 1, n_distinct - len(leftover) - 4)])
     values = np.concatenate([values, values[rng.integers(0, n_distinct, 500)]])
     assert np.unique(values.view(np.int64)).size == n_distinct
-    columns = {"row": np.arange(values.size), "x": values}
+    columns = {"row": np.arange(values.size), "x": values, "y": -values[::-1]}
     meta = {"command": "test"}
-    want = table_text("csv", list(columns), oracle_rows(list(columns.values())), meta)
-    assert _table_text("csv", columns, meta) == want
-    assert calls == ([n_distinct] if n_distinct >= 1024 else [])
+    want = table_text(fmt, list(columns), oracle_rows(list(columns.values())), meta)
+    assert _table_text(fmt, columns, meta) == want
+    shortest = fmt == "json"
+    assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= 1024 else [])

@@ -26,9 +26,11 @@ from ptwalk.quench import (
     overlap_grid,
 )
 from ptwalk.spectrum import (
+    EP_TOL,
     PTPhase,
     _energy_plus_from_d0,
     band_structure,
+    min_gap,
     pt_classify,
     walk_eigensystem,
 )
@@ -426,7 +428,15 @@ def test_fixed_points_are_exact_pi_closed_and_cover_the_grid_search(spec):
     cp, cm, _ = overlap_grid(spec, np.linspace(-PI, PI, 512, endpoint=False))
     # Operators that commute at every momentum pin the whole zone: no isolated point.
     assume(np.minimum(np.abs(cp), np.abs(cm)).max() > 1e-6)
-    fps = find_fixed_points(spec)
+    try:
+        fps = find_fixed_points(spec)
+    except ExceptionalPoint:
+        # An eigenstate start whose initial bands touch (min_gap <= EP_TOL) at a
+        # root of g is undefined there, as documented; the grid's eigensolver
+        # tests a smaller gap (GAP_TOL), so the scan above may pass it.
+        if spec.initial_state is not None or min_gap(spec.initial) > EP_TOL:
+            raise
+        assume(False)
     for fp in fps:
         (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([fp.k]))
         c = c_plus if fp.kind is FixedPointKind.C_PLUS_ZERO else c_minus
