@@ -135,10 +135,6 @@ def _table_data(fmt: str, columns: dict[str, Sequence], meta: dict) -> bytes:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-def _table_text(fmt: str, columns: dict[str, Sequence], meta: dict) -> str:
-    return _table_data(fmt, columns, meta).decode("utf-8")
-
-
 def _write_file(path: str, data: bytes) -> None:
     """Write one output file; a path that cannot be written is a ConfigError."""
     try:
@@ -216,7 +212,10 @@ def _config_value(key: str, value, keywords: dict):
                 f"config key {key!r}: {value!r} is not a valid {kind.__name__}"
             ) from None
     elif type(value) is kind or kind is float and type(value) is int:
-        value = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError:  # a JSON integer beyond the double range
+            raise ConfigError(f"config key {key!r}: integer out of float range") from None
     else:
         raise ConfigError(
             f"config key {key!r} takes a {kind.__name__}, got {type(value).__name__} {value!r}"

@@ -125,12 +125,39 @@ def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
     :func:`~ptwalk.spectrum.lower_band_kets`, the solve and column pick of
     ``walk_eigensystem`` without the plus band and the bras, so it equals
     ``walk_eigensystem(spec.initial, ks).right[:, 1, :]`` bit for bit.
+
+    Raises
+    ------
+    ExceptionalPoint
+        For an eigenstate start whose bands touch (:func:`_bands_touch`) at
+        one of ``ks``: the start is undefined there, by the gate that
+        :func:`find_fixed_points` applies at its roots.  Where the solve's
+        own gap check fails first, its error is the one raised.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if spec.initial_state is not None:
         state = np.array(spec.initial_state, dtype=complex)
         return np.broadcast_to(state, (len(ks), 2)).copy()
-    return lower_band_kets(spec.initial, ks)
+    kets = lower_band_kets(spec.initial, ks)
+    if _bands_touch(spec.initial, ks).any():
+        raise ExceptionalPoint("initial bands touch at a sampled momentum: the start is undefined")
+    return kets
+
+
+def _bands_touch(params: CoinParams, ks: np.ndarray) -> np.ndarray:
+    """Where the bands of ``params`` touch, |1 - d0^2| <= ``EP_TOL``, over ``ks``.
+
+    The one gate that decides where an eigenstate start is undefined, on a
+    grid and at a root of g alike.  It is looser than the eigensolver's own
+    gap check (``GAP_TOL`` on 2 |mu|, mu^2 = 1 - d0^2), which passes bands
+    5e-8 apart: from ``CoinParams(0, 2.5673154940413493e-08)`` the roots of g
+    sit on them at k = 0 and -pi/2, and a grid through those momenta has to
+    say so as the roots do.  Only operators with ``min_gap <= EP_TOL`` can
+    touch, so the others cost no d coefficients.
+    """
+    if min_gap(params) > EP_TOL:
+        return np.zeros(np.shape(ks), dtype=bool)
+    return np.abs(1.0 - d_coefficients(params, ks)[:, 0].real ** 2) <= EP_TOL
 
 
 def initial_state_residual(spec: QuenchSpec) -> float:
@@ -362,10 +389,9 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
     roots = _merge_split_roots(np.roots(ascending[kept[0]:kept[-1] + 1][::-1]))
     theta = np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
-    if spec.initial_state is None and min_gap(spec.initial) <= EP_TOL:
-        touching = [np.abs(1.0 - d_coefficients(op, theta / 2)[:, 0].real ** 2) <= EP_TOL
-                    for op in (spec.initial, spec.final)]
-        if np.any(touching[0] & ~touching[1]):
+    if spec.initial_state is None:
+        touching = _bands_touch(spec.initial, theta / 2)
+        if touching.any() and np.any(touching & ~_bands_touch(spec.final, theta / 2)):
             raise ExceptionalPoint("initial bands touch at a root of g: the start is undefined")
     h_coeffs = np.fft.fft(np.stack([h_a, h_f], axis=1), axis=0) / _G_SAMPLES
     return _polish_on_start(h_coeffs, -1 if spec.initial_state is None else 1, theta)

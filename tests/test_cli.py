@@ -585,6 +585,7 @@ def test_stdout_is_the_out_file_for_a_table_laid_out_as_bytes(fmt, tmp_path, cap
         ({"kgrid": 64.0}, ["spectrum", "--preset", "fig4"]),
         ({"kgrid": True}, ["spectrum", "--preset", "fig4"]),
         ({"p": [0.3]}, ["spectrum", "--preset", "fig4"]),
+        ({"p": 10**400}, ["spectrum", "--preset", "fig4"]),
         ({"format": "xml"}, ["spectrum", "--preset", "fig4"]),
         ({"func": "x"}, ["spectrum", "--preset", "fig4"]),
         # --config is read before the file is, and the positional is always given.
@@ -594,8 +595,8 @@ def test_stdout_is_the_out_file_for_a_table_laid_out_as_bytes(fmt, tmp_path, cap
         ({"seed": 3}, ["spectrum", "--preset", "fig4"]),
         ({"kgrid": 64}, ["fixed-points", "--preset", "fig3b"]),
     ],
-    ids=["theta1-number", "kgrid-text", "kgrid-float", "kgrid-bool", "p-list", "format-choice",
-         "not-a-flag", "config", "preset-name", "removed-seed", "removed-kgrid"],
+    ids=["theta1-number", "kgrid-text", "kgrid-float", "kgrid-bool", "p-list", "p-huge-int",
+         "format-choice", "not-a-flag", "config", "preset-name", "removed-seed", "removed-kgrid"],
 )
 def test_bad_config_value_is_a_config_error_naming_the_key(config, argv, tmp_path, capsys):
     path = tmp_path / "run.json"

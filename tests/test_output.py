@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from output_oracle import table_text
 from ptwalk import floattext
-from ptwalk.cli import _bloch_columns, _table_text
+from ptwalk.cli import _bloch_columns, _table_data
 from ptwalk.floattext import float_rows
 from ptwalk.floquet import CoinParams
 from ptwalk.presets import PRESETS, build_spec
@@ -29,6 +29,11 @@ texts = st.one_of(st.sampled_from(SPECIAL_TEXT), st.text())
 # for large tables, lists and tuples what they pass for short ones.
 KINDS = {"float": (floats, np.float64), "int": (ints, np.int64), "bool": (st.booleans(), bool),
          "str": (texts, str)}
+
+
+def table_text_of(fmt, columns, meta):
+    """The bytes the CLI writes for a table, as the text stdout gets."""
+    return _table_data(fmt, columns, meta).decode("utf-8")
 
 
 @st.composite
@@ -55,7 +60,7 @@ def oracle_rows(columns):
 def test_column_encoding_matches_the_row_writer(table, fmt):
     names, columns, meta = table
     want = table_text(fmt, names, oracle_rows(columns), meta)
-    assert _table_text(fmt, dict(zip(names, columns)), meta) == want
+    assert table_text_of(fmt, dict(zip(names, columns)), meta) == want
 
 
 def nested(flat, shape):
@@ -114,7 +119,7 @@ def broadcast_rows(columns):
 def test_broadcast_columns_match_the_row_writer_on_the_materialized_rows(table, fmt):
     names, columns, meta = table
     want = table_text(fmt, names, broadcast_rows(columns), meta)
-    assert _table_text(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
+    assert table_text_of(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
 
 
 INT64_EDGES = [-(2**63), -1, 0, 1, 2**63 - 1]
@@ -165,7 +170,7 @@ def big_tables(draw):
 def test_tables_laid_out_as_bytes_match_the_row_writer(table, fmt):
     names, columns, meta = table
     want = table_text(fmt, names, broadcast_rows(columns), meta)
-    assert _table_text(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
+    assert table_text_of(fmt, dict(zip(names, (c for c, _ in columns))), meta) == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -185,7 +190,7 @@ def test_a_bloch_table_with_both_regimes_matches_the_row_writer(fmt):
     want = table_text(fmt, names, rows, meta)
     columns = _bloch_columns(field)
     assert list(columns) == names
-    got = _table_text(fmt, columns, meta)
+    got = table_text_of(fmt, columns, meta)
     # The first wrong lines, not a diff of two texts of 15 000 lines.
     assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
     assert got == want
@@ -205,7 +210,7 @@ def test_special_values_and_short_tables(fmt, n_rows):
     }
     meta = {"command": "test", "p": math.nan, "note": 'a "quoted" é'}
     want = table_text(fmt, list(columns), oracle_rows(list(columns.values())), meta)
-    assert _table_text(fmt, columns, meta) == want
+    assert table_text_of(fmt, columns, meta) == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -223,7 +228,7 @@ def test_long_bool_and_int_columns_match_the_row_writer(fmt, rng):
     assert columns["n"].dtype == np.int64
     meta = {"command": "test"}
     want = table_text(fmt, list(columns), oracle_rows(list(columns.values())), meta)
-    got = _table_text(fmt, columns, meta)
+    got = table_text_of(fmt, columns, meta)
     # The first wrong lines, not a diff of two texts of 10 000 lines.
     assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
     assert got == want
@@ -251,6 +256,6 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     columns = {"row": np.arange(values.size), "x": values, "y": -values[::-1]}
     meta = {"command": "test"}
     want = table_text(fmt, list(columns), oracle_rows(list(columns.values())), meta)
-    assert _table_text(fmt, columns, meta) == want
+    assert table_text_of(fmt, columns, meta) == want
     shortest = fmt == "json"
     assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= 1024 else [])

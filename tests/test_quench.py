@@ -26,11 +26,9 @@ from ptwalk.quench import (
     overlap_grid,
 )
 from ptwalk.spectrum import (
-    EP_TOL,
     PTPhase,
     _energy_plus_from_d0,
     band_structure,
-    min_gap,
     pt_classify,
     walk_eigensystem,
 )
@@ -428,15 +426,7 @@ def test_fixed_points_are_exact_pi_closed_and_cover_the_grid_search(spec):
     cp, cm, _ = overlap_grid(spec, np.linspace(-PI, PI, 512, endpoint=False))
     # Operators that commute at every momentum pin the whole zone: no isolated point.
     assume(np.minimum(np.abs(cp), np.abs(cm)).max() > 1e-6)
-    try:
-        fps = find_fixed_points(spec)
-    except ExceptionalPoint:
-        # An eigenstate start whose initial bands touch (min_gap <= EP_TOL) at a
-        # root of g is undefined there, as documented; the grid's eigensolver
-        # tests a smaller gap (GAP_TOL), so the scan above may pass it.
-        if spec.initial_state is not None or min_gap(spec.initial) > EP_TOL:
-            raise
-        assume(False)
+    fps = find_fixed_points(spec)
     for fp in fps:
         (c_plus,), (c_minus,), _ = overlap_grid(spec, np.array([fp.k]))
         c = c_plus if fp.kind is FixedPointKind.C_PLUS_ZERO else c_minus
@@ -523,6 +513,20 @@ def test_a_root_of_g_on_a_band_touching_of_the_start_raises(final):
     steps on the double zero of W at the touching would decide by rounding."""
     with pytest.raises(ExceptionalPoint):
         find_fixed_points(QuenchSpec(initial=CoinParams(-PI / 4, -PI / 4), final=final))
+
+
+def test_a_grid_and_the_roots_of_g_agree_on_an_undefined_start():
+    """The initial bands are 2 sin(2.6e-8) apart at k = 0 and -pi/2, which the
+    eigensolver's gap check passes, and the roots of g sit there.  The fixed
+    points call the start undefined; a grid through those momenta says so too."""
+    spec = QuenchSpec(initial=CoinParams(0.0, 2.5673154940413493e-08), final=CoinParams(0.0, 1.0))
+    ks = np.linspace(-PI, PI, 512, endpoint=False)
+    walk_eigensystem(spec.initial, ks)
+    for run in (find_fixed_points, lambda s: overlap_grid(s, ks), lambda s: bloch_field(s, 8)):
+        with pytest.raises(ExceptionalPoint, match="initial bands touch"):
+            run(spec)
+    cp, _, _ = overlap_grid(spec, ks[1:128])  # clear of k = -pi and -pi/2
+    assert np.isfinite(cp).all()
 
 
 # Lossy quenches (initial theta1, theta2; p; final theta1; theta2_f at a 4 -> 8 pair
