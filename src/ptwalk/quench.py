@@ -198,7 +198,10 @@ def overlap_grid(
 def _dressed_coefficients(cp, cm, energy, t):
     """ct_+ = c_+ e^{-iEt}, ct_- = c_- e^{+iEt} with eps_+- = +-E exactly."""
     t = np.asarray(t, dtype=float)
-    return cp * np.exp(-1j * energy * t), cm * np.exp(1j * energy * t)
+    # A growing weight overflows to inf (and 0 * inf to nan) at long times;
+    # bloch_from_coefficients reports it as SingularNormalization.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cp * np.exp(-1j * energy * t), cm * np.exp(1j * energy * t)
 
 
 def bloch_from_coefficients(ct_plus, ct_minus) -> np.ndarray:

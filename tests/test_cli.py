@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from ptwalk import cli
 from ptwalk.cli import build_parser, main
 
 
@@ -575,6 +576,25 @@ def test_stdout_is_the_out_file_for_a_table_laid_out_as_bytes(fmt, tmp_path, cap
           else [r[2] for r in json.loads(out)["rows"]])
     assert len(set(n1)) >= 1024
     assert out.encode("utf-8") == path.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_is_the_out_file_for_a_table_laid_out_in_many_blocks(
+        fmt, tmp_path, capsys, monkeypatch):
+    # 256 x 61 cells: 15 616 rows laid out in 9 blocks as CSV, in 13 as JSON.
+    table_rows, parts = cli._table_rows, []
+
+    def recorded(*args):
+        parts.append(table_rows(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(cli, "_table_rows", recorded)
+    argv = ["quench", "--preset", "fig6", "--tgrid", "61", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    path = tmp_path / f"n.{fmt}"
+    assert run_cli([*argv, "--out", str(path)], capsys)[0] == code == 0
+    assert out.encode("utf-8") == path.read_bytes()
+    assert [len(p) for p in parts] == 2 * [{"csv": 9, "json": 13}[fmt]]
 
 
 @pytest.mark.parametrize(

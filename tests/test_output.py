@@ -1,6 +1,7 @@
 """Column-wise table encoding against the row-at-a-time writer it replaced."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from output_oracle import table_text
-from ptwalk import floattext
+from ptwalk import cli, floattext
 from ptwalk.cli import _bloch_columns, _table_data
 from ptwalk.floattext import float_rows
 from ptwalk.floquet import CoinParams
@@ -259,3 +260,32 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     assert table_text_of(fmt, columns, meta) == want
     shortest = fmt == "json"
     assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= 1024 else [])
+
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("wide", [0, 9, 400])
+def test_tables_laid_out_in_blocks_match_the_row_writer_at_the_block_edges(
+        fmt, wide, rng, monkeypatch):
+    # With the cut-off at one distinct float, tables of under 1024 rows are laid
+    # out as bytes too.  The text column sets the row width, and so the block size.
+    monkeypatch.setattr(cli, "_G17_DISTINCT", 1)
+    pool = ["\x00", "a\x00b", "é", "日本", "𝔭", "", "x" * wide]
+    cell_sep, row_sep = (",", "\n") if fmt == "csv" else (cli._JSON_CELL, cli._JSON_ROW)
+    # A row: a float (24 bytes), the widest text, True (4 bytes) and the separators.
+    text_width = max(len((str if fmt == "csv" else json.dumps)(s).encode()) for s in pool)
+    width = floattext._WIDTH + text_width + 4 + 2 * len(cell_sep) + len(row_sep)
+    block = cli._BLOCK_BYTES // width
+    meta = {"command": "test"}
+    for n_rows in [0, 1, block - 1, block, block + 1, 3 * block - 1, 3 * block + 1]:
+        # (m, 1) columns beside a (c,) flag: c = 0 broadcasts m rows to none.
+        m, c = n_rows or 3, int(n_rows > 0)
+        x = rng.uniform(-1, 1, m)
+        x[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:m]
+        text = [pool[j] for j in rng.integers(0, len(pool), m)]
+        text[:len(pool)] = pool[:m]
+        table = {"x": x.reshape(m, 1), "s": nested(text, (m, 1)), "flag": np.ones(c, dtype=bool)}
+        if n_rows >= len(pool):  # the widest text is in the table, so the edges are as above
+            assert len(cli._table_rows(table, fmt, cell_sep, row_sep)) == -(-n_rows // block)
+        want = table_text(fmt, list(table), list(zip(x.tolist(), text, [True] * n_rows)), meta)
+        assert table_text_of(fmt, table, meta) == want, n_rows

@@ -743,6 +743,15 @@ def test_overflowing_dressed_weights_raise(spec_fig4):
         bloch_from_coefficients(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_dressing_raises_the_typed_error_and_warns_nothing(spec_fig4):
+    """At t = 5e4 e^{Im(E) t} itself overflows, and 0 * inf is nan, before n0 is formed."""
+    from ptwalk.errors import SingularNormalization
+
+    with pytest.raises(SingularNormalization):
+        bloch_field(spec_fig4, ts=np.linspace(0.0, 1e5, 3))
+
+
 def test_oscillation_periods(spec_fig3a, spec_fig3b, spec_fig4, spec_fig6, rng):
     for spec in (spec_fig3a, spec_fig3b):
         for k in rng.uniform(-PI, PI, size=8):
