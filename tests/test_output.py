@@ -262,7 +262,6 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= 1024 else [])
 
 
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("wide", [0, 9, 400])
 def test_tables_laid_out_in_blocks_match_the_row_writer_at_the_block_edges(
