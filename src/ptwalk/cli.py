@@ -161,9 +161,15 @@ def _write_file(path: str, data: bytes) -> None:
 
 
 def _write_output(args, columns: dict[str, Sequence], meta: dict) -> None:
+    """The table's bytes to ``--out``, or to standard output's byte stream
+    after the text already written there; a stream without one (a
+    ``StringIO``) gets the decoded text."""
     data = _table_data(args.format, columns, meta)
     if args.out:
         _write_file(args.out, data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
 

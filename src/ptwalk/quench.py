@@ -63,6 +63,8 @@ _SPLIT_SCALE = 10.0         # m roots within this times eps^(1/m) are one split 
 _NEWTON_STEPS = 9           # most Gauss-Newton steps per root
 _ROOT_TOL = 1e-11           # distance in theta up to which a polished angle is a zero
 _W_ROUNDING = 1e-14         # |W| below this times |h_a|^2 |h_f| is zero to rounding
+_PARTNER_RATIO = 1e-3       # |W-| below this times |W+|: a root of the start's partner
+_PARTNER_FLOOR = 1e-8       # ... where |W+| exceeds this times |h_a|^2 |h_f|
 
 
 @dataclass(frozen=True)
@@ -327,38 +329,73 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     skipped.  An angle is kept if, before the last step, |W| / |dW/dtheta| is
     at most ``_ROOT_TOL`` (a zero of W is that close) or |W| is zero to rounding.
 
-    Each step evaluates h and dh/dtheta from one phase matrix, and its five
-    cross products as two stacked calls of :func:`_cross`: [h_a, dh_a, h_a]
-    x [h_f, h_f, dh_f] gives w and the two terms of dw, then [h_a, dh_a, h_a]
-    x [w, w, dw] the cross terms of W and dW.  The sums are those of five
-    ``np.cross`` calls, so every angle keeps its bits.
+    Each step evaluates h and dh/dtheta by one matmul over the stacked phase
+    matrices [e^{i n theta}, i n e^{i n theta}], which rounds each of the two
+    as its own product does (also for a single angle, where one product of
+    twice the rows would not), and its five cross products as two stacked
+    calls of :func:`_cross`: [h_a, dh_a, h_a] x [h_f, h_f, dh_f] gives w and
+    the two terms of dw, then [h_a, dh_a, h_a] x [w, w, dw] the cross terms
+    of W and dW.  The sums are those of five ``np.cross`` calls, so every
+    angle keeps its bits.
     """
     harmonics = np.fft.fftfreq(len(h_coeffs), 1.0 / len(h_coeffs))
     derivative = 1j * harmonics
+    coeffs = h_coeffs.reshape(len(h_coeffs), 6)
     for _ in range(_NEWTON_STEPS):
         phase = np.exp(1j * np.outer(theta, harmonics))
-        h_a, h_f = np.tensordot(phase, h_coeffs, axes=1).transpose(1, 0, 2)
-        dh_a, dh_f = np.tensordot(phase * derivative, h_coeffs, axes=1).transpose(1, 0, 2)
-        lhs = np.stack([h_a, dh_a, h_a])
-        w, dw_a, dw_f = _cross(lhs, np.stack([h_f, h_f, dh_f]))
-        dw = dw_a + dw_f
-        m = sign * np.sqrt(np.sum(h_a * h_a, axis=1, keepdims=True))
+        h = np.matmul(np.stack([phase, phase * derivative]), coeffs).reshape(2, len(theta), 2, 3)
+        lhs = h[[0, 1, 0], :, 0]  # h_a, dh_a, h_a
+        h_a, h_f = lhs[0], h[0, :, 1]
+        w_terms = _cross(lhs, h[[0, 0, 1], :, 1])  # x h_f, h_f, dh_f: w and the terms of dw
+        w_terms[1] += w_terms[2]
+        w, dw = w_terms[0], w_terms[1]
+        m = sign * np.sqrt((h_a * h_a).sum(axis=1, keepdims=True))
         with np.errstate(divide="ignore", invalid="ignore"):
-            dm = np.sum(h_a * dh_a, axis=1, keepdims=True) / m
-            a_w, da_w, a_dw = _cross(lhs, np.stack([w, w, dw]))
+            dm = (h_a * lhs[1]).sum(axis=1, keepdims=True) / m
+            a_w, da_w, a_dw = _cross(lhs, w_terms[[0, 0, 1]])
             big_w = a_w + 1j * m * w
             d_big_w = da_w + a_dw + 1j * (dm * w + m * dw)
-            slope = np.sum(np.abs(d_big_w) ** 2, axis=1)
-            step = np.sum(d_big_w.conj() * big_w, axis=1).real / slope
-        size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
+            slope = (np.abs(d_big_w) ** 2).sum(axis=1)
+            step = (d_big_w.conj() * big_w).sum(axis=1).real / slope
+        size = (np.abs(h_a) ** 2).sum(axis=1) * np.sqrt((h_f.conj() * h_f).real.sum(axis=1))
         rounding = (_W_ROUNDING * size) ** 2
-        residual = np.sum(np.abs(big_w) ** 2, axis=1)
+        residual = (np.abs(big_w) ** 2).sum(axis=1)
         floored = (residual <= rounding) & (np.abs(step) > _ROOT_TOL)  # W / W' is noise there
         step = np.where(np.isfinite(step) & ~floored, step, 0.0)
         theta = theta - step
         if np.all(np.abs(step) <= 1e-15):
             break
     return theta[residual <= _ROOT_TOL**2 * slope + rounding]
+
+
+def _on_partner(spec: QuenchSpec, sign: int, theta: np.ndarray) -> np.ndarray:
+    """Candidates that are decisively roots of the start's partner, not of the start.
+
+    The partner is the other eigenvector of h_a.sigma, eigenvalue -m, so its
+    W is W- = h_a x w - i m w beside the start's W+ = h_a x w + i m w.  At a
+    root of g where w != 0, w is a null vector orthogonal to h_a, hence an
+    eigenvector of h_a x with eigenvalue -i m or +i m: exactly one of W+-
+    vanishes, and the other is 2 i m w.  A candidate is dropped only where
+
+    - |W-| < ``_PARTNER_RATIO`` |W+|: a thousandfold asymmetry.  At a zero of
+      w both sides are O(|w|) and alike (equal for real h_a and w, the
+      lossless case), and at a start's root |W-| / |W+| is large; and
+    - |W+| > ``_PARTNER_FLOOR`` |h_a|^2 |h_f|: W is evaluated to about
+      ``_W_ROUNDING`` |h_a|^2 |h_f|, so there both sides are exact to 1e-6 of
+      |W+|, three decades inside the ratio.  Below it both may be rounding
+      (|w| <= 1e-15 at the roots theta = +-0.5533 from CoinParams(0, 1, 0.5)
+      into CoinParams(1, 1, 0.5)), and their ratio says nothing.
+
+    Every other candidate is kept for :func:`_polish_on_start`.  A partner's
+    root is no fixed point, and the polish would only drag it onto a root
+    that another candidate reaches.
+    """
+    h_a, h_f = _bloch_axes(spec, theta / 2)
+    w = _cross(h_a, h_f)
+    i_m_w = 1j * sign * np.sqrt((h_a * h_a).sum(axis=1, keepdims=True)) * w
+    start, partner = (np.abs(_cross(h_a, w) + [i_m_w, -i_m_w]) ** 2).sum(axis=2)  # |W+-|^2
+    size = (np.abs(h_a) ** 2).sum(axis=1) ** 2 * (np.abs(h_f) ** 2).sum(axis=1)
+    return (partner < _PARTNER_RATIO**2 * start) & (start > _PARTNER_FLOOR**2 * size)
 
 
 def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
@@ -376,9 +413,11 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     Without loss every root of g is at least double, and the sixfold root of a
     third-order zero (from CoinParams(0, pi/4) into CoinParams(pi/2, 0) at
     k = 0) splits by 3e-3: :func:`_merge_split_roots` joins split roots before
-    the unit-circle test.  :func:`_polish_on_start` keeps the start's roots,
-    not its partner's.  Where the initial bands of an eigenstate start touch at
-    a root and the final ones do not, the start is undefined: ExceptionalPoint.
+    the unit-circle test.  :func:`_on_partner` drops the candidates that are
+    decisively roots of the start's partner, and :func:`_polish_on_start`
+    keeps the start's roots among the rest.  Where the initial bands of an
+    eigenstate start touch at a root and the final ones do not, the start is
+    undefined: ExceptionalPoint.
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)
@@ -397,7 +436,8 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
         if touching.any() and np.any(touching & ~_bands_touch(spec.final, theta / 2)):
             raise ExceptionalPoint("initial bands touch at a root of g: the start is undefined")
     h_coeffs = np.fft.fft(np.stack([h_a, h_f], axis=1), axis=0) / _G_SAMPLES
-    return _polish_on_start(h_coeffs, -1 if spec.initial_state is None else 1, theta)
+    sign = -1 if spec.initial_state is None else 1
+    return _polish_on_start(h_coeffs, sign, theta[~_on_partner(spec, sign, theta)])
 
 
 def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:

@@ -597,6 +597,39 @@ def test_stdout_is_the_out_file_for_a_table_laid_out_in_many_blocks(
     assert [len(p) for p in parts] == 2 * [{"csv": 9, "json": 13}[fmt]]
 
 
+BYTES_TABLE = ["quench", "--preset", "fig3b", "--kgrid", "32", "--tgrid", "61"]
+
+
+def test_stdout_gets_the_table_bytes_after_the_text_before_them(tmp_path, monkeypatch):
+    """The table goes to the byte stream under sys.stdout, not through its text
+    layer, and text that was still buffered there comes out first."""
+    texts = []
+
+    class Recording(io.TextIOWrapper):
+        def write(self, text):
+            texts.append(text)
+            return super().write(text)
+
+    stream = Recording(io.BytesIO(), encoding="utf-8", newline="")
+    monkeypatch.setattr(sys, "stdout", stream)
+    stream.write("before\n")
+    assert main(BYTES_TABLE) == 0 and texts == ["before\n"]
+    stream.flush()
+    written = stream.buffer.getvalue()
+    path = tmp_path / "n.csv"
+    assert main([*BYTES_TABLE, "--out", str(path)]) == 0
+    assert written == b"before\n" + path.read_bytes()
+
+
+def test_a_stdout_without_a_byte_stream_gets_the_decoded_table(tmp_path, monkeypatch):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(BYTES_TABLE)
+    path = tmp_path / "n.csv"
+    assert main([*BYTES_TABLE, "--out", str(path)]) == code == 0
+    assert stream.getvalue().encode("utf-8") == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "config, argv",
     [

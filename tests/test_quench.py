@@ -465,6 +465,44 @@ def test_a_root_shared_by_the_partner_band_is_not_a_fixed_point():
     assert abs(c_plus) ** 2 < FIXED_POINT_RESIDUAL
 
 
+# w = h_a x h_f vanishes to rounding at two roots of g, theta = 2k = +-0.5533.
+ROUNDING_ROOTS = QuenchSpec(initial=CoinParams(0.0, 1.0, 0.5), final=CoinParams(1.0, 1.0, 0.5))
+
+
+def test_every_fixed_point_survives_the_partner_rule():
+    """All eight c_+ zeros with their kinds, those at theta = +-0.5533 too."""
+    want = [-2.9800204547502016, -2.8649623520565957, -1.7323685256344883,
+            -0.27663030153319745, 0.16157219883959195, 0.27663030153319745,
+            1.409224127955305, 2.8649623520565957]
+    fps = find_fixed_points(ROUNDING_ROOTS)
+    assert [fp.kind for fp in fps] == [FixedPointKind.C_PLUS_ZERO] * len(want)
+    assert np.abs(np.array([fp.k for fp in fps]) - want).max() <= 1e-12, fps
+
+
+def test_the_partner_rule_keeps_a_candidate_whose_two_sides_are_rounding(monkeypatch):
+    """Where |w| <= 1e-15, W+ and W- are both rounding and their order is noise:
+    at theta = -0.5533 |W+| > |W-|, so a rule that drops every candidate with
+    |W+| > |W-| loses the fixed points k = -0.2766 and pi - 0.2766.  The rule
+    keeps both candidates, whose sides are neither a thousandfold apart nor
+    above the floor, and drops the partner roots theta = -2.818 and -0.323,
+    where |W-| / |W+| is at most 1e-14."""
+    rule = ptwalk.quench._on_partner
+    calls = []
+
+    def spy(spec, sign, theta):
+        calls.append((theta, rule(spec, sign, theta)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ptwalk.quench, "_on_partner", spy)
+    find_fixed_points(ROUNDING_ROOTS)
+    ((theta, dropped),) = calls
+    at_rounding = np.abs(np.abs(theta) - 0.5533) < 1e-4
+    h_a, h_f = ptwalk.quench._bloch_axes(ROUNDING_ROOTS, theta[at_rounding] / 2)
+    assert np.linalg.norm(np.cross(h_a, h_f), axis=1).max() <= 1e-15
+    assert at_rounding.sum() == 2 and not dropped[at_rounding].any()
+    assert dropped.sum() == 2
+
+
 TURNING_TOGETHER = QuenchSpec(initial=CoinParams(0.0, PI / 4), final=CoinParams(PI / 2, 0.0))
 # |c_+|^2 vanishes to fourth order at k = +-pi/2: g = w.w has a fourfold root there.
 LOSSY_DOUBLE_ZERO = QuenchSpec(
