@@ -149,9 +149,10 @@ def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
 def _bands_touch(params: CoinParams, ks: np.ndarray) -> np.ndarray:
     """Where the bands of ``params`` touch, |1 - d0^2| <= ``EP_TOL``, over ``ks``.
 
-    The one gate that decides where an eigenstate start is undefined, on a
-    grid and at a root of g alike.  It is looser than the eigensolver's own
-    gap check (``GAP_TOL`` on 2 |mu|, mu^2 = 1 - d0^2), which passes bands
+    The one gate for touching bands: it decides where an eigenstate start is
+    undefined, on a grid and at a root of g alike, and which roots of g the
+    final operator's touching bands void.  It is looser than the eigensolver's
+    own gap check (``GAP_TOL`` on 2 |mu|, mu^2 = 1 - d0^2), which passes bands
     5e-8 apart: from ``CoinParams(0, 2.5673154940413493e-08)`` the roots of g
     sit on them at k = 0 and -pi/2, and a grid through those momenta has to
     say so as the roots do.  Only operators with ``min_gap <= EP_TOL`` can
@@ -324,10 +325,12 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     the lower band, +1 for an explicit state), and ``h_coeffs`` (n, 2, 3)
     holds the Fourier coefficients of h_a and h_f in theta.
 
-    Gauss-Newton steps reach full precision at a simple zero of W.  Where |W|
-    is zero to rounding W / W' is noise, so a step longer than ``_ROOT_TOL`` is
-    skipped.  An angle is kept if, before the last step, |W| / |dW/dtheta| is
-    at most ``_ROOT_TOL`` (a zero of W is that close) or |W| is zero to rounding.
+    The first evaluation gives W- = h_a x w - i m w too, and the partner's
+    roots that :func:`_on_partner` finds go before the first step.  Gauss-Newton
+    steps reach full precision at a simple zero of W.  Where |W| is zero to
+    rounding W / W' is noise, so a step longer than ``_ROOT_TOL`` is skipped.
+    An angle is kept if, before the last step, |W| / |dW/dtheta| is at most
+    ``_ROOT_TOL`` (a zero of W is that close) or |W| is zero to rounding.
 
     Each step evaluates h and dh/dtheta by one matmul over the stacked phase
     matrices [e^{i n theta}, i n e^{i n theta}], which rounds each of the two
@@ -341,7 +344,7 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     harmonics = np.fft.fftfreq(len(h_coeffs), 1.0 / len(h_coeffs))
     derivative = 1j * harmonics
     coeffs = h_coeffs.reshape(len(h_coeffs), 6)
-    for _ in range(_NEWTON_STEPS):
+    for count in range(_NEWTON_STEPS):
         phase = np.exp(1j * np.outer(theta, harmonics))
         h = np.matmul(np.stack([phase, phase * derivative]), coeffs).reshape(2, len(theta), 2, 3)
         lhs = h[[0, 1, 0], :, 0]  # h_a, dh_a, h_a
@@ -353,13 +356,18 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
         with np.errstate(divide="ignore", invalid="ignore"):
             dm = (h_a * lhs[1]).sum(axis=1, keepdims=True) / m
             a_w, da_w, a_dw = _cross(lhs, w_terms[[0, 0, 1]])
-            big_w = a_w + 1j * m * w
+            i_m_w = 1j * m * w
+            big_w = a_w + i_m_w
             d_big_w = da_w + a_dw + 1j * (dm * w + m * dw)
             slope = (np.abs(d_big_w) ** 2).sum(axis=1)
             step = (d_big_w.conj() * big_w).sum(axis=1).real / slope
         size = (np.abs(h_a) ** 2).sum(axis=1) * np.sqrt((h_f.conj() * h_f).real.sum(axis=1))
         rounding = (_W_ROUNDING * size) ** 2
         residual = (np.abs(big_w) ** 2).sum(axis=1)
+        if count == 0:
+            keep = ~_on_partner(residual, (np.abs(a_w - i_m_w) ** 2).sum(axis=1), size)
+            theta, step, slope, rounding, residual = (
+                v[keep] for v in (theta, step, slope, rounding, residual))
         floored = (residual <= rounding) & (np.abs(step) > _ROOT_TOL)  # W / W' is noise there
         step = np.where(np.isfinite(step) & ~floored, step, 0.0)
         theta = theta - step
@@ -368,8 +376,9 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     return theta[residual <= _ROOT_TOL**2 * slope + rounding]
 
 
-def _on_partner(spec: QuenchSpec, sign: int, theta: np.ndarray) -> np.ndarray:
-    """Candidates that are decisively roots of the start's partner, not of the start.
+def _on_partner(start: np.ndarray, partner: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Candidates that are decisively roots of the start's partner, not of the start,
+    from start = |W+|^2, partner = |W-|^2 and size = |h_a|^2 |h_f| at each.
 
     The partner is the other eigenvector of h_a.sigma, eigenvalue -m, so its
     W is W- = h_a x w - i m w beside the start's W+ = h_a x w + i m w.  At a
@@ -386,16 +395,10 @@ def _on_partner(spec: QuenchSpec, sign: int, theta: np.ndarray) -> np.ndarray:
       (|w| <= 1e-15 at the roots theta = +-0.5533 from CoinParams(0, 1, 0.5)
       into CoinParams(1, 1, 0.5)), and their ratio says nothing.
 
-    Every other candidate is kept for :func:`_polish_on_start`.  A partner's
-    root is no fixed point, and the polish would only drag it onto a root
-    that another candidate reaches.
+    Every other candidate is polished; a partner's root is no fixed point, and
+    the polish would only drag it onto another candidate's root.
     """
-    h_a, h_f = _bloch_axes(spec, theta / 2)
-    w = _cross(h_a, h_f)
-    i_m_w = 1j * sign * np.sqrt((h_a * h_a).sum(axis=1, keepdims=True)) * w
-    start, partner = (np.abs(_cross(h_a, w) + [i_m_w, -i_m_w]) ** 2).sum(axis=2)  # |W+-|^2
-    size = (np.abs(h_a) ** 2).sum(axis=1) ** 2 * (np.abs(h_f) ** 2).sum(axis=1)
-    return (partner < _PARTNER_RATIO**2 * start) & (start > _PARTNER_FLOOR**2 * size)
+    return (partner < _PARTNER_RATIO**2 * start) & (start > (_PARTNER_FLOOR * size) ** 2)
 
 
 def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
@@ -413,15 +416,15 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     Without loss every root of g is at least double, and the sixfold root of a
     third-order zero (from CoinParams(0, pi/4) into CoinParams(pi/2, 0) at
     k = 0) splits by 3e-3: :func:`_merge_split_roots` joins split roots before
-    the unit-circle test.  :func:`_on_partner` drops the candidates that are
-    decisively roots of the start's partner, and :func:`_polish_on_start`
-    keeps the start's roots among the rest.  Where the initial bands of an
+    the unit-circle test.  A root at a band touching of the final operator,
+    where c_+- are undefined, is dropped; where the initial bands of an
     eigenstate start touch at a root and the final ones do not, the start is
-    undefined: ExceptionalPoint.
+    undefined: ExceptionalPoint.  :func:`_polish_on_start` drops the partner's
+    roots among the rest and polishes the start's.
     """
     thetas = 2 * np.pi * np.arange(_G_SAMPLES) / _G_SAMPLES
     h_a, h_f = _bloch_axes(spec, thetas / 2)
-    w = np.cross(h_a, h_f)
+    w = _cross(h_a, h_f)
     scale = np.max(np.linalg.norm(h_a, axis=1) * np.linalg.norm(h_f, axis=1))
     coeffs = np.fft.fft(np.einsum("kc,kc->k", w, w)) / _G_SAMPLES
     ascending = coeffs[np.arange(-4, 5)]
@@ -431,13 +434,12 @@ def _shared_eigenvector_angles(spec: QuenchSpec) -> np.ndarray:
     kept = np.flatnonzero(size > _COEFF_FLOOR * size.max())
     roots = _merge_split_roots(np.roots(ascending[kept[0]:kept[-1] + 1][::-1]))
     theta = np.angle(roots[np.abs(np.log(np.abs(roots))) < _UNIT_CIRCLE_TOL])
-    if spec.initial_state is None:
-        touching = _bands_touch(spec.initial, theta / 2)
-        if touching.any() and np.any(touching & ~_bands_touch(spec.final, theta / 2)):
-            raise ExceptionalPoint("initial bands touch at a root of g: the start is undefined")
+    final_touch = _bands_touch(spec.final, theta / 2)
+    if spec.initial_state is None and np.any(_bands_touch(spec.initial, theta / 2) & ~final_touch):
+        raise ExceptionalPoint("initial bands touch at a root of g: the start is undefined")
     h_coeffs = np.fft.fft(np.stack([h_a, h_f], axis=1), axis=0) / _G_SAMPLES
     sign = -1 if spec.initial_state is None else 1
-    return _polish_on_start(h_coeffs, sign, theta[~_on_partner(spec, sign, theta)])
+    return _polish_on_start(h_coeffs, sign, theta[~final_touch])
 
 
 def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
@@ -445,36 +447,29 @@ def find_fixed_points(spec: QuenchSpec) -> list[FixedPoint]:
 
     Closed form, no search: a fixed point is a momentum where the start is an
     eigenvector of the final operator.  :func:`_shared_eigenvector_angles`
-    finds every such theta = 2k by one polynomial root solve and polishes it
-    to rounding; each theta gives k = theta/2 and k + pi.  One batched
-    :func:`overlap_grid` at these momenta then keeps a pair where the
-    quasienergy is real and one coefficient has |c|^2 below
-    ``FIXED_POINT_RESIDUAL``; that coefficient gives the kind.  Roots at a
-    band touching of the final operator (|d0^2 - 1| <= ``EP_TOL``), where
-    c_+- are undefined, are dropped.
+    finds every such theta = 2k clear of a final band touching by one
+    polynomial root solve and polishes it to rounding; each theta gives
+    k = theta/2 and k + pi.  U_k depends on k only through 2k, so one batched
+    :func:`overlap_grid` at the k of each pair decides both: the pair is kept
+    where the quasienergy is real and one coefficient has |c|^2 below
+    ``FIXED_POINT_RESIDUAL``; that coefficient gives the kind, and its |c|^2
+    is the residual of k and of k + pi alike.
 
     A fully broken final operator yields an empty list, and so does a quench
     whose operators commute at every momentum, where no fixed point is
     isolated.
     """
     theta = _shared_eigenvector_angles(spec)
-    d0 = d_coefficients(spec.final, theta / 2)[:, 0].real
-    theta = theta[np.abs(d0 * d0 - 1.0) > EP_TOL]
-    if theta.size == 0:
-        return []
-    ks = (np.concatenate([theta / 2, theta / 2 + np.pi]) + np.pi) % (2 * np.pi) - np.pi
-    cp, cm, final = overlap_grid(spec, ks)
+    ks = (np.stack([theta / 2, theta / 2 + np.pi]) + np.pi) % (2 * np.pi) - np.pi
+    cp, cm, final = overlap_grid(spec, ks[0])
     weights = np.abs(np.stack([cp, cm], axis=1)) ** 2
-    # The k and k + pi of one root are one operator, so they are decided together.
-    band = np.tile(np.argmin(weights[: len(theta)], axis=1), 2)
-    residual = weights[np.arange(len(ks)), band]
+    band, residual = np.argmin(weights, axis=1), weights.min(axis=1)
     ok = (final.quasienergies[:, 0].imag == 0) & (residual < FIXED_POINT_RESIDUAL)
-    ok = np.tile(ok.reshape(2, -1).all(axis=0), 2)
     kinds = (FixedPointKind.C_PLUS_ZERO, FixedPointKind.C_MINUS_ZERO)
     found = [
         FixedPoint(k=k, kind=kinds[b], residual=r)
-        for k, b, r, keep in zip(ks.tolist(), band.tolist(), residual.tolist(), ok.tolist())
-        if keep
+        for row in ks[:, ok].tolist()
+        for k, b, r in zip(row, band[ok].tolist(), residual[ok].tolist())
     ]
     found.sort(key=lambda fp: fp.k)
     deduped: list[FixedPoint] = []

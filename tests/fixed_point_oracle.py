@@ -12,8 +12,9 @@ finds and the solver lacks is a solver defect.
 
 :func:`polish_by_np_cross` is the Gauss-Newton polish of
 ``ptwalk.quench._polish_on_start`` written plainly: a phase matrix per
-derivative order and five ``np.cross`` calls per step.  The package's stacked polish must return the
-same angles bit for bit.
+derivative order, five ``np.cross`` calls per step, and the partner test on
+the first step's W.  The package's stacked polish must return the same angles
+bit for bit.
 """
 
 import math
@@ -22,6 +23,8 @@ import numpy as np
 
 from ptwalk.quench import (
     _NEWTON_STEPS,
+    _PARTNER_FLOOR,
+    _PARTNER_RATIO,
     _ROOT_TOL,
     _W_ROUNDING,
     FIXED_POINT_RESIDUAL,
@@ -99,8 +102,13 @@ def _trig_poly(coeffs, theta):
 
 
 def polish_by_np_cross(h_coeffs, sign, theta):
-    """The Gauss-Newton polish of candidate angles, with five ``np.cross`` per step."""
-    for _ in range(_NEWTON_STEPS):
+    """The Gauss-Newton polish of candidate angles, with five ``np.cross`` per step.
+
+    Before the first step it drops each candidate where the partner's
+    W- = h_a x w - i m w is a thousandfold below W and W is clear of its
+    rounding floor.
+    """
+    for count in range(_NEWTON_STEPS):
         (h_a, h_f), (dh_a, dh_f) = (v.transpose(1, 0, 2) for v in _trig_poly(h_coeffs, theta))
         w = np.cross(h_a, h_f)
         dw = np.cross(dh_a, h_f) + np.cross(h_a, dh_f)
@@ -114,6 +122,12 @@ def polish_by_np_cross(h_coeffs, sign, theta):
         size = np.sum(np.abs(h_a) ** 2, axis=1) * np.linalg.norm(h_f, axis=1)
         rounding = (_W_ROUNDING * size) ** 2
         residual = np.sum(np.abs(big_w) ** 2, axis=1)
+        if count == 0:
+            partner = np.sum(np.abs(np.cross(h_a, w) - 1j * m * w) ** 2, axis=1)
+            keep = ~((partner < _PARTNER_RATIO**2 * residual)
+                     & (residual > (_PARTNER_FLOOR * size) ** 2))
+            theta, step, slope, rounding, residual = (
+                theta[keep], step[keep], slope[keep], rounding[keep], residual[keep])
         # At the rounding floor W / W' is noise: a step longer than _ROOT_TOL is not taken.
         step[(residual <= rounding) & (np.abs(step) > _ROOT_TOL)] = 0.0
         step = np.where(np.isfinite(step), step, 0.0)

@@ -327,14 +327,17 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # re-pinned when rho' came to be mapped to n through one real 4x4 frame per
 # momentum instead of the 2x2 non-Hermitian density matrix (max |dn| 8.9e-16),
 # and again when the momentum transform became one FFT over the diagonal
-# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
+# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).  The
+# fixed-points digest was re-pinned when one overlap solve at k came to decide
+# both k and k + pi: a k + pi row's residual is now its k row's (one cell,
+# 0 -> 4.93e-32; every k, kind and other byte the same).
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
         (["preset", "fig3b"],
          "cfddacc3d4c4d07e2cd7d90274313427a9785872c87b29e9ae0b0ed0d7fc68d6"),
         (["fixed-points", "--preset", "fig6"],
-         "653ce58775b006c434b7ff479b866ef3f9df5b6636b426025181b7069e1f4a31"),
+         "4ad31547cc37a8340ba3ea4a83a5832756236479b5f041a04860e7aed235e3a4"),
         (["chern", "--preset", "fig3b"],
          "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],

@@ -1,5 +1,7 @@
 """Quench dynamics: overlaps, Bloch vector, density matrix, fixed points."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -486,16 +488,21 @@ def test_the_partner_rule_keeps_a_candidate_whose_two_sides_are_rounding(monkeyp
     keeps both candidates, whose sides are neither a thousandfold apart nor
     above the floor, and drops the partner roots theta = -2.818 and -0.323,
     where |W-| / |W+| is at most 1e-14."""
-    rule = ptwalk.quench._on_partner
-    calls = []
+    polish, rule = ptwalk.quench._polish_on_start, ptwalk.quench._on_partner
+    candidates, calls = [], []
 
-    def spy(spec, sign, theta):
-        calls.append((theta, rule(spec, sign, theta)))
-        return calls[-1][1]
+    def polish_spy(h_coeffs, sign, theta):
+        candidates.append(theta)
+        return polish(h_coeffs, sign, theta)
 
-    monkeypatch.setattr(ptwalk.quench, "_on_partner", spy)
+    def rule_spy(start, partner, size):
+        calls.append(rule(start, partner, size))
+        return calls[-1]
+
+    monkeypatch.setattr(ptwalk.quench, "_polish_on_start", polish_spy)
+    monkeypatch.setattr(ptwalk.quench, "_on_partner", rule_spy)
     find_fixed_points(ROUNDING_ROOTS)
-    ((theta, dropped),) = calls
+    (theta,), (dropped,) = candidates, calls
     at_rounding = np.abs(np.abs(theta) - 0.5533) < 1e-4
     h_a, h_f = ptwalk.quench._bloch_axes(ROUNDING_ROOTS, theta[at_rounding] / 2)
     assert np.linalg.norm(np.cross(h_a, h_f), axis=1).max() <= 1e-15
@@ -731,6 +738,60 @@ def test_the_stacked_polish_is_the_np_cross_polish_bit_for_bit(monkeypatch):
         for batch in (theta, theta[:1], rng.uniform(-PI, PI, 8), rng.uniform(-PI, PI, 1)):
             want = polish_by_np_cross(h_coeffs, sign, batch)
             assert polish(h_coeffs, sign, batch).tobytes() == want.tobytes()
+
+
+def test_k_and_k_plus_pi_are_one_fixed_point_of_one_kind_and_residual():
+    """U_k depends on k only through 2k, so one overlap decides both momenta of
+    a pair: each point has its k + pi in the list, of its kind and with its
+    residual bit for bit."""
+    for spec in polish_test_quenches():
+        try:
+            fps = find_fixed_points(spec)
+        except WalkError:
+            continue
+        for fp in fps:
+            assert any(
+                zone_distance(o.k, fp.k + PI) < 1e-12 and o.kind is fp.kind
+                and o.residual == fp.residual for o in fps
+            ), (spec, fp, fps)
+
+
+def sweep_quenches():
+    """(initial, final, initial state) of 300 quenches drawn as the 4000-quench
+    sweep draws them (odd i lossless, even i with p ~ U(0, 0.6), an explicit
+    start when i % 3 == 0), and of 100 from the special-angle grid: multiples
+    of pi/12 and pi/8 rounded to 15 decimals, at p = 0 and 0.3."""
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        p = 0.0 if i % 2 else float(rng.uniform(0.0, 0.6))
+        final = CoinParams(*rng.uniform(-PI, PI, 2), p)
+        if i % 3 == 0:
+            mix, phi = rng.uniform(-PI, PI, 2)
+            yield final, final, (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
+        else:
+            yield CoinParams(*rng.uniform(-PI, PI, 2), p), final, None
+    multiples = (PI * np.arange(1 - n, n + 1) / n for n in (8, 12))
+    angles = sorted({round(a, 15) for m in multiples for a in m.tolist()})
+    for j, (a, b, c, d) in enumerate(np.random.default_rng(12).integers(0, len(angles), (100, 4))):
+        p = 0.3 if j % 2 else 0.0
+        yield CoinParams(angles[a], angles[b], p), CoinParams(angles[c], angles[d], p), None
+
+
+def test_the_fixed_point_sweep_is_pinned():
+    """The count, the kinds and each k to 1e-9 (so that no rounding of the
+    linear algebra can move it) of every list over ``sweep_quenches``, or the
+    error that the quench raises, hashed."""
+    lines = []
+    for initial, final, state in sweep_quenches():
+        try:
+            fps = find_fixed_points(QuenchSpec(initial, final, state))
+        except (ValueError, WalkError) as error:
+            lines.append(type(error).__name__)
+            continue
+        lines.append(" ".join([str(len(fps))] + [
+            f"{fp.kind.value}:{round(fp.k, 9) + 0.0:.9f}" for fp in fps]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2da36c3235b20331c54c6b360352a6fb50484c103fb990caeb0d70c3ae2d9da5"
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (16, 3), (3, 1, 3), (3, 8, 3)])
