@@ -43,8 +43,11 @@ def _say(args, text: str) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # From this many distinct floats in one column on, a table is laid out as bytes,
 # its float text written by floattext in numpy.  Tables of few distinct floats
-# (phase-diagram, chern) are faster in the Python join.
-_G17_DISTINCT = 1024
+# (phase-diagram with at most 46, chern) are faster in the Python join.  The
+# 256 x 7 preset tables hold 627-893 distinct n values (the k >= 0 half of the
+# zone repeats the other); a topology pass's four of them took 10.2-10.5 ms
+# laid out as bytes against 12.2-12.7 ms in the join, on one CPU.
+_G17_DISTINCT = 512
 # Such a table is laid out this many bytes of rows at a time, in one buffer.
 # A 256 x 61 quench table took x0.74-0.92 of the time it took laid out whole in
 # blocks of 2^16 to 2^20 bytes; 2^14 and 2^22 gained little.
@@ -68,7 +71,7 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
 def _column_text(distinct: np.ndarray, fmt: str) -> list[str]:
     """The cell text of each distinct value of one column, by Python itself.
 
-    A table with a float column of 1024 or more distinct values is laid out as
+    A table with a float column of ``_G17_DISTINCT`` or more distinct values is laid out as
     bytes instead: every float column's text comes from ``floattext.float_rows``
     ('%.17g' for CSV, float.__repr__ for JSON, exact in numpy for the values in
     fixed notation and by this function for the rest), every other column's

@@ -54,7 +54,7 @@ __all__ = [
 FIXED_POINT_RESIDUAL = 1e-10
 EIGENSTATE_TOL = 1e-8       # residual below which a start counts as an eigenstate
 NORM_FLOOR = 1e-12          # smallest normalization denominator accepted
-_RESIDUAL_SAMPLES = 64      # momenta at which initial_state_residual probes the start
+_RESIDUAL_SAMPLES = 32      # momenta at which initial_state_residual probes the start
 _G_SAMPLES = 16             # samples in theta: more than 2 * 4 + 1, so g (degree 4) does not alias
 _COEFF_FLOOR = 1e-13        # end coefficients below this times the largest are rounding
 _COMMUTING_FLOOR = 1e-12    # |w| below this times |h_a| |h_f| everywhere: w = 0 to rounding
@@ -169,9 +169,10 @@ def initial_state_residual(spec: QuenchSpec) -> float:
     Zero (to rounding) when the initial state really is an eigenstate of the
     initial operator in every sector; O(1) for a genuinely non-eigenstate
     start such as a quench into the broken regime from an arbitrary coin
-    state.
+    state.  The probes are the k < 0 half of a 64-point grid: U_{k+pi} = U_k
+    and the start is pi-periodic too, so the other half repeats them.
     """
-    ks = np.linspace(-np.pi, np.pi, _RESIDUAL_SAMPLES, endpoint=False)
+    ks = np.linspace(-np.pi, 0.0, _RESIDUAL_SAMPLES, endpoint=False)
     psi = initial_spinors(spec, ks)
     u = momentum_operator_closed(spec.initial, ks)
     upsi = np.einsum("kab,kb->ka", u, psi)
@@ -246,6 +247,13 @@ def bloch_field(
     ``ts`` defaults to the stroboscopic times 0..t_max.  Momentum sectors in
     the broken regime are evolved with their complex energies; ``real_regime``
     records the dichotomy per k.
+
+    The two shifts of one step give S_{k+pi} = -S_k, so U_{k+pi} = U_k and
+    the start is pi-periodic too.  On an even grid only the k < 0 half is
+    solved, and its rows are written into both halves: n(k + pi, t) = n(k, t)
+    and ``real_regime`` repeat exactly.  An odd grid is not pi-closed and is
+    solved at every momentum.  A ``SingularNormalization`` counts the points of
+    the rows solved.
     """
     if t_max < 0 or n_k < 1:
         raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
@@ -253,15 +261,20 @@ def bloch_field(
     if ts is None:
         ts = np.arange(t_max + 1, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    cp, cm, final = overlap_grid(spec, ks)
+    half = n_k // 2 if n_k % 2 == 0 else n_k
+    cp, cm, final = overlap_grid(spec, ks[:half])
     energy = final.quasienergies[:, 0]
     ct_p, ct_m = _dressed_coefficients(cp[:, None], cm[:, None], energy[:, None], ts[None, :])
+    n = np.empty((n_k // half, half, len(ts), 3))
+    n[:] = bloch_from_coefficients(ct_p, ct_m)  # each half of the zone, from one solve
+    real_regime = np.empty((n_k // half, half), dtype=bool)
+    real_regime[:] = energy.imag == 0
     residual = initial_state_residual(spec)
     return BlochField(
         ks=ks,
         ts=ts,
-        n=bloch_from_coefficients(ct_p, ct_m),
-        real_regime=energy.imag == 0,
+        n=n.reshape(n_k, len(ts), 3),
+        real_regime=real_regime.reshape(n_k),
         source="analytic",
         eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,
@@ -329,24 +342,32 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
     roots that :func:`_on_partner` finds go before the first step.  Gauss-Newton
     steps reach full precision at a simple zero of W.  Where |W| is zero to
     rounding W / W' is noise, so a step longer than ``_ROOT_TOL`` is skipped.
-    An angle is kept if, before the last step, |W| / |dW/dtheta| is at most
-    ``_ROOT_TOL`` (a zero of W is that close) or |W| is zero to rounding.
+    Each angle stops once its own step is at most 1e-15, and is kept if,
+    before its last step, |W| / |dW/dtheta| is at most ``_ROOT_TOL`` (a zero
+    of W is that close) or |W| is zero to rounding.
 
     Each step evaluates h and dh/dtheta by one matmul over the stacked phase
     matrices [e^{i n theta}, i n e^{i n theta}], which rounds each of the two
-    as its own product does (also for a single angle, where one product of
-    twice the rows would not), and its five cross products as two stacked
+    as its own product does, and its five cross products as two stacked
     calls of :func:`_cross`: [h_a, dh_a, h_a] x [h_f, h_f, dh_f] gives w and
     the two terms of dw, then [h_a, dh_a, h_a] x [w, w, dw] the cross terms
-    of W and dW.  The sums are those of five ``np.cross`` calls, so every
-    angle keeps its bits.
+    of W and dW.  The sums are those of five ``np.cross`` calls.  A lone
+    angle goes into the product twice: numpy hands a one-row product to
+    gemv, which rounds otherwise than the rows of gemm.  So each angle gets
+    the bits it gets when polished alone, whichever candidates share its batch.
     """
     harmonics = np.fft.fftfreq(len(h_coeffs), 1.0 / len(h_coeffs))
     derivative = 1j * harmonics
     coeffs = h_coeffs.reshape(len(h_coeffs), 6)
+    theta = np.array(theta, dtype=float)
+    live, kept = np.arange(len(theta)), np.zeros(len(theta), dtype=bool)
     for count in range(_NEWTON_STEPS):
-        phase = np.exp(1j * np.outer(theta, harmonics))
-        h = np.matmul(np.stack([phase, phase * derivative]), coeffs).reshape(2, len(theta), 2, 3)
+        if not live.size:
+            break
+        at = theta[live]
+        phase = np.exp(1j * np.outer(np.resize(at, max(2, at.size)), harmonics))
+        h = np.matmul(np.stack([phase, phase * derivative]), coeffs)[:, :at.size]
+        h = h.reshape(2, at.size, 2, 3)
         lhs = h[[0, 1, 0], :, 0]  # h_a, dh_a, h_a
         h_a, h_f = lhs[0], h[0, :, 1]
         w_terms = _cross(lhs, h[[0, 0, 1], :, 1])  # x h_f, h_f, dh_f: w and the terms of dw
@@ -366,14 +387,14 @@ def _polish_on_start(h_coeffs: np.ndarray, sign: int, theta: np.ndarray) -> np.n
         residual = (np.abs(big_w) ** 2).sum(axis=1)
         if count == 0:
             keep = ~_on_partner(residual, (np.abs(a_w - i_m_w) ** 2).sum(axis=1), size)
-            theta, step, slope, rounding, residual = (
-                v[keep] for v in (theta, step, slope, rounding, residual))
+            live, at, step, slope, rounding, residual = (
+                v[keep] for v in (live, at, step, slope, rounding, residual))
         floored = (residual <= rounding) & (np.abs(step) > _ROOT_TOL)  # W / W' is noise there
         step = np.where(np.isfinite(step) & ~floored, step, 0.0)
-        theta = theta - step
-        if np.all(np.abs(step) <= 1e-15):
-            break
-    return theta[residual <= _ROOT_TOL**2 * slope + rounding]
+        theta[live] = at - step
+        kept[live] = residual <= _ROOT_TOL**2 * slope + rounding
+        live = live[np.abs(step) > 1e-15]
+    return theta[kept]
 
 
 def _on_partner(start: np.ndarray, partner: np.ndarray, size: np.ndarray) -> np.ndarray:

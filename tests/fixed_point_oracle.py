@@ -13,8 +13,8 @@ finds and the solver lacks is a solver defect.
 :func:`polish_by_np_cross` is the Gauss-Newton polish of
 ``ptwalk.quench._polish_on_start`` written plainly: a phase matrix per
 derivative order, five ``np.cross`` calls per step, and the partner test on
-the first step's W.  The package's stacked polish must return the same angles
-bit for bit.
+the first step's W, one angle at a time.  The package's stacked polish must
+return the same angles bit for bit.
 """
 
 import math
@@ -104,7 +104,18 @@ def _trig_poly(coeffs, theta):
 def polish_by_np_cross(h_coeffs, sign, theta):
     """The Gauss-Newton polish of candidate angles, with five ``np.cross`` per step.
 
-    Before the first step it drops each candidate where the partner's
+    Each angle is polished on its own, so it stops at its own step.  It is
+    evaluated as a batch of two copies of itself, because numpy hands a
+    one-row product to gemv, which rounds otherwise than the rows of gemm.
+    """
+    polished = [_polish_alone(h_coeffs, sign, np.array([angle, angle]))[:1] for angle in theta]
+    return np.concatenate([np.empty(0), *polished])
+
+
+def _polish_alone(h_coeffs, sign, theta):
+    """The polish of one angle, repeated in ``theta``.
+
+    Before the first step it drops the angle where the partner's
     W- = h_a x w - i m w is a thousandfold below W and W is clear of its
     rounding floor.
     """

@@ -330,12 +330,15 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).  The
 # fixed-points digest was re-pinned when one overlap solve at k came to decide
 # both k and k + pi: a k + pi row's residual is now its k row's (one cell,
-# 0 -> 4.93e-32; every k, kind and other byte the same).
+# 0 -> 4.93e-32; every k, kind and other byte the same).  The preset digest
+# was re-pinned when bloch_field came to solve the k < 0 half of the zone and
+# copy it into the k >= 0 half: only n cells of k >= 0 rows moved, by at most
+# 1.8e-15.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
         (["preset", "fig3b"],
-         "cfddacc3d4c4d07e2cd7d90274313427a9785872c87b29e9ae0b0ed0d7fc68d6"),
+         "7bd165bb80d9c35d262fd3129978572af58570f1024b3d1dea4eb9375974150c"),
         (["fixed-points", "--preset", "fig6"],
          "4ad31547cc37a8340ba3ea4a83a5832756236479b5f041a04860e7aed235e3a4"),
         (["chern", "--preset", "fig3b"],
@@ -365,12 +368,15 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # other byte is the same.  The reconstruct digest was re-pinned when rho' came
 # to be mapped to n through one real 4x4 frame per momentum (max |dn| 8.9e-16),
 # and again when the momentum transform became one FFT over the diagonal
-# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).
+# offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).  The
+# quench digest was re-pinned when bloch_field came to solve the k < 0 half of
+# the zone and copy it into the k >= 0 half: only n cells of k >= 0 rows moved,
+# by at most 1.9e-15.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
         (["quench", "--preset", "fig3b"],
-         "c064beea15bce8a45341b230fea184754e99883fc5563bb2d2b9a9b2aaf6f3be"),
+         "c3026b07421f38d8e1940c65f585c319fe4369d15f835450d226a3b64440eb95"),
         (["phase-diagram", "--p", "0.36"],
          "454310501895a1cfa2b6f8819bc7af753f6b82eaf1c1220873b8c604a1fd7810"),
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
@@ -570,14 +576,15 @@ def test_a_config_number_writes_the_bytes_its_flag_writes(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_is_the_out_file_for_a_table_laid_out_as_bytes(fmt, tmp_path, capsys):
-    # 32 x 61 cells: the n columns hold over 1024 distinct floats each.
+    # 32 x 61 cells, each half of the zone a copy of the other: the n columns
+    # still hold more distinct floats each than the byte layout's cut-off.
     argv = ["quench", "--preset", "fig3b", "--kgrid", "32", "--tgrid", "61", "--format", fmt]
     code, out, _ = run_cli(argv, capsys)
     path = tmp_path / f"n.{fmt}"
     assert run_cli([*argv, "--out", str(path)], capsys)[0] == code == 0
     n1 = ([r["n1"] for r in read_csv(out)] if fmt == "csv"
           else [r[2] for r in json.loads(out)["rows"]])
-    assert len(set(n1)) >= 1024
+    assert len(set(n1)) >= cli._G17_DISTINCT
     assert out.encode("utf-8") == path.read_bytes()
 
 

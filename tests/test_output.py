@@ -236,10 +236,10 @@ def test_long_bool_and_int_columns_match_the_row_writer(fmt, rng):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_distinct", [1023, 1024])
+@pytest.mark.parametrize("n_distinct", [cli._G17_DISTINCT - 1, cli._G17_DISTINCT])
 def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_writer(
         n_distinct, fmt, rng, monkeypatch):
-    # From 1024 distinct values on, one floattext.float_rows call writes every float column.
+    # From the cut-off on, one floattext.float_rows call writes every float column.
     # A mostly fixed-notation column, with every value it leaves to Python mixed in.
     calls = []
 
@@ -259,7 +259,7 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     want = table_text(fmt, list(columns), oracle_rows(list(columns.values())), meta)
     assert table_text_of(fmt, columns, meta) == want
     shortest = fmt == "json"
-    assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= 1024 else [])
+    assert calls == ([(2 * n_distinct, shortest)] if n_distinct >= cli._G17_DISTINCT else [])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -872,6 +872,75 @@ def test_bloch_field_grid(spec_fig3b):
     assert field.eigenstate_initial
 
 
+angles = st.floats(-PI, PI, allow_nan=False)
+
+
+@st.composite
+def quenches(draw):
+    """Lossless and lossy quenches, from the lower band of an unbroken initial
+    operator or from an explicit coin state."""
+    p = draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 0.6))]))
+    final = CoinParams(draw(angles), draw(angles), p)
+    if draw(st.booleans()):
+        initial = CoinParams(draw(angles), draw(angles), p)
+        assume(pt_classify(initial) is PTPhase.UNBROKEN)
+        return QuenchSpec(initial=initial, final=final)
+    mix, phi = draw(angles), draw(angles)
+    state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
+    return QuenchSpec(initial=final, final=final, initial_state=state)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(quenches(), st.integers(1, 512), st.integers(1, 8), st.floats(0.0, 10.0))
+def test_the_k_at_least_zero_half_of_an_even_grid_is_a_copy_of_the_other(spec, n_k, n_t, t_max):
+    """U_{k+pi} = U_k, so bloch_field solves the k < 0 half of an even grid and
+    copies it: n(k + pi, t) and real_regime repeat bit for bit, and the solved
+    rows are the full-grid overlaps dressed row by row.  An odd grid is not
+    pi-closed, and each of its rows is the full-grid value."""
+    ts = np.linspace(0.0, t_max, n_t)
+    ks = np.linspace(-PI, PI, n_k, endpoint=False)
+    try:  # the full-grid formula, the oracle, and the start's probes
+        initial_state_residual(spec)
+        cp, cm, final = overlap_grid(spec, ks)
+        energy = final.quasienergies[:, 0][:, None]
+        want = bloch_from_coefficients(cp[:, None] * np.exp(-1j * energy * ts),
+                                       cm[:, None] * np.exp(1j * energy * ts))
+    except WalkError:
+        assume(False)
+    field = bloch_field(spec, n_k=n_k, ts=ts)
+    assert field.ks.tobytes() == ks.tobytes()
+    assert field.n.shape == (n_k, n_t, 3)
+    real = energy[:, 0].imag == 0
+    half = n_k // 2 if n_k % 2 == 0 else n_k
+    assert field.n[:half].tobytes() == want[:half].tobytes()
+    assert (field.real_regime[:half] == real[:half]).all()
+    if half < n_k:
+        assert field.n[half:].tobytes() == field.n[:half].tobytes()
+        assert (field.real_regime[half:] == field.real_regime[:half]).all()
+
+
+def test_each_angle_is_polished_alone_as_in_its_batch(monkeypatch):
+    """Each root of the polish is the one it gets alone, bit for bit.  From
+    CoinParams(3pi/4, 5pi/6) into CoinParams(-7pi/12, 5pi/12), angles rounded
+    to 15 decimals, the candidate theta = 1.9e-16 polished to -7.4e-32 in its
+    batch of three and to -2.5e-32 alone while a one-angle product went to
+    gemv and a batch stopped as one."""
+    polish = ptwalk.quench._polish_on_start
+    calls = []
+
+    def spy(h_coeffs, sign, theta):
+        calls.append((h_coeffs, sign, theta))
+        return polish(h_coeffs, sign, theta)
+
+    monkeypatch.setattr(ptwalk.quench, "_polish_on_start", spy)
+    find_fixed_points(QuenchSpec(CoinParams(round(3 * PI / 4, 15), round(5 * PI / 6, 15)),
+                                 CoinParams(round(-7 * PI / 12, 15), round(5 * PI / 12, 15))))
+    [(h_coeffs, sign, theta)] = calls
+    assert len(theta) == 3 and abs(theta[0]) < 1e-15
+    alone = [polish(h_coeffs, sign, theta[i:i + 1]) for i in range(len(theta))]
+    assert polish(h_coeffs, sign, theta).tobytes() == np.concatenate(alone).tobytes()
+
+
 @pytest.mark.parametrize(
     "t_max, n_k, message",
     [(-1, 16, "t_max must be >= 0"), (2, 0, "n_k must be >= 1"), (2, -2, "n_k must be >= 1")],
