@@ -872,7 +872,7 @@ def test_bloch_field_grid(spec_fig3b):
     assert field.eigenstate_initial
 
 
-angles = st.floats(-PI, PI, allow_nan=False)
+coin_angles = st.floats(-PI, PI, allow_nan=False)
 
 
 @st.composite
@@ -880,12 +880,12 @@ def quenches(draw):
     """Lossless and lossy quenches, from the lower band of an unbroken initial
     operator or from an explicit coin state."""
     p = draw(st.sampled_from([0.0, 0.0, draw(st.floats(0.0, 0.6))]))
-    final = CoinParams(draw(angles), draw(angles), p)
+    final = CoinParams(draw(coin_angles), draw(coin_angles), p)
     if draw(st.booleans()):
-        initial = CoinParams(draw(angles), draw(angles), p)
+        initial = CoinParams(draw(coin_angles), draw(coin_angles), p)
         assume(pt_classify(initial) is PTPhase.UNBROKEN)
         return QuenchSpec(initial=initial, final=final)
-    mix, phi = draw(angles), draw(angles)
+    mix, phi = draw(coin_angles), draw(coin_angles)
     state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
     return QuenchSpec(initial=final, final=final, initial_state=state)
 
