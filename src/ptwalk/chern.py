@@ -32,7 +32,8 @@ tests as the oracle.
 
 :func:`chern_numbers`, the one entry point, evaluates both integrators on
 every submanifold of a quench from one overlap solve, in one array pass per
-integrator over them all.
+integrator over them all; of a list closed under k -> k + pi, on its first
+half only.
 """
 
 from __future__ import annotations
@@ -173,23 +174,55 @@ def _integrate(spec: QuenchSpec, subs: list[Submanifold], grids: tuple) -> list[
             for row in np.stack(values, axis=1).tolist()]
 
 
+# How far a list's second half may sit from its first shifted by pi and still
+# count as that shift: 4 ulp(2 pi), beyond the rounding of k + pi wrapped into
+# [-pi, pi) and unwrapped again by one 2 pi.
+_PI_PAIR_TOL = 4 * np.spacing(2 * np.pi)
+
+
+def _pi_closed(subs: list[Submanifold]) -> bool:
+    """Whether ``subs[h + i]`` is ``subs[i]`` shifted by pi, kinds alike, h = S / 2."""
+    half, odd = divmod(len(subs), 2)
+    if odd or not half:
+        return False
+    if any(a.kind_lo is not b.kind_lo or a.kind_hi is not b.kind_hi
+           for a, b in zip(subs, subs[half:])):
+        return False
+    edges = np.array([(sub.k_lo, sub.k_hi) for sub in subs])
+    return bool(np.all(np.abs(edges[half:] - edges[:half] - np.pi) <= _PI_PAIR_TOL))
+
+
 def chern_numbers(
     spec: QuenchSpec, subs: list[Submanifold], n_k: int = 256, n_t: int = 256
 ) -> list[tuple[ChernResult, ChernResult]]:
     """(Riemann, solid-angle) result per submanifold, from one overlap solve.
 
     The Riemann grid is ``n_k`` x ``n_t``; the triangulation, whose areas are
-    exact, takes min(n_k, 128) x min(n_t, 128).  Each result equals its
-    integrator run on that submanifold alone bit for bit, and errors come in
-    that order: submanifold by submanifold, Riemann first.  A band touching,
-    a complex E or a degenerate triangle anywhere stops the batch, so then the
-    integrators run one at a time and the first to fail raises.
+    exact, takes min(n_k, 128) x min(n_t, 128).
+
+    U_{k+pi} = U_k and the start is pi-periodic, so n(k + pi, tau) = n(k, tau)
+    and E_{k+pi} = E_k: a submanifold shifted by pi carries the same field and
+    the same Chern numbers.  :func:`find_fixed_points` returns k and k + pi
+    as one pair, so its submanifold lists are pi-closed: of S = 2h, sub[h + i]
+    has the kinds of sub[i] and ``k_lo``, ``k_hi`` pi above, here to within
+    4 ulp(2 pi) = 3.6e-15.  Such a list integrates its first half only and
+    returns those results twice; a partner differs from its own integral by
+    rounding alone.  Every other list, a hand-made one included, integrates
+    every submanifold.
+
+    Each result the integrators compute equals its integrator run on that
+    submanifold alone bit for bit, and errors come in that order: submanifold
+    by submanifold, Riemann first (of a pi-closed list, over its first half).
+    A band touching, a complex E or a degenerate triangle anywhere stops the
+    batch, so then the integrators run one at a time and the first to fail
+    raises.
     """
     grids = (("riemann", n_k, n_t), ("solid_angle", min(n_k, 128), min(n_t, 128)))
     if not subs:
         return []
+    solved = subs[: len(subs) // 2] if _pi_closed(subs) else subs
     try:
-        results = _integrate(spec, subs, grids)
+        results = _integrate(spec, solved, grids)
     except (ExceptionalPoint, DegenerateTriangle):
-        results = [[_integrate(spec, [sub], (grid,))[0][0] for grid in grids] for sub in subs]
-    return [tuple(pair) for pair in results]
+        results = [[_integrate(spec, [sub], (grid,))[0][0] for grid in grids] for sub in solved]
+    return [tuple(pair) for pair in results] * (len(subs) // len(solved))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chern_oracle import chern_riemann_one, chern_solid_angle_one
-from ptwalk.chern import Submanifold, build_submanifolds, chern_numbers
+from ptwalk.chern import Submanifold, _pi_closed, build_submanifolds, chern_numbers
 from ptwalk.errors import DegenerateTriangle, ExceptionalPoint, WalkError
 from ptwalk.floquet import CoinParams
 from ptwalk.quench import FixedPointKind, QuenchSpec, find_fixed_points
@@ -163,26 +163,69 @@ def raised(func, *args):
     return type(info.value), str(info.value)
 
 
+def batch_cases(rng):
+    """(spec, submanifolds, grid): the presets at the CLI grids and 100 random
+    quenches of unbroken_quenches at 128 x 96."""
+    from ptwalk.presets import PRESETS, build_spec
+
+    for name in sorted(PRESETS):
+        spec = build_spec(PRESETS[name])
+        yield spec, build_submanifolds(find_fixed_points(spec)), (256, 256)
+    for spec, subs in itertools.islice(unbroken_quenches(rng), 100):
+        yield spec, subs, (128, 96)
+
+
 def test_the_batch_equals_the_integrators_one_at_a_time(rng):
     """chern_numbers gives the same bits as each integrator run on each
     submanifold alone, on the presets at the CLI grids and on the random
-    quenches at 128 x 96."""
-    from ptwalk.presets import PRESETS, build_spec
+    quenches at 128 x 96.  Of a list closed under k -> k + pi, that holds for
+    the first half, and each second-half result is its first-half partner's
+    bit for bit; the same list without its last submanifold, which is not
+    pi-closed, equals the integrators on every submanifold."""
+    compared = closed = 0
+    for spec, subs, grid in batch_cases(rng):
+        half = len(subs) // 2 if _pi_closed(subs) else len(subs)
+        closed += half < len(subs)
+        # Each submanifold alone: its bits, or the (type, message) it raises.
+        alone = []
+        for sub in subs[:max(half, len(subs) - 1)]:
+            try:
+                alone.append(bits(one_at_a_time(spec, [sub], *grid))[0])
+            except WalkError as exc:
+                alone.append((type(exc), str(exc)))
+        for listed, solved in ((subs, half), (subs[:-1], len(subs) - 1)):
+            failed = [outcome for outcome in alone[:solved] if isinstance(outcome, tuple)]
+            if failed:
+                assert raised(chern_numbers, spec, listed, *grid) == failed[0], spec
+                continue
+            got = bits(chern_numbers(spec, listed, *grid))
+            assert got[:solved] == alone[:solved], spec
+            assert got[solved:] == got[: len(listed) - solved], spec
+            compared += len(listed)
+    assert compared >= 700 and closed >= 100
 
-    cases = [(build_spec(PRESETS[name]), None, (256, 256)) for name in sorted(PRESETS)]
-    cases += [(spec, subs, (128, 96)) for spec, subs in itertools.islice(unbroken_quenches(rng), 100)]
+
+def test_each_pi_partner_integrated_alone_is_its_copy_to_rounding(rng):
+    """A second-half submanifold run through each integrator alone lies within
+    1e-14 of the first-half result chern_numbers returns for it, with the same
+    rounded value: n(k + pi, tau) = n(k, tau) and E_{k+pi} = E_k, so the two
+    integrands are one function and only rounding tells them apart."""
     compared = 0
-    for spec, subs, grid in cases:
-        if subs is None:
-            subs = build_submanifolds(find_fixed_points(spec))
-        try:
-            want = one_at_a_time(spec, subs, *grid)
-        except WalkError as exc:
-            assert raised(chern_numbers, spec, subs, *grid) == (type(exc), str(exc))
+    for spec, subs, grid in batch_cases(rng):
+        if not subs:
             continue
-        assert bits(chern_numbers(spec, subs, *grid)) == bits(want), spec
-        compared += len(subs)
-    assert compared >= 400
+        assert _pi_closed(subs), spec
+        try:
+            pairs = chern_numbers(spec, subs, *grid)
+        except WalkError:
+            continue
+        half = len(subs) // 2
+        for copies, alone in zip(pairs[half:], one_at_a_time(spec, subs[half:], *grid)):
+            for copy, own in zip(copies, alone):
+                assert abs(copy.value - own.value) <= 1e-14, (spec, copy, own)
+                assert (copy.rounded, copy.method) == (own.rounded, own.method), spec
+            compared += 1
+    assert compared >= 200
 
 
 def test_the_batch_raises_what_the_first_failing_integrator_raises():
@@ -218,10 +261,9 @@ def test_the_batch_raises_what_the_first_failing_integrator_raises():
     assert raised(chern_numbers, spec, [shifted, subs[1]], 64, 64) == broken
 
 
-def test_a_chern_job_makes_one_overlap_solve_for_its_integrators(monkeypatch, tmp_path):
-    """fig3b: 4 submanifolds, 258 Riemann and 129 triangulation momenta each."""
+def overlap_sizes(monkeypatch):
+    """The momentum count of every overlap solve chern_numbers makes, as it makes it."""
     import ptwalk.chern
-    from ptwalk.cli import main
 
     sizes = []
     solve = ptwalk.chern.overlap_grid
@@ -231,8 +273,43 @@ def test_a_chern_job_makes_one_overlap_solve_for_its_integrators(monkeypatch, tm
         return solve(spec, ks)
 
     monkeypatch.setattr(ptwalk.chern, "overlap_grid", counted)
+    return sizes
+
+
+def test_a_chern_job_makes_one_overlap_solve_for_its_integrators(monkeypatch, tmp_path):
+    """fig3b: 4 submanifolds closed under k -> k + pi, so the first 2 are
+    integrated, at 258 Riemann and 129 triangulation momenta each."""
+    from ptwalk.cli import main
+
+    sizes = overlap_sizes(monkeypatch)
     assert main(["chern", "--preset", "fig3b", "--out", str(tmp_path / "chern.csv")]) == 0
-    assert sizes == [4 * (258 + 129)]
+    assert sizes == [2 * (258 + 129)]
+
+
+def test_a_list_that_is_not_pi_closed_integrates_every_submanifold(monkeypatch, spec_fig3b):
+    """An odd count, a kind that differs from its partner's and an endpoint
+    1e-9 off its partner's + pi each integrate all S submanifolds (S * 387
+    momenta at the CLI grids), with the integrators' own bits; an endpoint one
+    ulp off, inside the 4 ulp(2 pi) of the rule, still pairs."""
+    import dataclasses
+
+    subs = build_submanifolds(find_fixed_points(spec_fig3b))
+    last = subs[3]
+    flipped = next(kind for kind in FixedPointKind if kind is not last.kind_hi)
+    lists = {
+        "closed": (subs, 2),
+        "one ulp": (subs[:3] + [dataclasses.replace(last, k_hi=np.nextafter(last.k_hi, 9))], 2),
+        "odd": (subs[:3], 3),
+        "kind": (subs[:3] + [dataclasses.replace(last, kind_hi=flipped)], 4),
+        "moved": (subs[:3] + [dataclasses.replace(last, k_hi=last.k_hi + 1e-9)], 4),
+    }
+    sizes = overlap_sizes(monkeypatch)
+    for name, (listed, solved) in lists.items():
+        sizes.clear()
+        got = bits(chern_numbers(spec_fig3b, listed))
+        assert sizes == [solved * (258 + 129)], name
+        assert got[:solved] == bits(one_at_a_time(spec_fig3b, listed[:solved], 256, 256)), name
+        assert got[solved:] == got[: len(listed) - solved], name
 
 
 def test_skyrmion_coverage_iff_nonzero(spec_fig3b, spec_fig6):
@@ -324,6 +401,35 @@ def test_every_row_of_the_full_grid_adds_the_same_chern_share(rng):
         n_k, n_t = 40, 33
         rows = triangle_area_grid(sub, spec, n_k, n_t).sum(axis=(0, 1)) * n_t / (4 * PI)
         np.testing.assert_allclose(rows, rows[0], rtol=0, atol=1e-13)
+
+
+def test_a_quarter_turn_gauge_jump_between_two_columns_keeps_the_chern_numbers(spec_fig3b):
+    """The ket's gauge can switch between two grid momenta, which multiplies
+    c_- by e^{i phi(k)} with phi a step: n1 + i n2 turns by phi there, a
+    rotation about z, and n3 stays.  With a pi/2 step between two columns of
+    each fig3b submanifold, at the edges and in the middle, both rounded values
+    stay.  A strip of triangles spans two latitude polygons, whose areas a turn
+    of one leaves alone, so the solid-angle value stays to rounding.  The
+    Riemann central differences across the step pick up (R - 1) n, whose
+    sin(phi) (z x n) part [n x dn/dtau] . (z x n) = 0 cancels; the
+    (1 - cos(phi)) part moves the value (by 3.3e-3 here), not its rounding."""
+    from ptwalk.chern import _momenta, _riemann, _solid_angle
+    from ptwalk.quench import overlap_grid
+
+    subs = build_submanifolds(find_fixed_points(spec_fig3b))
+    lo, hi = np.array([(sub.k_lo, sub.k_hi) for sub in subs]).T
+    for method, integrand, n in (("riemann", _riemann, 256), ("solid_angle", _solid_angle, 128)):
+        ks = _momenta(lo, hi, method, n, n)
+        cp, cm, _ = overlap_grid(spec_fig3b, ks.ravel())
+        cp, cm = cp.reshape(ks.shape), cm.reshape(ks.shape)
+        smooth = integrand(lo, hi, n, n, cp, cm)
+        columns = ks.shape[1]
+        for step in (1, 40, columns // 2, columns - 1):
+            phi = np.where(np.arange(columns) >= step, PI / 2, 0.0)
+            jumped = integrand(lo, hi, n, n, cp, cm * np.exp(1j * phi))
+            np.testing.assert_array_equal(np.round(jumped), np.round(smooth), err_msg=method)
+            if method == "solid_angle":
+                np.testing.assert_allclose(jumped, smooth, rtol=0, atol=1e-13)
 
 
 ANGLES = st.floats(-PI, PI)

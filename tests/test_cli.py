@@ -333,7 +333,10 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # 0 -> 4.93e-32; every k, kind and other byte the same).  The preset digest
 # was re-pinned when bloch_field came to solve the k < 0 half of the zone and
 # copy it into the k >= 0 half: only n cells of k >= 0 rows moved, by at most
-# 1.8e-15.
+# 1.8e-15.  The chern digest was re-pinned when chern_numbers came to integrate
+# the first half of a list closed under k -> k + pi and return its results for
+# the second half too: only the c_riemann and c_solid_angle cells of the two
+# second-half rows moved, by at most 2.2e-16 and 7.8e-16.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -342,7 +345,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["fixed-points", "--preset", "fig6"],
          "4ad31547cc37a8340ba3ea4a83a5832756236479b5f041a04860e7aed235e3a4"),
         (["chern", "--preset", "fig3b"],
-         "f59e98114932274cd48cfd6ee58288643d8ef25a33193a13bf5107437e78834e"),
+         "a70f5cc7943ce88f4d753f1b4f70d370eb6712d921c7430101e732cb4b4b4ca0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "fc0f0b83c58538a9b0e05bdb373a41861f82f52728ff17ef5a45782850730aef"),
     ]),
@@ -371,7 +374,10 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # offsets and the frame a product with kron(P, P) (max |dn| 2.2e-15).  The
 # quench digest was re-pinned when bloch_field came to solve the k < 0 half of
 # the zone and copy it into the k >= 0 half: only n cells of k >= 0 rows moved,
-# by at most 1.9e-15.
+# by at most 1.9e-15.  The chern digest was re-pinned when chern_numbers came
+# to integrate the first half of a list closed under k -> k + pi and return its
+# results for the second half too: only the c_riemann and c_solid_angle cells
+# of the two second-half rows moved, by at most 2.9e-17 and 5.7e-17.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -382,7 +388,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["fixed-points", "--theta1=1", "--theta2=0.2", "--theta1-f=1", "--theta2-f=0.2"],
          "4b55eb1999e2b7b29d15ab90e9da6976eb6ec9fbbb213fba06b415ce2657a95d"),
         (["chern", "--preset", "fig6"],
-         "69c64962a54d87c46802e25b61c306d2ab02052c2e75a4c63f6e8a1b8ea1c8eb"),
+         "fbcbee51ca79bd7f74fe8bec3415e3c2bd63d2ec502e17e99cc4eda9a4aa12e0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
          "07b7ec9486098ca005921857ecc3f79f78fd0f2489ce7263570bbad9fe7ca4f2"),
     ]),
