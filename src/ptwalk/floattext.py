@@ -1,7 +1,8 @@
 """Exact float64 text for large table columns, as byte rows.
 
 Each value's text is one uint8 row padded with 0xFF, a byte that UTF-8 never
-holds, so a table of such rows compacts to its text with bytes.translate.
+holds, and may end with the separator that follows it in a table; a table of
+such rows compacts to its text with bytes.translate.
 ``float_rows`` writes one of two texts, byte for byte:
 
 - ``'%.17g' % x`` (CSV) is in fixed notation when the decimal exponent X, after
@@ -35,7 +36,7 @@ nan, subnormals, a rounding up to 10^17, and for repr a tie.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -93,31 +94,42 @@ def _layouts(dot_zero: bool) -> np.ndarray:
 _LAYOUTS = {False: _layouts(False), True: _layouts(True)}
 
 
-def text_rows(texts: list[str]) -> np.ndarray:
-    """Each text's UTF-8 bytes as one row of a uint8 matrix, padded with 0xFF."""
+def text_rows(texts: list[str], end: bytes = b"") -> np.ndarray:
+    """Each text's UTF-8 bytes as one row of a uint8 matrix, padded with 0xFF and
+    ended by ``end``."""
     data = [text.encode() for text in texts]
     width = max(map(len, data), default=0)
-    padded = b"".join(item.ljust(width, b"\xff") for item in data)
-    return np.frombuffer(padded, dtype=np.uint8).reshape(len(data), width)
+    padded = b"".join([item.ljust(width, b"\xff") + end for item in data])
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(data), width + len(end))
 
 
-def float_rows(values: np.ndarray, shortest: bool,
-               texts: Callable[[np.ndarray], list[str]]) -> np.ndarray:
-    """The text of each float64 value as one 0xFF-padded uint8 row of width 24.
+def float_rows(values: np.ndarray, shortest: bool, texts: Callable[[np.ndarray], list[str]],
+               ends: Sequence[tuple[int, bytes]] = ()) -> np.ndarray:
+    """The text of each float64 value as one 0xFF-padded uint8 row, 24 bytes wide.
 
     ``'%.17g' % v`` for shortest=False and ``float.__repr__(v)`` for shortest=True,
     byte for byte, for the values in fixed notation; ``texts`` writes the rest
     (an array of them) as one str each, of 24 characters at most.
+
+    ``ends`` splits the values, in order, into segments of (count, separator):
+    the rows of a segment end with its separator, right after their padding, and
+    every row is 24 bytes plus the longest separator wide.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    rows = np.full((values.size, _WIDTH), 0xFF, dtype=np.uint8)
+    width = _WIDTH + max((len(end) for _, end in ends), default=0)
+    rows = np.full((values.size, width), 0xFF, dtype=np.uint8)
+    start = 0
+    for count, end in ends:
+        rows[start:start + count, width - len(end):] = np.frombuffer(end, dtype=np.uint8)
+        start += count
+    text = rows[:, :_WIDTH]
     done = np.zeros(values.size, dtype=bool)
     for start in range(0, values.size, _BLOCK):
         taken, fixed_rows = _fixed_rows(values[start:start + _BLOCK], shortest)
-        rows[start + taken] = fixed_rows
+        text[start + taken] = fixed_rows
         done[start + taken] = True
     rest = text_rows(texts(values[~done]))
-    rows[~done, :rest.shape[1]] = rest
+    text[~done, :rest.shape[1]] = rest
     return rows
 
 

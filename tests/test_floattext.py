@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ptwalk.floattext import _BLOCK, _fixed_rows, float_rows
+from ptwalk.floattext import _BLOCK, _WIDTH, _fixed_rows, float_rows, text_rows
 
 N = 10**6
 # repr's oracle costs 0.7-1 us per value here, so its classes draw half as many:
@@ -189,3 +189,27 @@ def test_zeros_infinities_and_nan():
                                   "9007199254740992.0"]
     for mode in (False, True):
         assert float_rows(np.zeros(0), mode, ORACLES[mode]).shape == (0, 24)
+
+
+def test_each_segment_ends_with_its_separator_right_after_the_padding(rng):
+    # The segments of a table's float columns: the CSV and JSON separators, an
+    # empty segment, and segments that start and end inside a block.
+    values = mixed(rng, 2000)
+    ends = [(_BLOCK + 5, b","), (0, b"\n"), (3, b",\n      "),
+            (values.size - _BLOCK - 8, b"\n    ],\n    [\n      ")]
+    for mode in (False, True):
+        plain = float_rows(values, mode, ORACLES[mode])
+        rows = float_rows(values, mode, ORACLES[mode], ends)
+        width = _WIDTH + max(len(end) for _, end in ends)
+        assert rows.shape == (values.size, width)
+        assert np.array_equal(rows[:, :_WIDTH], plain)  # the text bytes do not change
+        start = 0
+        for count, end in ends:
+            segment = rows[start:start + count]
+            assert (segment[:, _WIDTH:width - len(end)] == 0xFF).all()
+            assert segment[:, width - len(end):].tobytes() == end * count
+            start += count
+    texts = ["", "a\x00b", "é", "日本"]
+    assert np.array_equal(text_rows(texts, b",\n  ")[:, :-4], text_rows(texts))
+    assert text_rows(texts, b",\n  ")[:, -4:].tobytes() == b",\n  " * len(texts)
+    assert text_rows([], b",").shape == (0, 1)

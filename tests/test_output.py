@@ -4,19 +4,23 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from output_oracle import table_text
 from ptwalk import cli, floattext
 from ptwalk.cli import _bloch_columns, _table_data
+from ptwalk.errors import WalkError
 from ptwalk.floattext import float_rows
 from ptwalk.floquet import CoinParams
+from ptwalk.measurement import reconstruct_bloch_field
 from ptwalk.presets import PRESETS, build_spec
-from ptwalk.quench import bloch_field
+from ptwalk.quench import QuenchSpec, bloch_field, initial_spinors
+from ptwalk.spectrum import PTPhase, pt_classify
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                   -2.2250738585072e-308, 1.7976931348623157e308, 0.1, 1e16, 1e-7,
@@ -166,8 +170,33 @@ def big_tables(draw):
     return names, columns, meta
 
 
+def byte_table(names):
+    """A table laid out as bytes, its columns in the order of ``names``: x, a
+    float column of 1100 distinct values, and beside it y, floats of few
+    distinct values, s, text, and n, integers."""
+    rng = np.random.default_rng(len(names))
+    size = 1100
+    pools = {"y": SPECIAL_FLOATS, "s": SPECIAL_TEXT, "n": INT64_EDGES}
+    cells = {name: [pool[j] for j in rng.integers(0, len(pool), size)]
+             for name, pool in pools.items()}
+    cells["x"] = rng.permutation(np.concatenate(
+        [SPECIAL_FLOATS, rng.uniform(-1, 1, size - len(SPECIAL_FLOATS))])).tolist()
+    return list(names), [(cells[name], (size,)) for name in names], {"command": "test"}
+
+
+# The row separator after a text row and after a float row (in JSON beside a
+# float column whose cell separator is shorter), and a table of one column.
+BYTE_TABLES = [byte_table(names) for names in [("x", "n", "s"), ("y", "s", "x"), ("x",)]]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(big_tables(), st.sampled_from(["csv", "json"]))
+@example(BYTE_TABLES[0], "csv")
+@example(BYTE_TABLES[0], "json")
+@example(BYTE_TABLES[1], "csv")
+@example(BYTE_TABLES[1], "json")
+@example(BYTE_TABLES[2], "csv")
+@example(BYTE_TABLES[2], "json")
 def test_tables_laid_out_as_bytes_match_the_row_writer(table, fmt):
     names, columns, meta = table
     want = table_text(fmt, names, broadcast_rows(columns), meta)
@@ -195,6 +224,75 @@ def test_a_bloch_table_with_both_regimes_matches_the_row_writer(fmt):
     # The first wrong lines, not a diff of two texts of 15 000 lines.
     assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:3] == []
     assert got == want
+
+
+coin_angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def bloch_fields(draw):
+    """A Bloch field on an odd or even grid, and whether its table may take the half shape.
+
+    Lossless and lossy quenches, from the lower band of an unbroken initial
+    operator or from an explicit coin state.  The field is analytic, or
+    analytic with one k >= 0 cell of n moved by one ulp or one k >= 0 regime
+    flipped, or reconstructed from the walk: only the analytic field of an even
+    grid has a k >= 0 half that repeats the k < 0 half bit for bit.
+    """
+    p = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.6))]))
+    final = CoinParams(draw(coin_angles), draw(coin_angles), p)
+    if draw(st.booleans()):
+        initial = CoinParams(draw(coin_angles), draw(coin_angles), p)
+        if pt_classify(initial) is not PTPhase.UNBROKEN:
+            reject()
+        spec = QuenchSpec(initial=initial, final=final)
+    else:
+        mix, phi = draw(coin_angles), draw(coin_angles)
+        state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
+        spec = QuenchSpec(initial=final, final=final, initial_state=state)
+    n_k, n_t = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["analytic", "moved", "flipped", "reconstructed"]))
+    try:
+        if kind == "reconstructed":  # from the start's coin state at k = 0
+            coin = tuple(initial_spinors(spec, np.array([0.0]))[0])
+            return reconstruct_bloch_field(replace(spec, initial_state=coin), t_max=n_t - 1,
+                                           n_k=n_k), False
+        field = bloch_field(spec, n_k=n_k, ts=np.linspace(0.0, 6.0, n_t))
+    except WalkError:
+        reject()
+    i = draw(st.integers(n_k // 2, n_k - 1))
+    if kind == "moved":
+        n = field.n.copy()
+        cell = (i, draw(st.integers(0, n_t - 1)), draw(st.integers(0, 2)))
+        n[cell] = np.nextafter(n[cell], draw(st.sampled_from([-np.inf, np.inf])))
+        field = replace(field, n=n)
+    elif kind == "flipped":
+        regime = field.real_regime.copy()
+        regime[i] = not regime[i]
+        field = replace(field, real_regime=regime)
+    return field, kind == "analytic" and n_k % 2 == 0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(bloch_fields(), st.booleans())
+def test_a_bloch_table_takes_the_half_shape_only_where_its_halves_repeat(drawn, as_bytes):
+    field, half = drawn
+    n_k, n_t = field.n.shape[:2]
+    names = ["k", "t", "n1", "n2", "n3", "regime", "source"]
+    rows = [
+        (k, t, *field.n[i, j].tolist(), "real" if field.real_regime[i] else "imaginary",
+         field.source)
+        for i, k in enumerate(field.ks.tolist()) for j, t in enumerate(field.ts.tolist())
+    ]
+    columns = _bloch_columns(field)
+    assert list(columns) == names
+    assert columns["k"].shape == ((2, n_k // 2, 1) if half else (n_k, 1))
+    assert columns["n1"].shape == columns["n3"].shape == (n_k // 2 if half else n_k, n_t)
+    # From one distinct float on, the table is laid out as bytes.
+    with mock.patch.object(cli, "_G17_DISTINCT", 1 if as_bytes else cli._G17_DISTINCT):
+        for fmt in ["csv", "json"]:
+            meta = {"command": "quench"}
+            assert table_text_of(fmt, columns, meta) == table_text(fmt, names, rows, meta)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -243,9 +341,9 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
     # A mostly fixed-notation column, with every value it leaves to Python mixed in.
     calls = []
 
-    def counted(values, shortest, texts):
+    def counted(values, shortest, texts, ends):
         calls.append((values.size, shortest))
-        return float_rows(values, shortest, texts)
+        return float_rows(values, shortest, texts, ends)
 
     monkeypatch.setattr(floattext, "float_rows", counted)
     powers = [float(f"1e{q}") for q in range(-6, 19) if q not in (-1, 16)]  # not special yet
@@ -263,28 +361,41 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("wide", [0, 9, 400])
+@pytest.mark.parametrize("order, wide", [
+    pytest.param(("x", "s", "flag"), 0, id="0"),
+    pytest.param(("x", "s", "flag"), 9, id="9"),
+    pytest.param(("x", "s", "flag"), 400, id="400"),
+    # The row separator after a text row, after a float row, and in a table of one column.
+    pytest.param(("x", "flag", "s"), 400, id="text-last"),
+    pytest.param(("s", "flag", "x"), 400, id="float-last"),
+    pytest.param(("x",), 0, id="one-column"),
+])
 def test_tables_laid_out_in_blocks_match_the_row_writer_at_the_block_edges(
-        fmt, wide, rng, monkeypatch):
+        fmt, order, wide, rng, monkeypatch):
     # With the cut-off at one distinct float, tables of under 1024 rows are laid
     # out as bytes too.  The text column sets the row width, and so the block size.
     monkeypatch.setattr(cli, "_G17_DISTINCT", 1)
+    if order == ("x",):  # rows of 25 to 43 bytes: blocks of a few hundred rows, not thousands
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**13)
     pool = ["\x00", "a\x00b", "é", "日本", "𝔭", "", "x" * wide]
     cell_sep, row_sep = (",", "\n") if fmt == "csv" else (cli._JSON_CELL, cli._JSON_ROW)
     # A row: a float (24 bytes), the widest text, True (4 bytes) and the separators.
     text_width = max(len((str if fmt == "csv" else json.dumps)(s).encode()) for s in pool)
-    width = floattext._WIDTH + text_width + 4 + 2 * len(cell_sep) + len(row_sep)
+    widths = {"x": floattext._WIDTH, "s": text_width, "flag": 4}
+    width = sum(widths[name] for name in order) + (len(order) - 1) * len(cell_sep) + len(row_sep)
     block = cli._BLOCK_BYTES // width
     meta = {"command": "test"}
     for n_rows in [0, 1, block - 1, block, block + 1, 3 * block - 1, 3 * block + 1]:
         # (m, 1) columns beside a (c,) flag: c = 0 broadcasts m rows to none.
-        m, c = n_rows or 3, int(n_rows > 0)
+        m, c = (n_rows or 3, int(n_rows > 0)) if "flag" in order else (n_rows, 1)
         x = rng.uniform(-1, 1, m)
         x[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:m]
         text = [pool[j] for j in rng.integers(0, len(pool), m)]
         text[:len(pool)] = pool[:m]
         table = {"x": x.reshape(m, 1), "s": nested(text, (m, 1)), "flag": np.ones(c, dtype=bool)}
+        table = {name: table[name] for name in order}
         if n_rows >= len(pool):  # the widest text is in the table, so the edges are as above
             assert len(cli._table_rows(table, fmt, cell_sep, row_sep)) == -(-n_rows // block)
-        want = table_text(fmt, list(table), list(zip(x.tolist(), text, [True] * n_rows)), meta)
-        assert table_text_of(fmt, table, meta) == want, n_rows
+        cells = {"x": x.tolist(), "s": text, "flag": [True] * m}
+        rows = list(zip(*(cells[name] for name in order)))[:n_rows]
+        assert table_text_of(fmt, table, meta) == table_text(fmt, list(order), rows, meta), n_rows

@@ -99,15 +99,20 @@ def test_module_does_not_import_scipy(path):
     assert scipy_imports(path) == []
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def test_importing_the_cli_does_not_load_scipy(tmp_path):
     # numpy is the only runtime dependency: nothing the CLI imports may pull scipy in.
+    # floattext is imported by the first table laid out as bytes, and only then:
+    # neither the import nor a phase-diagram table (the Python join) loads it.
     paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    job = ["phase-diagram", "--out", str(tmp_path / "pd.csv")]
+    code = ("import sys, ptwalk.cli; print('scipy' in sys.modules, 'ptwalk.floattext' in "
+            f"sys.modules); ptwalk.cli.main({job!r}); print('ptwalk.floattext' in sys.modules)")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ptwalk.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False", "False"]
+    assert (tmp_path / "pd.csv").read_text().count("\n") == 1 + 32 * 32
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
