@@ -101,7 +101,7 @@ def _table_rows(columns: dict[str, Sequence], fmt: str, cell_sep: str,
 
     # Each distinct value's row ends with its column's separator, after its padding.
     ends = [cell_sep.encode()] * (len(distincts) - 1) + [row_sep.encode()]
-    # In one call: each costs 0.1-0.2 ms.
+    # Every float column in one float_rows call: each call costs 0.1-0.2 ms.
     floats = [(d, end) for d, end in zip(distincts, ends) if d.dtype.kind == "f"]
     float_text = iter(np.split(
         float_rows(np.concatenate([d for d, _ in floats]), fmt == "json",

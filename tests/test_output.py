@@ -172,15 +172,16 @@ def big_tables(draw):
 
 def byte_table(names):
     """A table laid out as bytes, its columns in the order of ``names``: x, a
-    float column of 1100 distinct values, and beside it y, floats of few
+    float column of 600 distinct values, and beside it y, floats of few
     distinct values, s, text, and n, integers."""
     rng = np.random.default_rng(len(names))
-    size = 1100
+    size = 600
     pools = {"y": SPECIAL_FLOATS, "s": SPECIAL_TEXT, "n": INT64_EDGES}
     cells = {name: [pool[j] for j in rng.integers(0, len(pool), size)]
              for name, pool in pools.items()}
     cells["x"] = rng.permutation(np.concatenate(
         [SPECIAL_FLOATS, rng.uniform(-1, 1, size - len(SPECIAL_FLOATS))])).tolist()
+    assert np.unique(np.array(cells["x"]).view(np.int64)).size >= cli._G17_DISTINCT
     return list(names), [(cells[name], (size,)) for name in names], {"command": "test"}
 
 
@@ -372,7 +373,7 @@ def test_a_float_column_on_either_side_of_the_fast_encoder_matches_the_row_write
 ])
 def test_tables_laid_out_in_blocks_match_the_row_writer_at_the_block_edges(
         fmt, order, wide, rng, monkeypatch):
-    # With the cut-off at one distinct float, tables of under 1024 rows are laid
+    # With the cut-off at one distinct float, tables of under 512 distinct floats are laid
     # out as bytes too.  The text column sets the row width, and so the block size.
     monkeypatch.setattr(cli, "_G17_DISTINCT", 1)
     if order == ("x",):  # rows of 25 to 43 bytes: blocks of a few hundred rows, not thousands
