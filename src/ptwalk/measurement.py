@@ -26,17 +26,20 @@ cyclic trace gives Tr[rho' L^dag L R^T sigma_j L] = Tr[sigma_j L rho' L^dag],
 so n = Re((Lambda s)_{1..3} / (Lambda s)_0) for any decayed norm, with one
 real 4x4 matrix Lambda_ji = Tr[sigma_j L sigma_i L^dag] / 2 per momentum.
 
-Each walk step is measured as whole arrays: the pair intensities of every
-ordered site pair at once (per-site products with each conjugate ket, added
-over the pairs by broadcasting), the identities as array algebra, and the
-sums of the table along its diagonals x1 - x2, read off a skewed view.  The
-sums of all steps share one stack.  On the grid k_m = -pi + 2 pi m / n_k,
+Each walk step is only measured: the pair intensities of every ordered site
+pair at once (per-site products with each conjugate ket, added over the
+pairs by broadcasting), then the sums of the real intensity planes along
+their diagonals x1 - x2, read off a skewed view, into one stack over all
+steps.  The identities are linear in the intensities, so after the walk they
+run once over that stack and give the diagonal sums of the matrix-element
+table; the four on-site identities fill the offset d = 0, where no pair is
+measured.  On the grid k_m = -pi + 2 pi m / n_k,
 exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), so one FFT over the offsets
 d mod n_k gives s at every step, and one call maps them through Lambda to
 n(k, t).  Lambda = Re(P T P^T) / 2 is one matrix product, with P the Pauli
-matrices as rows and T[(a, b), (c, d)] = L_bc conj(L_ad).  The one-pair,
-one-step form and the phase-matrix transform are the test oracles
-(``tests/measurement_oracle.py``).
+matrices as rows and T[(a, b), (c, d)] = L_bc conj(L_ad).  The table of
+``reconstruct_matrix_elements``, the one-pair, one-step form and the
+phase-matrix transform are the test oracles (``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
 configuration, with one deterministic stream per (seed, step, configuration
@@ -133,10 +136,12 @@ def pair_intensities(state: PositionState) -> PairIntensities:
     """
     amps = state.amplitudes
     n = len(amps)
-    a, b = amps[:, 0], amps[:, 1]
     kets = np.array([KET_L, KET_D]).conj()[:, None, None, :]
-    first = np.stack([a, b, b, a], axis=-1) * kets[..., 0]  # (basis, x1, j)
-    second = np.stack([a, -b, a, b], axis=-1) * kets[..., 1]  # (basis, x2, j)
+    # the preparations' first-site spinor parts (a, b, b, a), second-site (a, -b, a, b)
+    second_parts = amps[:, [0, 1, 0, 1]]
+    np.negative(second_parts[:, 1], out=second_parts[:, 1])
+    first = amps[:, [0, 1, 1, 0]] * kets[..., 0]  # (basis, x1, j)
+    second = second_parts * kets[..., 1]  # (basis, x2, j)
     p_l, p_d = np.abs(first[:, :, None] + second[:, None, :]) ** 2
     diag = np.arange(n)
     p_l[diag, diag] = p_d[diag, diag] = 0.0
@@ -179,12 +184,53 @@ def reconstruct_matrix_elements(
 
 
 def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
-    """Row d + width - 1 of these (2 width - 1, 4) sums adds table[x1, x2] over x1 - x2 = d."""
+    """Row d + width - 1 of these (2 width - 1, P) sums adds table[x1, x2] over x1 - x2 = d."""
     # the flipped, zero-padded table read in rows of 2 width - 1 is skewed: d is one column
-    n = len(table)
-    skewed = np.zeros((n, 2 * width, 4), dtype=complex)
+    n, planes = len(table), table.shape[-1]
+    skewed = np.zeros((n, 2 * width, planes), dtype=table.dtype)
     skewed[:, width - n : width] = table[:, ::-1]
-    return skewed.reshape(-1, 4)[: n * (2 * width - 1)].reshape(n, -1, 4).sum(0, initial=0)
+    return skewed.reshape(-1, planes)[: n * (2 * width - 1)].reshape(n, -1, planes).sum(0, initial=0)
+
+
+def _intensity_sums(site: SiteProbabilities, pairs: PairIntensities) -> np.ndarray:
+    """(2 n - 1, 10) diagonal sums of the planes p_l[..., j], p_d[..., j],
+    P_H(x1) and P_V(x1) of an n-site window, in that order.
+
+    The sums of P_H(x2) and P_V(x2) over x1 - x2 = d are those of P_H(x1) and
+    P_V(x1) over x1 - x2 = -d, the same sites added in the same order, so they
+    are read off in reverse (``_stokes_by_offset``).
+    """
+    n = len(site.probs)
+    onsite = np.broadcast_to(site.probs[:, None, :2], (n, n, 2))
+    return _diagonal_sums(np.concatenate([pairs.p_l, pairs.p_d, onsite], axis=-1), n)
+
+
+def _stokes_by_offset(sums: np.ndarray, site_sums: np.ndarray) -> np.ndarray:
+    """(..., 2 w - 1, 4) diagonal sums of the matrix-element table from the
+    (..., 2 w - 1, 10) sums of ``_intensity_sums`` and the (..., 4) sums of
+    the site intensities [H, V, L, D].
+
+    The eight Re/Im identities of ``reconstruct_matrix_elements`` are linear
+    in the intensities, so they hold for the sums along each diagonal; the
+    four on-site identities give the offset d = 0.
+    """
+    p1l, p2l, p3l, p4l, p1d, p2d, p3d, p4d, ph1, pv1 = np.moveaxis(sums, -1, 0)
+    ph2, pv2 = ph1[..., ::-1], pv1[..., ::-1]
+    sum_minus = (ph1 + ph2 - pv1 - pv2) / 2
+    sum_plus = (ph1 + ph2 + pv1 + pv2) / 2
+    sum_cross = (pv1 + ph2 + ph1 + pv2) / 2
+    skew = (pv1 + ph2 - ph1 - pv2) / 2
+    out = np.empty(sums.shape[:-1] + (4,), dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0], im[..., 0] = p1d - p2d - sum_minus, p1l - p2l - sum_minus
+    re[..., 1], im[..., 1] = p3d + p4d - sum_cross, p3l + p4l - sum_cross
+    re[..., 2], im[..., 2] = p3l - p4l - skew, p4d - p3d + skew
+    re[..., 3], im[..., 3] = p1d + p2d - sum_plus, p1l + p2l - sum_plus
+    ph, pv, pl, pd = np.moveaxis(site_sums, -1, 0)
+    out[..., sums.shape[-2] // 2, :] = np.stack(
+        [ph + pv, 2 * pd - ph - pv, -2 * pl + ph + pv, ph - pv], axis=-1
+    )
+    return out
 
 
 def _momentum_transform(by_offset: np.ndarray, n_k: int) -> np.ndarray:
@@ -328,7 +374,8 @@ def reconstruct_bloch_field(
     final = walk_eigensystem(spec.final, ks)
 
     width = 4 * t_max + 1  # sites in the last, widest window
-    by_offset = np.empty((t_max + 1, 2 * width - 1, 4), dtype=complex)
+    sums = np.zeros((t_max + 1, 2 * width - 1, 10))
+    site_sums = np.empty((t_max + 1, 4))
     for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
@@ -336,8 +383,11 @@ def reconstruct_bloch_field(
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         if on_step is not None:
             on_step(t, site, pairs)
-        by_offset[t] = _diagonal_sums(reconstruct_matrix_elements(site, pairs).table, width)
-    n = _frame_map(_momentum_transform(by_offset, n_k), _stokes_frame(final.left))
+        size = len(site.probs)  # 4 t + 1 sites, so the offsets |d| < size are centred
+        sums[t, width - size : width + size - 1] = _intensity_sums(site, pairs)
+        site_sums[t] = site.probs.sum(0)
+    stokes = _momentum_transform(_stokes_by_offset(sums, site_sums), n_k)
+    n = _frame_map(stokes, _stokes_frame(final.left))
     return BlochField(
         ks=ks,
         ts=np.arange(t_max + 1, dtype=float),

@@ -50,11 +50,15 @@ def _shift(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_position(state: PositionState, params: CoinParams) -> PositionState:
-    """Apply one full (unrescaled) walk period; the window grows by 2 per side."""
+def _period_factors(params: CoinParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transposed half-angle rotations R(theta1/2), R(theta2/2) and loss matrix M,
+    which act on the (n_sites, 2) amplitudes from the right."""
     r1 = coin_rotation(params.theta1 / 2).T
     r2 = coin_rotation(params.theta2 / 2).T
-    m = loss_matrix(params.p).T
+    return r1, r2, loss_matrix(params.p).T
+
+
+def _step(state: PositionState, r1: np.ndarray, r2: np.ndarray, m: np.ndarray) -> PositionState:
     amps = state.amplitudes @ r1
     amps = _shift(amps)
     amps = amps @ r2 @ m @ r2
@@ -63,12 +67,18 @@ def step_position(state: PositionState, params: CoinParams) -> PositionState:
     return PositionState(x_min=state.x_min - 2, amplitudes=amps, t=state.t + 1)
 
 
+def step_position(state: PositionState, params: CoinParams) -> PositionState:
+    """Apply one full (unrescaled) walk period; the window grows by 2 per side."""
+    return _step(state, *_period_factors(params))
+
+
 def evolve(initial_coin: np.ndarray, params: CoinParams, t_max: int) -> list[PositionState]:
     """States after 0..t_max steps, starting localized at x = 0."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     coin = np.asarray(initial_coin, dtype=complex).reshape(1, 2)
     states = [PositionState(x_min=0, amplitudes=coin, t=0)]
+    factors = _period_factors(params)
     for _ in range(t_max):
-        states.append(step_position(states[-1], params))
+        states.append(_step(states[-1], *factors))
     return states

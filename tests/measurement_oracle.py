@@ -20,9 +20,14 @@ order of x1 and a phase matrix of the table's own width, which
 ``assemble_hermitian_density``, the package's skewed diagonal sums made into
 one table's rho'(k), must match bit for bit.  ``fourier``
 is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
-maps each step's Stokes vectors on their own, from the ``np.add.at`` sums of
-``diagonal_sums_add_at`` through the package's FFT, as the package did before
-it transformed and mapped all steps at once; the two must agree bit for bit.
+sums each step's ``intensity_planes`` with ``np.add.at`` and maps its Stokes
+vectors on their own, as the package did before it transformed and mapped
+all steps at once; the two must agree bit for bit.
+``diagonal_sums_add_at`` of the table of ``reconstruct_matrix_elements`` is
+the package's former order, the identities applied to every pair's
+intensities and the table then summed along its diagonals; the package's
+identities on the diagonal sums of the intensities agree with it to
+rounding.
 
 ``bloch_vector`` is n(k, t) at one point from ``overlap_grid`` and the
 coefficient form, and ``density_matrix`` the quench's non-Hermitian density
@@ -48,6 +53,7 @@ from ptwalk.measurement import (
     _diagonal_sums,
     _frame_map,
     _momentum_transform,
+    _stokes_by_offset,
     _stokes_frame,
     onsite_probabilities,
     pair_intensities,
@@ -221,19 +227,38 @@ def fourier(state, k) -> np.ndarray:
     return np.einsum("...x,xc->...c", phases, state.amplitudes)
 
 
+def intensity_planes(site, pairs) -> np.ndarray:
+    """(n, n, 12) planes: p_l[..., j], p_d[..., j], then P_H and P_V of the
+    first site x1 and of the second site x2 of each ordered pair."""
+    n = len(site.probs)
+    ph, pv = site.probs[:, 0], site.probs[:, 1]
+    planes = np.empty((n, n, 12))
+    planes[..., :4], planes[..., 4:8] = pairs.p_l, pairs.p_d
+    planes[..., 8], planes[..., 9] = ph[:, None], pv[:, None]
+    planes[..., 10], planes[..., 11] = ph[None, :], pv[None, :]
+    return planes
+
+
 def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray:
-    """n(k, t) of ``reconstruct_bloch_field``, each step mapped on its own."""
+    """n(k, t) of ``reconstruct_bloch_field``, each step summed with
+    ``np.add.at`` and mapped on its own."""
     coin = initial_spinors(spec, np.array([0.0]))[0]
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
     final = walk_eigensystem(spec.final, ks)
+    width = 4 * t_max + 1
     n_field = np.empty((n_k, t_max + 1, 3))
     for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
-        table = reconstruct_matrix_elements(site, pairs)
-        stokes = _momentum_transform(diagonal_sums_add_at(table), n_k)
+        n = len(site.probs)
+        sums = np.zeros((2 * width - 1, 10))
+        offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + width - 1).ravel()
+        np.add.at(sums, offset_row, intensity_planes(site, pairs)[..., :10].reshape(n * n, 10))
+        site_sums = np.zeros((1, 4))
+        np.add.at(site_sums, np.zeros(n, dtype=int), site.probs)
+        stokes = _momentum_transform(_stokes_by_offset(sums, site_sums[0]), n_k)
         n_field[:, t, :] = _frame_map(stokes, _stokes_frame(final.left))
     return n_field
 

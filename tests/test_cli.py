@@ -336,7 +336,9 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # 1.8e-15.  The chern digest was re-pinned when chern_numbers came to integrate
 # the first half of a list closed under k -> k + pi and return its results for
 # the second half too: only the c_riemann and c_solid_angle cells of the two
-# second-half rows moved, by at most 2.2e-16 and 7.8e-16.
+# second-half rows moved, by at most 2.2e-16 and 7.8e-16.  The reconstruct
+# digest was re-pinned when the identities came to run once per job on the
+# diagonal sums of the intensities: only n cells moved, by at most 4.7e-15.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -347,7 +349,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["chern", "--preset", "fig3b"],
          "a70f5cc7943ce88f4d753f1b4f70d370eb6712d921c7430101e732cb4b4b4ca0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "fc0f0b83c58538a9b0e05bdb373a41861f82f52728ff17ef5a45782850730aef"),
+         "a470edcca893e651828336bfdb1cf5f20c1c0405be61e506d37914076b039875"),
     ]),
 )
 def test_quench_outputs_are_pinned(args, digest, capsys):
@@ -377,7 +379,10 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # by at most 1.9e-15.  The chern digest was re-pinned when chern_numbers came
 # to integrate the first half of a list closed under k -> k + pi and return its
 # results for the second half too: only the c_riemann and c_solid_angle cells
-# of the two second-half rows moved, by at most 2.9e-17 and 5.7e-17.
+# of the two second-half rows moved, by at most 2.9e-17 and 5.7e-17.  The
+# reconstruct digest was re-pinned when the identities came to run once per
+# job on the diagonal sums of the intensities: only n cells moved, by at most
+# 4.7e-15.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -390,7 +395,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["chern", "--preset", "fig6"],
          "fbcbee51ca79bd7f74fe8bec3415e3c2bd63d2ec502e17e99cc4eda9a4aa12e0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "07b7ec9486098ca005921857ecc3f79f78fd0f2489ce7263570bbad9fe7ca4f2"),
+         "7e04f6e94f16b34fc80e68a5f89b1c4c7c00fbe9210b4db760c2b5d741dce343"),
     ]),
 )
 def test_json_outputs_are_pinned(args, digest, capsys):
@@ -419,7 +424,9 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     # mapped to n through one real 4x4 frame per momentum (max |dn| 1.2e-14;
     # the dump did not change), and again when the momentum transform became
     # one FFT over the diagonal offsets and the frame a product with
-    # kron(P, P) (max |dn| 1.3e-13; the dump did not change).
+    # kron(P, P) (max |dn| 1.3e-13; the dump did not change), and again when
+    # the identities came to run once per job on the diagonal sums of the
+    # intensities (max |dn| 4.6e-14; the dump did not change).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -428,7 +435,7 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "b6928d02285c25acad7281a280aea500647e374f0a65e6b244833214b2f90d58"
+        "8ace8afb634ca314e08172052fe5e9cc82928fd8266f5ca54e4179a9be8055ef"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"

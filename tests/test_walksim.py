@@ -93,6 +93,16 @@ def test_equivalence_every_step_random(rng):
         np.testing.assert_allclose(fourier(state, ks), psi_k, atol=1e-10)
 
 
+def test_evolve_is_step_position_repeated_bit_for_bit(rng):
+    for _ in range(5):
+        params = random_coin_params(rng)
+        state = PositionState(x_min=0, amplitudes=[rng.normal(size=2) + 1j * rng.normal(size=2)])
+        for want in evolve(state.amplitudes[0], params, 6):
+            assert (want.x_min, want.t) == (state.x_min, state.t)
+            assert want.amplitudes.tobytes() == state.amplitudes.tobytes()
+            state = step_position(state, params)
+
+
 def test_fourier_single_site_phases():
     state = PositionState(x_min=1, amplitudes=[[1, 0]])
     ks = np.array([0.0, 0.7, -2.0])
