@@ -57,7 +57,6 @@ from ptwalk.measurement import (
     _stokes_frame,
     onsite_probabilities,
     pair_intensities,
-    reconstruct_matrix_elements,
     sample_shot_noise,
 )
 from ptwalk.quench import (
