@@ -331,10 +331,10 @@ def _bloch_columns(field) -> dict[str, Sequence]:
     """The n(k, t) table, k-major: each column at its own shape, broadcast to (n_k, n_t).
 
     Where the k >= 0 half of an even grid repeats the k < 0 half bit for bit, in
-    n and the regime (as ``bloch_field`` writes it, since U_{k+pi} = U_k), n and
-    the regime pass that half alone and k passes as (2, n_k / 2, 1): the same
-    rows, from half the distinct values to sort.  Any other field, a
-    reconstructed one or an odd grid, passes at (n_k, n_t).
+    n and the regime (as ``bloch_field`` and ``reconstruct_bloch_field`` write
+    it), n and the regime pass that half alone and k passes as (2, n_k / 2, 1):
+    the same rows, from half the distinct values to sort.  Any other field, an
+    odd grid or one whose halves differ, passes at (n_k, n_t).
     """
     ks, n, regime = field.ks[:, None], field.n, field.real_regime
     half, odd = divmod(len(field.ks), 2)

@@ -30,14 +30,24 @@ Each walk step is only measured: the pair intensities of every ordered site
 pair at once (per-site products with each conjugate ket, added over the
 pairs by broadcasting), then the sums of the real intensity planes along
 their diagonals x1 - x2, read off a skewed view, into one stack over all
-steps.  The identities are linear in the intensities, so after the walk they
-run once over that stack and give the diagonal sums of the matrix-element
-table; the four on-site identities fill the offset d = 0, where no pair is
-measured.  On the grid k_m = -pi + 2 pi m / n_k,
+steps.  The measured density matrix is positive, so by Cauchy-Schwarz
+|rho(x1, x2)|^2 <= rho(x1, x1) rho(x2, x2): a site whose counts are zero in
+every basis has zero matrix elements, and the planes of its pairs are
+zeroed before the sums.  The identities are linear in the intensities, so
+after the walk they run once over that stack and give the diagonal sums of
+the matrix-element table; the four on-site identities fill the offset d = 0,
+where no pair is measured.  On the grid k_m = -pi + 2 pi m / n_k,
 exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), so one FFT over the offsets
 d mod n_k gives s at every step, and one call maps them through Lambda to
-n(k, t).  Lambda = Re(P T P^T) / 2 is one matrix product, with P the Pauli
-matrices as rows and T[(a, b), (c, d)] = L_bc conj(L_ad).  The table of
+n(k, t).  A walk from one site fills one parity of sites per step, so no
+pair at an odd offset is counted.  Where every odd-offset sum reads exactly
+0.0 on an even grid, the sum over d has period pi in k: one FFT of length
+n_k / 2 over d / 2 gives the k < 0 half, the final frame and the regime are
+solved there alone, and the result is written into both halves, as
+``bloch_field`` does.  An odd grid, or counts at an odd offset, keep the
+full transform at every momentum.  Lambda = Re(P T P^T) / 2 is one matrix
+product, with P the Pauli matrices as rows and
+T[(a, b), (c, d)] = L_bc conj(L_ad).  The table of
 ``reconstruct_matrix_elements``, the one-pair, one-step form and the
 phase-matrix transform are the test oracles (``tests/measurement_oracle.py``).
 
@@ -194,15 +204,23 @@ def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
 
 def _intensity_sums(site: SiteProbabilities, pairs: PairIntensities) -> np.ndarray:
     """(2 n - 1, 10) diagonal sums of the planes p_l[..., j], p_d[..., j],
-    P_H(x1) and P_V(x1) of an n-site window, in that order.
+    P_H(x1) and P_V(x1) of an n-site window, in that order, over the pairs
+    of sites that were counted.
 
-    The sums of P_H(x2) and P_V(x2) over x1 - x2 = d are those of P_H(x1) and
-    P_V(x1) over x1 - x2 = -d, the same sites added in the same order, so they
-    are read off in reverse (``_stokes_by_offset``).
+    The measured density matrix is positive, so |rho(x1, x2)|^2 <=
+    rho(x1, x1) rho(x2, x2): a site whose counts are zero in every basis has
+    zero matrix elements, and its rows and columns of every plane are zeroed
+    before the sums.  The sums of P_H(x2) and P_V(x2) over x1 - x2 = d are
+    those of P_H(x1) and P_V(x1) over x1 - x2 = -d, the same sites added in
+    the same order, so they are read off in reverse (``_stokes_by_offset``).
     """
     n = len(site.probs)
     onsite = np.broadcast_to(site.probs[:, None, :2], (n, n, 2))
-    return _diagonal_sums(np.concatenate([pairs.p_l, pairs.p_d, onsite], axis=-1), n)
+    planes = np.concatenate([pairs.p_l, pairs.p_d, onsite], axis=-1)
+    empty = ~site.probs.any(1)
+    if empty.any():
+        planes[empty] = planes[:, empty] = 0.0
+    return _diagonal_sums(planes, n)
 
 
 def _stokes_by_offset(sums: np.ndarray, site_sums: np.ndarray) -> np.ndarray:
@@ -233,21 +251,27 @@ def _stokes_by_offset(sums: np.ndarray, site_sums: np.ndarray) -> np.ndarray:
     return out
 
 
-def _momentum_transform(by_offset: np.ndarray, n_k: int) -> np.ndarray:
+def _momentum_transform(by_offset: np.ndarray, n_k: int, stride: int = 1) -> np.ndarray:
     """s[..., m, :] = sum_d by_offset[..., d + w - 1, :] exp(-i k_m d) at the
-    n_k momenta k_m = -pi + 2 pi m / n_k, from (..., 2 w - 1, 4) diagonal sums.
+    momenta k_m = -pi + 2 pi m / n_k, m < n_k / stride, from (..., 2 w - 1, 4)
+    diagonal sums that are zero at every offset d not divisible by ``stride``
+    (1, or 2 on an even grid).
 
-    As exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), this is one FFT of the
-    signed sums over d mod n_k.  Offsets that share a residue (2 w - 1 > n_k)
-    are added one at a time in order of d, so sums padded with zero offsets
-    fold to the same bits.
+    As exp(-i k_m d) = (-1)^d exp(-2 pi i m (d / stride) / (n_k / stride)),
+    this is one FFT of length n_k / stride of the signed sums over
+    d / stride mod n_k / stride.  At stride 2 the sum has period pi in k, and
+    the momenta returned are the k < 0 half.  Offsets that share a residue are
+    added one at a time in order of d, so sums padded with zero offsets fold
+    to the same bits.
     """
-    rows = by_offset.shape[-2]
-    offsets = np.arange(1 - (rows + 1) // 2, (rows + 1) // 2)
-    signed = by_offset.swapaxes(-1, -2) * (1.0 - 2.0 * (offsets % 2))
-    folded = np.zeros(by_offset.shape[:-2] + (4, n_k), dtype=complex)
-    for lo in range(0, rows, n_k):  # n_k consecutive offsets have distinct residues
-        folded[..., offsets[lo : lo + n_k] % n_k] += signed[..., lo : lo + n_k]
+    rows, size = by_offset.shape[-2], n_k // stride
+    first = 1 - (rows + 1) // 2  # the offset of row 0
+    start = -first % stride  # the first row whose offset stride divides
+    offsets = np.arange(first + start, 1 - first, stride)
+    signed = by_offset[..., start::stride, :].swapaxes(-1, -2) * (1.0 - 2.0 * (offsets % 2))
+    folded = np.zeros(by_offset.shape[:-2] + (4, size), dtype=complex)
+    for lo in range(0, len(offsets), size):  # size consecutive offsets have distinct residues
+        folded[..., offsets[lo : lo + size] // stride % size] += signed[..., lo : lo + size]
     return np.fft.fft(folded).swapaxes(-1, -2)
 
 
@@ -358,6 +382,14 @@ def reconstruct_bloch_field(
     Stokes vectors of every step are transformed and mapped through the final
     frame at once after the walk, so a :class:`SingularNormalization` is
     raised only after every step has been measured and passed to ``on_step``.
+
+    Pairs with a site of zero counts in every basis are dropped.  On an even
+    grid the final eigensystem of the k < 0 half is solved before the walk;
+    where every odd-offset Stokes sum then reads 0.0, that half is
+    transformed and mapped alone and written into both halves, so n and
+    ``real_regime`` repeat bit for bit.  Otherwise every momentum is solved
+    after the walk and transformed, so an :class:`ExceptionalPoint` at a
+    k >= 0 momentum alone is raised after ``on_step``.
     """
     if t_max < 0 or n_k < 1:
         raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
@@ -371,7 +403,8 @@ def reconstruct_bloch_field(
             f"initial state (eigenstate residual {residual:.2e} across sectors)"
         )
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    final = walk_eigensystem(spec.final, ks)
+    half = n_k // 2 if n_k % 2 == 0 else n_k
+    final = walk_eigensystem(spec.final, ks[:half])
 
     width = 4 * t_max + 1  # sites in the last, widest window
     sums = np.zeros((t_max + 1, 2 * width - 1, 10))
@@ -386,13 +419,19 @@ def reconstruct_bloch_field(
         size = len(site.probs)  # 4 t + 1 sites, so the offsets |d| < size are centred
         sums[t, width - size : width + size - 1] = _intensity_sums(site, pairs)
         site_sums[t] = site.probs.sum(0)
-    stokes = _momentum_transform(_stokes_by_offset(sums, site_sums), n_k)
-    n = _frame_map(stokes, _stokes_frame(final.left))
+    by_offset = _stokes_by_offset(sums, site_sums)
+    if half < n_k and by_offset[:, 1::2].any():  # row d + width - 1 is odd where d is
+        half, final = n_k, walk_eigensystem(spec.final, ks)
+    n = np.empty((n_k // half, half, t_max + 1, 3))
+    stokes = _momentum_transform(by_offset, n_k, n_k // half)
+    n[:] = _frame_map(stokes, _stokes_frame(final.left)).swapaxes(0, 1)  # written to each half
+    real_regime = np.empty((n_k // half, half), dtype=bool)
+    real_regime[:] = final.quasienergies[:, 0].imag == 0
     return BlochField(
         ks=ks,
         ts=np.arange(t_max + 1, dtype=float),
-        n=n.swapaxes(0, 1),
-        real_regime=final.quasienergies[:, 0].imag == 0,
+        n=n.reshape(n_k, t_max + 1, 3),
+        real_regime=real_regime.reshape(n_k),
         source="reconstructed",
         eigenstate_initial=residual < EIGENSTATE_TOL,
         initial_residual=residual,

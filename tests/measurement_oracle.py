@@ -20,9 +20,12 @@ order of x1 and a phase matrix of the table's own width, which
 ``assemble_hermitian_density``, the package's skewed diagonal sums made into
 one table's rho'(k), must match bit for bit.  ``fourier``
 is the momentum spinor psi_k of a position state.  ``bloch_field_per_step``
-sums each step's ``intensity_planes`` with ``np.add.at`` and maps its Stokes
-vectors on their own, as the package did before it transformed and mapped
-all steps at once; the two must agree bit for bit.
+sums each step's ``intensity_planes`` times ``counted``, the pairs of sites
+with counts, with ``np.add.at`` and maps its Stokes vectors on their own, as
+the package did before it transformed and mapped all steps at once; the two
+must agree bit for bit.  With ``all_offsets`` it keeps every pair and the
+full-zone transform, the package's former route, which bounds what the
+support rule moves.
 ``diagonal_sums_add_at`` of the table of ``reconstruct_matrix_elements`` is
 the package's former order, the identities applied to every pair's
 intensities and the table then summed along its diagonals; the package's
@@ -238,27 +241,53 @@ def intensity_planes(site, pairs) -> np.ndarray:
     return planes
 
 
-def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0) -> np.ndarray:
+def counted(site) -> np.ndarray:
+    """(n, n) 1.0 where both sites of the pair have a nonzero count in some
+    basis, else 0.0.  By Cauchy-Schwarz on the measured density matrix,
+    |rho(x1, x2)|^2 <= rho(x1, x1) rho(x2, x2), a pair with an uncounted site
+    has zero matrix elements."""
+    occupied = np.any(site.probs != 0, axis=1).astype(float)
+    return np.outer(occupied, occupied)
+
+
+def bloch_field_per_step(spec, t_max, n_k, n_samples=None, seed=0, all_offsets=False):
     """n(k, t) of ``reconstruct_bloch_field``, each step summed with
-    ``np.add.at`` and mapped on its own."""
+    ``np.add.at`` and mapped on its own.
+
+    Each step's planes are multiplied by ``counted``.  Where every step's
+    Stokes sums then read zero at every odd offset on an even grid, each step
+    is transformed over its even offsets alone and mapped at the k < 0 half,
+    which is written into both halves.  ``all_offsets`` sums every pair's
+    planes and transforms every offset at every momentum, the package's
+    former route."""
     coin = initial_spinors(spec, np.array([0.0]))[0]
     ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    final = walk_eigensystem(spec.final, ks)
     width = 4 * t_max + 1
-    n_field = np.empty((n_k, t_max + 1, 3))
+    by_offset = []
     for t, state in enumerate(evolve(coin, spec.final, t_max)):
         site, pairs = onsite_probabilities(state), pair_intensities(state)
         if n_samples is not None:
             site = sample_shot_noise(site, n_samples, seed=seed * 1000003 + t)
             pairs = sample_shot_noise(pairs, n_samples, seed=seed * 1000003 + t)
         n = len(site.probs)
+        planes = intensity_planes(site, pairs)[..., :10]
+        if not all_offsets:
+            planes = planes * counted(site)[..., None]
         sums = np.zeros((2 * width - 1, 10))
         offset_row = (np.arange(n)[:, None] - np.arange(n)[None, :] + width - 1).ravel()
-        np.add.at(sums, offset_row, intensity_planes(site, pairs)[..., :10].reshape(n * n, 10))
+        np.add.at(sums, offset_row, planes.reshape(n * n, 10))
         site_sums = np.zeros((1, 4))
         np.add.at(site_sums, np.zeros(n, dtype=int), site.probs)
-        stokes = _momentum_transform(_stokes_by_offset(sums, site_sums[0]), n_k)
-        n_field[:, t, :] = _frame_map(stokes, _stokes_frame(final.left))
+        by_offset.append(_stokes_by_offset(sums, site_sums[0]))
+    offsets = np.arange(1 - width, width)
+    odd = any(np.any(step[offsets % 2 == 1] != 0) for step in by_offset)
+    half = n_k // 2 if n_k % 2 == 0 and not (odd or all_offsets) else n_k
+    final = walk_eigensystem(spec.final, ks[:half])
+    n_field = np.empty((n_k, t_max + 1, 3))
+    for t, step in enumerate(by_offset):
+        stokes = _momentum_transform(step, n_k, n_k // half)
+        n_field[:half, t, :] = _frame_map(stokes, _stokes_frame(final.left))
+    n_field[half:] = n_field[: n_k - half]
     return n_field
 
 

@@ -339,6 +339,9 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
 # second-half rows moved, by at most 2.2e-16 and 7.8e-16.  The reconstruct
 # digest was re-pinned when the identities came to run once per job on the
 # diagonal sums of the intensities: only n cells moved, by at most 4.7e-15.
+# The reconstruct digest was re-pinned when pairs with an uncounted site came
+# to be dropped and the k < 0 half transformed and written into both halves:
+# only n cells moved, by at most 4.2e-15 (max |n - analytic| 7.0e-15 -> 3.8e-15).
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -349,7 +352,7 @@ def test_overflowing_broken_regime_is_an_error_not_nan_rows(capsys):
         (["chern", "--preset", "fig3b"],
          "a70f5cc7943ce88f4d753f1b4f70d370eb6712d921c7430101e732cb4b4b4ca0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "a470edcca893e651828336bfdb1cf5f20c1c0405be61e506d37914076b039875"),
+         "99df54890c548d75df32c07614e261067d8e71cc0bed08df73475147c7163680"),
     ]),
 )
 def test_quench_outputs_are_pinned(args, digest, capsys):
@@ -382,7 +385,9 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
 # of the two second-half rows moved, by at most 2.9e-17 and 5.7e-17.  The
 # reconstruct digest was re-pinned when the identities came to run once per
 # job on the diagonal sums of the intensities: only n cells moved, by at most
-# 4.7e-15.
+# 4.7e-15.  The reconstruct digest was re-pinned when pairs with an uncounted
+# site came to be dropped and the k < 0 half transformed and written into both
+# halves: only n cells moved, by at most 4.2e-15.
 @pytest.mark.parametrize(
     "args, digest",
     argv_ids([
@@ -395,7 +400,7 @@ def test_quench_outputs_are_pinned(args, digest, capsys):
         (["chern", "--preset", "fig6"],
          "fbcbee51ca79bd7f74fe8bec3415e3c2bd63d2ec502e17e99cc4eda9a4aa12e0"),
         (["reconstruct", "--preset", "fig3b", "--tmax", "6"],
-         "7e04f6e94f16b34fc80e68a5f89b1c4c7c00fbe9210b4db760c2b5d741dce343"),
+         "3424be32301d768f5ed1aae63e0075f7892df08abc244a956c83123431a48fe3"),
     ]),
 )
 def test_json_outputs_are_pinned(args, digest, capsys):
@@ -426,7 +431,13 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     # one FFT over the diagonal offsets and the frame a product with
     # kron(P, P) (max |dn| 1.3e-13; the dump did not change), and again when
     # the identities came to run once per job on the diagonal sums of the
-    # intensities (max |dn| 4.6e-14; the dump did not change).
+    # intensities (max |dn| 4.6e-14; the dump did not change).  Re-pinned as a
+    # statistical change when pairs with an uncounted site came to be dropped
+    # and the k < 0 half transformed and written into both halves: the noise
+    # at odd offsets no longer enters, so n moved by up to 10.2, and against
+    # the analytic field max |dn| fell from 10.2 to 0.37, the median cell's
+    # from 0.099 to 0.045, and max |n(k + pi) - n(k)| from 10.2 to 0 (the dump
+    # did not change).
     dump = tmp_path / "probs.csv"
     code, out, _ = run_cli(
         ["reconstruct", "--preset", "fig3b", "--tmax", "6", "--samples", "1000",
@@ -435,7 +446,7 @@ def test_noisy_reconstruction_and_dump_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "8ace8afb634ca314e08172052fe5e9cc82928fd8266f5ca54e4179a9be8055ef"
+        "75ff77d4c87731363e619dc49760edd81d53d6150f59953072758eb23788f707"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
         "d9b2f768b9fe519c227b4d6e55f85df00d668e0931b3a86420edc9714d01a90c"

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from ptwalk import measurement
 from ptwalk.core import KET_D, KET_L, PAULI, pauli_assemble
 from ptwalk.errors import ExceptionalPoint, SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
@@ -32,6 +33,7 @@ from measurement_oracle import (
     assemble_hermitian_density,
     bloch_field_per_step,
     bloch_from_density,
+    counted,
     diagonal_sums_add_at,
     fourier,
     intensity_planes,
@@ -330,9 +332,10 @@ def test_pair_intensities_match_the_stacked_matmul_oracle(rng):
 def test_identities_on_the_diagonal_sums_match_the_table_first_oracle(n):
     """Windows of n sites: noiseless, binomial-resampled, with intensities
     sprinkled with zeros, and all zero.  The diagonal sums of the intensity
-    planes equal their ``np.add.at`` sums bit for bit, the x2 planes' sums
-    being the x1 planes' sums reversed; the Stokes vectors from the identities
-    on those sums differ from those of the table-first oracle by at most
+    planes of the counted pairs equal their ``np.add.at`` sums bit for bit,
+    the x2 planes' sums being the x1 planes' sums reversed; the Stokes vectors
+    from the identities on those sums differ from those of the table-first
+    oracle, its uncounted sites' rows and columns zeroed, by at most
     1e-13 sum_d |B_d| per component, B the oracle's diagonal sums (measured:
     under 1.8e-15)."""
     rng = np.random.default_rng(n)
@@ -355,12 +358,15 @@ def test_identities_on_the_diagonal_sums_match_the_table_first_oracle(n):
             )
         sums = _intensity_sums(site, pairs)
         want_sums = np.zeros((2 * n - 1, 12))
-        np.add.at(want_sums, offset_row, intensity_planes(site, pairs).reshape(n * n, 12))
+        support = counted(site)
+        planes = intensity_planes(site, pairs) * support[..., None]
+        np.add.at(want_sums, offset_row, planes.reshape(n * n, 12))
         assert sums.tobytes() == want_sums[:, :10].tobytes()
         assert want_sums[::-1, 8:10].tobytes() == want_sums[:, 10:].tobytes()
 
         got = _stokes_by_offset(sums, site.probs.sum(0))
-        want = diagonal_sums_add_at(reconstruct_matrix_elements(site, pairs))
+        table = reconstruct_matrix_elements(site, pairs)
+        want = diagonal_sums_add_at(replace(table, table=table.table * support[..., None]))
         bound = 1e-13 * np.abs(want).sum(axis=0)
         for n_k in (1, 7, 64):
             error = np.abs(_momentum_transform(got, n_k) - _momentum_transform(want, n_k))
@@ -395,13 +401,13 @@ def explicit_run(theta1, theta2, p, radius, mix, phase, t_max, n_k, n_samples, s
 
 
 @st.composite
-def explicit_runs(draw):
+def explicit_runs(draw, n_ks=st.integers(1, 64), samples=st.sampled_from([None, 1000])):
     """Localized explicit starts with |v| <= 1 under a random lossy final walk."""
     angle = st.floats(-np.pi, np.pi)
     return explicit_run(
         draw(angle), draw(angle), draw(st.floats(0.0, 0.9)), draw(st.floats(1e-3, 1.0)),
-        draw(angle), draw(angle), draw(st.integers(0, 10)), draw(st.integers(1, 64)),
-        draw(st.sampled_from([None, 1000])), draw(st.integers(0, 99)),
+        draw(angle), draw(angle), draw(st.integers(0, 10)), draw(n_ks),
+        draw(samples), draw(st.integers(0, 99)),
     )
 
 
@@ -427,6 +433,120 @@ def test_one_call_over_all_steps_matches_the_per_step_oracle(run):
     got = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k, n_samples=n_samples, seed=seed)
     assert got.n.shape == (n_k, t_max + 1, 3)
     assert np.array_equal(got.n, want)
+
+
+# ---------------------------------------------------------------------------
+# the support the counts allow
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(explicit_runs(n_ks=st.integers(1, 40).map(lambda half: 2 * half)))
+def test_the_reconstructed_halves_repeat_bit_for_bit_on_an_even_grid(run):
+    """A walk from one site fills one parity of sites per step, so no pair at
+    an odd offset is counted, noiseless or noisy: n and the regime at k >= 0
+    repeat those at k < 0."""
+    spec, t_max, n_k, n_samples, seed = run
+    try:
+        field = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k, n_samples=n_samples, seed=seed)
+    except WalkError:
+        reject()
+    half = n_k // 2
+    assert field.n[:half].tobytes() == field.n[half:].tobytes()
+    assert np.array_equal(field.real_regime[:half], field.real_regime[half:])
+
+
+@pytest.mark.parametrize("n_samples", [None, 1000])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_the_presets_reconstruct_on_the_half_zone(name, n_samples):
+    field = reconstruct_bloch_field(build_spec(PRESETS[name]), t_max=10, n_k=256,
+                                    n_samples=n_samples, seed=1)
+    assert field.n[:128].tobytes() == field.n[128:].tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(explicit_runs(n_ks=st.integers(0, 32).map(lambda half: 2 * half + 1),
+                     samples=st.just(None)))
+@example(explicit_run(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 10, 15, None, 0))
+def test_an_odd_grid_matches_the_analytic_field(run):
+    """An odd grid is not pi-closed, so every offset is transformed at every
+    momentum (measured: under 2.6e-14)."""
+    spec, t_max, n_k, _, _ = run
+    try:
+        want = bloch_field(spec, n_k=n_k, t_max=t_max)
+        got = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k)
+    except WalkError:
+        reject()
+    assert np.abs(got.n - want.n).max() < 1e-12
+    assert np.array_equal(got.real_regime, want.real_regime)
+
+
+@pytest.mark.parametrize("n_k", [15, 32])
+def test_a_state_on_both_parities_keeps_its_odd_offsets(monkeypatch, n_k):
+    """Hand-built windows with weight on both parities of sites, one site of
+    each left uncounted: pairs at odd offsets are counted, so even an even
+    grid takes every offset at every momentum, and n is that of
+    rho'(k) = |psi_k><psi_k| of each window (measured: under 1e-14).  A rule
+    that zeroed the odd offsets without reading the counts would write a
+    pi-periodic field, which these windows do not have."""
+    rng = np.random.default_rng(36)
+    spec, t_max = build_spec(PRESETS["fig3b"]), 3
+    states = []
+    for t in range(t_max + 1):
+        amps = rng.normal(size=(4 * t + 1, 2)) + 1j * rng.normal(size=(4 * t + 1, 2))
+        if t:
+            amps[rng.integers(4 * t + 1)] = 0
+        states.append(PositionState(x_min=-2 * t, amplitudes=0.5 * amps / np.linalg.norm(amps)))
+    monkeypatch.setattr(measurement, "evolve", lambda coin, params, t_max: states)
+    got = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k)
+    system = walk_eigensystem(spec.final, got.ks)
+    for t, state in enumerate(states):
+        psi = fourier(state, got.ks)
+        rho_prime = psi[:, :, None] * psi.conj()[:, None, :]
+        want = bloch_from_density(to_nonhermitian(rho_prime, system), system)
+        assert np.abs(got.n[:, t] - want).max() < 1e-13
+        if t and n_k % 2 == 0:
+            assert np.abs(want[: n_k // 2] - want[n_k // 2 :]).max() > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_the_support_rule_moves_noiseless_cells_by_rounding(name):
+    """Against the all-offset route at the benchmark's size: |dn| < 1e-13
+    (measured: under 1.3e-14), and the error against the analytic field does
+    not grow."""
+    spec = build_spec(PRESETS[name])
+    got = reconstruct_bloch_field(spec, t_max=10, n_k=256).n
+    before = bloch_field_per_step(spec, 10, 256, all_offsets=True)
+    want = bloch_field(spec, n_k=256, t_max=10).n
+    assert np.abs(got - before).max() < 1e-13
+    assert np.abs(got - want).max() <= np.abs(before - want).max()
+
+
+def _noisy_cases():
+    """The presets and four explicit-state quenches drawn from ``default_rng(9)``."""
+    cases = [pytest.param(build_spec(PRESETS[name]), id=name) for name in sorted(PRESETS)]
+    rng = np.random.default_rng(9)
+    for i in range(4):
+        theta1, theta2, mix, phase = rng.uniform(-np.pi, np.pi, 4)
+        final = CoinParams(theta1, theta2, rng.uniform(0.0, 0.5))
+        start = (np.cos(mix), np.sin(mix) * np.exp(1j * phase))
+        cases.append(pytest.param(QuenchSpec(initial=final, final=final, initial_state=start),
+                                  id=f"explicit{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("n_samples", [10_000, 1_000_000])
+@pytest.mark.parametrize("spec", _noisy_cases())
+def test_noisy_error_does_not_rise_against_the_all_offset_route(spec, n_samples):
+    """Median over seeds 0-3 of max |n - analytic| at t_max 6 and n_k 256
+    (measured: x0.12-x0.63 of the all-offset route's)."""
+    want = bloch_field(spec, n_k=256, t_max=6).n
+    got, before = [], []
+    for seed in range(4):
+        field = reconstruct_bloch_field(spec, t_max=6, n_k=256, n_samples=n_samples, seed=seed)
+        got.append(np.abs(field.n - want).max())
+        old = bloch_field_per_step(spec, 6, 256, n_samples=n_samples, seed=seed, all_offsets=True)
+        before.append(np.abs(old - want).max())
+    assert np.median(got) <= np.median(before)
 
 
 def test_frame_maps_broadcast_over_a_stack_of_steps(spec_fig3b):

@@ -237,8 +237,9 @@ def bloch_fields(draw):
     Lossless and lossy quenches, from the lower band of an unbroken initial
     operator or from an explicit coin state.  The field is analytic, or
     analytic with one k >= 0 cell of n moved by one ulp or one k >= 0 regime
-    flipped, or reconstructed from the walk: only the analytic field of an even
-    grid has a k >= 0 half that repeats the k < 0 half bit for bit.
+    flipped, or reconstructed from the walk, noiseless or at 1000 shots: the
+    analytic and the reconstructed fields of an even grid have a k >= 0 half
+    that repeats the k < 0 half bit for bit.
     """
     p = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.6))]))
     final = CoinParams(draw(coin_angles), draw(coin_angles), p)
@@ -252,12 +253,14 @@ def bloch_fields(draw):
         state = (complex(np.cos(mix)), complex(np.exp(1j * phi) * np.sin(mix)))
         spec = QuenchSpec(initial=final, final=final, initial_state=state)
     n_k, n_t = draw(st.integers(1, 64)), draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["analytic", "moved", "flipped", "reconstructed"]))
+    kind = draw(st.sampled_from(["analytic", "moved", "flipped", "reconstructed", "noisy"]))
     try:
-        if kind == "reconstructed":  # from the start's coin state at k = 0
+        if kind in ("reconstructed", "noisy"):  # from the start's coin state at k = 0
             coin = tuple(initial_spinors(spec, np.array([0.0]))[0])
-            return reconstruct_bloch_field(replace(spec, initial_state=coin), t_max=n_t - 1,
-                                           n_k=n_k), False
+            return reconstruct_bloch_field(
+                replace(spec, initial_state=coin), t_max=n_t - 1, n_k=n_k,
+                n_samples=1000 if kind == "noisy" else None, seed=draw(st.integers(0, 99)),
+            ), n_k % 2 == 0
         field = bloch_field(spec, n_k=n_k, ts=np.linspace(0.0, 6.0, n_t))
     except WalkError:
         reject()
@@ -274,8 +277,18 @@ def bloch_fields(draw):
     return field, kind == "analytic" and n_k % 2 == 0
 
 
+def reconstructed_fig3b(n_k, n_samples):
+    """fig3b reconstructed over four steps, and whether its table may take the half shape."""
+    field = reconstruct_bloch_field(build_spec(PRESETS["fig3b"]), t_max=3, n_k=n_k,
+                                    n_samples=n_samples, seed=3)
+    return field, n_k % 2 == 0
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(bloch_fields(), st.booleans())
+@example(reconstructed_fig3b(32, None), False)
+@example(reconstructed_fig3b(32, 1000), True)
+@example(reconstructed_fig3b(31, 1000), True)
 def test_a_bloch_table_takes_the_half_shape_only_where_its_halves_repeat(drawn, as_bytes):
     field, half = drawn
     n_k, n_t = field.n.shape[:2]
