@@ -441,10 +441,14 @@ def test_one_call_over_all_steps_matches_the_per_step_oracle(run):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
 @given(explicit_runs(n_ks=st.integers(1, 40).map(lambda half: 2 * half)))
+@example((build_spec(PRESETS["fig6"]), 10, 256, None, 1))
+@example((build_spec(PRESETS["fig6"]), 10, 256, 1000, 1))
+@example((build_spec(PRESETS["fig3b"]), 6, 256, 1_000_000, 7))
 def test_the_reconstructed_halves_repeat_bit_for_bit_on_an_even_grid(run):
     """A walk from one site fills one parity of sites per step, so no pair at
     an odd offset is counted, noiseless or noisy: n and the regime at k >= 0
-    repeat those at k < 0."""
+    repeat those at k < 0.  Explicit starts, and preset eigenstate starts at
+    the benchmark's size."""
     spec, t_max, n_k, n_samples, seed = run
     try:
         field = reconstruct_bloch_field(spec, t_max=t_max, n_k=n_k, n_samples=n_samples, seed=seed)
@@ -453,14 +457,6 @@ def test_the_reconstructed_halves_repeat_bit_for_bit_on_an_even_grid(run):
     half = n_k // 2
     assert field.n[:half].tobytes() == field.n[half:].tobytes()
     assert np.array_equal(field.real_regime[:half], field.real_regime[half:])
-
-
-@pytest.mark.parametrize("n_samples", [None, 1000])
-@pytest.mark.parametrize("name", sorted(PRESETS))
-def test_the_presets_reconstruct_on_the_half_zone(name, n_samples):
-    field = reconstruct_bloch_field(build_spec(PRESETS[name]), t_max=10, n_k=256,
-                                    n_samples=n_samples, seed=1)
-    assert field.n[:128].tobytes() == field.n[128:].tobytes()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=25)
