@@ -28,7 +28,6 @@ from .floquet import CoinParams, d_coefficients, momentum_operator_closed
 from .measurement import (
     onsite_probabilities,
     reconstruct_bloch_field,
-    reconstruct_matrix_elements,
     sample_shot_noise,
 )
 from .presets import PRESETS, build_spec
@@ -84,7 +83,6 @@ __all__ = [
     "phase_diagram",
     "pt_classify",
     "reconstruct_bloch_field",
-    "reconstruct_matrix_elements",
     "sample_shot_noise",
     "step_position",
     "winding_number",

@@ -16,7 +16,7 @@ All probabilities are intensities relative to unit input flux (the start is a
 unit spinor by construction), so they do not sum to one under loss; this is
 the normalization under which the eight reconstruction identities for Re/Im
 of <psi_x2|sigma_j|psi_x1> are exact.
-The reconstructed matrix-element table gives the Stokes vector s of the
+The diagonal sums of these elements give the Stokes vector s of the
 Hermitian momentum-space matrix rho'(k) = |psi_k><psi_k|,
 2 rho' = sum_i s_i sigma_i; rho' is not formed.  The quench's density matrix
 rho = rho' sum_mu |chi_mu><chi_mu| / Tr[...] has n_j = Tr[rho tau_j] with
@@ -34,9 +34,10 @@ steps.  The measured density matrix is positive, so by Cauchy-Schwarz
 |rho(x1, x2)|^2 <= rho(x1, x1) rho(x2, x2): a site whose counts are zero in
 every basis has zero matrix elements, and the planes of its pairs are
 zeroed before the sums.  The identities are linear in the intensities, so
-after the walk they run once over that stack and give the diagonal sums of
-the matrix-element table; the four on-site identities fill the offset d = 0,
-where no pair is measured.  On the grid k_m = -pi + 2 pi m / n_k,
+after the walk they run once over that stack, in ``_stokes_by_offset``, the
+package's one copy of them, and give the diagonal sums of the matrix-element
+table, which is never formed; the four on-site identities fill the offset
+d = 0, where no pair is measured.  On the grid k_m = -pi + 2 pi m / n_k,
 exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), so one FFT over the offsets
 d mod n_k gives s at every step, and one call maps them through Lambda to
 n(k, t).  A walk from one site fills one parity of sites per step, so no
@@ -47,9 +48,9 @@ solved there alone, and the result is written into both halves, as
 ``bloch_field`` does.  An odd grid, or counts at an odd offset, keep the
 full transform at every momentum.  Lambda = Re(P T P^T) / 2 is one matrix
 product, with P the Pauli matrices as rows and
-T[(a, b), (c, d)] = L_bc conj(L_ad).  The table of
-``reconstruct_matrix_elements``, the one-pair, one-step form and the
-phase-matrix transform are the test oracles (``tests/measurement_oracle.py``).
+T[(a, b), (c, d)] = L_bc conj(L_ad).  The per-pair table
+(``reconstruct_matrix_elements``), the one-pair, one-step form and the
+phase-matrix transform are the tests' oracles (``tests/measurement_oracle.py``).
 
 Optional shot noise emulates finite photon counting per measurement
 configuration, with one deterministic stream per (seed, step, configuration
@@ -79,10 +80,8 @@ from .walksim import PositionState, evolve
 __all__ = [
     "SiteProbabilities",
     "PairIntensities",
-    "MatrixElementTable",
     "onsite_probabilities",
     "pair_intensities",
-    "reconstruct_matrix_elements",
     "sample_shot_noise",
     "reconstruct_bloch_field",
 ]
@@ -94,10 +93,6 @@ class SiteProbabilities:
 
     x_min: int
     probs: np.ndarray  # (n_sites, 4)
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_min + len(self.probs))
 
 
 @dataclass(frozen=True)
@@ -112,18 +107,6 @@ class PairIntensities:
     x_min: int
     p_l: np.ndarray  # (n_sites, n_sites, 4)
     p_d: np.ndarray  # (n_sites, n_sites, 4)
-
-
-@dataclass(frozen=True)
-class MatrixElementTable:
-    """table[i1, i2, j] = <psi_{x2}|sigma_j|psi_{x1}> with x = x_min + i."""
-
-    x_min: int
-    table: np.ndarray  # (n_sites, n_sites, 4) complex
-
-    @property
-    def sites(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_min + len(self.table))
 
 
 def onsite_probabilities(state: PositionState) -> SiteProbabilities:
@@ -156,41 +139,6 @@ def pair_intensities(state: PositionState) -> PairIntensities:
     diag = np.arange(n)
     p_l[diag, diag] = p_d[diag, diag] = 0.0
     return PairIntensities(x_min=state.x_min, p_l=p_l, p_d=p_d)
-
-
-def reconstruct_matrix_elements(
-    site: SiteProbabilities, pairs: PairIntensities
-) -> MatrixElementTable:
-    """Matrix elements <psi_x2|sigma_j|psi_x1> from probabilities alone.
-
-    Diagonal entries use the four on-site identities, e.g.
-    <sigma_1> = 2 P_D - P_H - P_V; off-diagonal entries apply the eight
-    Re/Im combinations of pair and on-site intensities verbatim, over all
-    pairs at once.
-    """
-    n = len(site.probs)
-    if pairs.x_min != site.x_min or pairs.p_l.shape != (n, n, 4):
-        raise ValueError("pair and site intensities cover different site windows")
-    ph, pv, pl, pd = site.probs.T
-    ph1, ph2, pv1, pv2 = ph[:, None], ph[None, :], pv[:, None], pv[None, :]
-    p1l, p2l, p3l, p4l = np.moveaxis(pairs.p_l, -1, 0)
-    p1d, p2d, p3d, p4d = np.moveaxis(pairs.p_d, -1, 0)
-    sum_minus = (ph1 + ph2 - pv1 - pv2) / 2
-    sum_plus = (ph1 + ph2 + pv1 + pv2) / 2
-    sum_cross = (pv1 + ph2 + ph1 + pv2) / 2
-    skew = (pv1 + ph2 - ph1 - pv2) / 2
-    table = np.empty((n, n, 4), dtype=complex)
-    re, im = table.real, table.imag
-    re[..., 0], im[..., 0] = p1d - p2d - sum_minus, p1l - p2l - sum_minus
-    re[..., 1], im[..., 1] = p3d + p4d - sum_cross, p3l + p4l - sum_cross
-    re[..., 2], im[..., 2] = p3l - p4l - skew, p4d - p3d + skew
-    re[..., 3], im[..., 3] = p1d + p2d - sum_plus, p1l + p2l - sum_plus
-    diag = np.arange(n)
-    table[diag, diag, 0] = ph + pv
-    table[diag, diag, 1] = 2 * pd - ph - pv
-    table[diag, diag, 2] = -2 * pl + ph + pv
-    table[diag, diag, 3] = ph - pv
-    return MatrixElementTable(x_min=site.x_min, table=table)
 
 
 def _diagonal_sums(table: np.ndarray, width: int) -> np.ndarray:
@@ -228,9 +176,10 @@ def _stokes_by_offset(sums: np.ndarray, site_sums: np.ndarray) -> np.ndarray:
     (..., 2 w - 1, 10) sums of ``_intensity_sums`` and the (..., 4) sums of
     the site intensities [H, V, L, D].
 
-    The eight Re/Im identities of ``reconstruct_matrix_elements`` are linear
-    in the intensities, so they hold for the sums along each diagonal; the
-    four on-site identities give the offset d = 0.
+    The package's one copy of the identities: the eight Re/Im identities are
+    linear in the intensities, so they hold for the sums along each
+    diagonal; the four on-site identities give the offset d = 0.  The tests'
+    per-pair table applies them to each pair before the sums.
     """
     p1l, p2l, p3l, p4l, p1d, p2d, p3d, p4d, ph1, pv1 = np.moveaxis(sums, -1, 0)
     ph2, pv2 = ph1[..., ::-1], pv1[..., ::-1]
@@ -372,7 +321,7 @@ def reconstruct_bloch_field(
     seed: int = 0,
     on_step: Callable[[int, SiteProbabilities, PairIntensities], None] | None = None,
 ) -> BlochField:
-    """Full pipeline: walk, measure, reconstruct rho', recover n(k,t).
+    """Full pipeline: walk, measure, recover n(k, t) from the intensities.
 
     Runs the position-space walk from a localized site, so the initial coin
     state must be momentum-independent (an explicit state, or a lower-band
@@ -383,6 +332,9 @@ def reconstruct_bloch_field(
     frame at once after the walk, so a :class:`SingularNormalization` is
     raised only after every step has been measured and passed to ``on_step``.
 
+    ``_stokes_by_offset``, the one copy of the identities, applies them to
+    the diagonal sums of every step's intensities; neither the per-pair
+    table (the tests' oracle) nor rho' is formed, only its Stokes vectors.
     Pairs with a site of zero counts in every basis are dropped.  On an even
     grid the final eigensystem of the k < 0 half is solved before the walk;
     where every odd-offset Stokes sum then reads 0.0, that half is

@@ -1,8 +1,14 @@
 """One-pair-at-a-time measurement and one-step-at-a-time reconstruction.
 
 These are the oracles for the package's array pipeline.
-``matrix_elements_direct`` reads the matrix-element table straight from the
-amplitudes, the reference for the identities themselves.
+``reconstruct_matrix_elements`` is the per-pair table of matrix elements, a
+``MatrixElementTable``: the on-site and the eight Re/Im identities applied to
+every ordered pair's intensities at once.  It is an oracle, not package
+code: the package writes the identities once, in
+``measurement._stokes_by_offset``, applies them to the diagonal sums of the
+intensities and never forms the table.  ``matrix_elements_direct`` reads
+the table straight from the amplitudes, the reference for the identities
+themselves.
 ``interference_probabilities`` measures one ordered pair of sites, and
 ``matrix_elements_from_pairs`` applies the on-site and the eight Re/Im
 identities pair by pair to the ``PairProbabilities`` of
@@ -51,8 +57,8 @@ import numpy as np
 from ptwalk.core import KET_D, KET_L, PAULI, EigenSystem, pauli_assemble
 from ptwalk.errors import SingularNormalization
 from ptwalk.measurement import (
-    MatrixElementTable,
     PairIntensities,
+    SiteProbabilities,
     _diagonal_sums,
     _frame_map,
     _momentum_transform,
@@ -72,6 +78,53 @@ from ptwalk.quench import (
 )
 from ptwalk.spectrum import walk_eigensystem
 from ptwalk.walksim import evolve
+
+
+@dataclass(frozen=True)
+class MatrixElementTable:
+    """table[i1, i2, j] = <psi_{x2}|sigma_j|psi_{x1}> with x = x_min + i."""
+
+    x_min: int
+    table: np.ndarray  # (n_sites, n_sites, 4) complex
+
+    @property
+    def sites(self) -> np.ndarray:
+        return np.arange(self.x_min, self.x_min + len(self.table))
+
+
+def reconstruct_matrix_elements(
+    site: SiteProbabilities, pairs: PairIntensities
+) -> MatrixElementTable:
+    """Matrix elements <psi_x2|sigma_j|psi_x1> from probabilities alone.
+
+    Diagonal entries use the four on-site identities, e.g.
+    <sigma_1> = 2 P_D - P_H - P_V; off-diagonal entries apply the eight
+    Re/Im combinations of pair and on-site intensities verbatim, over all
+    pairs at once.
+    """
+    n = len(site.probs)
+    if pairs.x_min != site.x_min or pairs.p_l.shape != (n, n, 4):
+        raise ValueError("pair and site intensities cover different site windows")
+    ph, pv, pl, pd = site.probs.T
+    ph1, ph2, pv1, pv2 = ph[:, None], ph[None, :], pv[:, None], pv[None, :]
+    p1l, p2l, p3l, p4l = np.moveaxis(pairs.p_l, -1, 0)
+    p1d, p2d, p3d, p4d = np.moveaxis(pairs.p_d, -1, 0)
+    sum_minus = (ph1 + ph2 - pv1 - pv2) / 2
+    sum_plus = (ph1 + ph2 + pv1 + pv2) / 2
+    sum_cross = (pv1 + ph2 + ph1 + pv2) / 2
+    skew = (pv1 + ph2 - ph1 - pv2) / 2
+    table = np.empty((n, n, 4), dtype=complex)
+    re, im = table.real, table.imag
+    re[..., 0], im[..., 0] = p1d - p2d - sum_minus, p1l - p2l - sum_minus
+    re[..., 1], im[..., 1] = p3d + p4d - sum_cross, p3l + p4l - sum_cross
+    re[..., 2], im[..., 2] = p3l - p4l - skew, p4d - p3d + skew
+    re[..., 3], im[..., 3] = p1d + p2d - sum_plus, p1l + p2l - sum_plus
+    diag = np.arange(n)
+    table[diag, diag, 0] = ph + pv
+    table[diag, diag, 1] = 2 * pd - ph - pv
+    table[diag, diag, 2] = -2 * pl + ph + pv
+    table[diag, diag, 3] = ph - pv
+    return MatrixElementTable(x_min=site.x_min, table=table)
 
 
 @dataclass(frozen=True)

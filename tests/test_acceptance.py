@@ -19,7 +19,6 @@ from ptwalk.measurement import (
     onsite_probabilities,
     pair_intensities,
     reconstruct_bloch_field,
-    reconstruct_matrix_elements,
 )
 from ptwalk.presets import PRESETS, build_spec
 from ptwalk.quench import (
@@ -32,7 +31,12 @@ from ptwalk.spectrum import band_structure, walk_eigensystem
 from ptwalk.walksim import PositionState
 from conftest import period
 from eig_oracle import zak_phase
-from measurement_oracle import bloch_vector, density_matrix, matrix_elements_direct
+from measurement_oracle import (
+    bloch_vector,
+    density_matrix,
+    matrix_elements_direct,
+    reconstruct_matrix_elements,
+)
 from operator_oracle import momentum_operator_direct
 
 PI = np.pi

@@ -12,7 +12,6 @@ from ptwalk.core import KET_D, KET_L, PAULI, pauli_assemble
 from ptwalk.errors import ExceptionalPoint, SingularNormalization, WalkError
 from ptwalk.floquet import CoinParams, momentum_operator_closed
 from ptwalk.measurement import (
-    MatrixElementTable,
     SiteProbabilities,
     _frame_map,
     _intensity_sums,
@@ -22,11 +21,11 @@ from ptwalk.measurement import (
     onsite_probabilities,
     pair_intensities,
     reconstruct_bloch_field,
-    reconstruct_matrix_elements,
     sample_shot_noise,
 )
 from eig_oracle import eig_biorthogonal
 from measurement_oracle import (
+    MatrixElementTable,
     all_pair_probabilities,
     assemble_add_at,
     assemble_einsum,
@@ -42,6 +41,7 @@ from measurement_oracle import (
     matrix_elements_from_pairs,
     pair_intensities_matmul,
     phase_matrix_transform,
+    reconstruct_matrix_elements,
     stokes_add_at,
     to_nonhermitian,
 )

@@ -135,8 +135,7 @@ PUBLIC = [
     "chern_numbers", "d_coefficients", "evolve", "find_fixed_points",
     "momentum_operator_closed", "onsite_probabilities", "pauli_assemble",
     "phase_diagram", "pt_classify", "reconstruct_bloch_field",
-    "reconstruct_matrix_elements", "sample_shot_noise", "step_position",
-    "winding_number",
+    "sample_shot_noise", "step_position", "winding_number",
 ]
 
 
@@ -144,3 +143,46 @@ def test_the_public_surface_is_pinned():
     import ptwalk
 
     assert sorted(ptwalk.__all__) == PUBLIC
+
+
+# Exported names that no module of the package uses: documented library API,
+# kept for callers outside it (README).
+LIBRARY_API = ["step_position", "winding_number"]
+
+
+def unused_exports(paths) -> list[str]:
+    """Names in the ``__all__`` of the modules ``paths`` that none of them
+    reads as an ``ast.Name`` or an ``ast.Attribute``."""
+    exported, used = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(exported - used)
+
+
+def test_the_unused_export_guard_sees_names_read_nowhere(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f", "g", "h"]\n'
+        "def f(): return g()\n"
+        "def g(): pass\n"
+        "def h(): pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import h\n"
+        "x = a.f\n"
+    )
+    assert unused_exports(sorted(tmp_path.glob("*.py"))) == ["h"]
+
+
+def test_every_layer_export_is_used_in_the_package():
+    # A name that only tests read belongs in a test oracle, not in the package.
+    layers = [path for path in MODULES if path.name != "__init__.py"]
+    assert unused_exports(layers) == LIBRARY_API
