@@ -1,10 +1,10 @@
 """Command-line frontend: parameter parsing, presets, and deterministic export.
 
-Every subcommand writes a plot-ready table (CSV with headers, or JSON with
-run metadata) either to --out or to stdout.  Angle-valued flags accept
-symbolic expressions ("pi/4", "arcsin(cos(pi/6)/alpha)"); alpha, beta, gamma
-resolve from the --p of the run.  All outputs are byte-identical for
-identical configurations and seeds.
+Every subcommand computes a plot-ready table and its run metadata, and
+``main`` writes them (CSV with headers, or JSON with the metadata) either to
+--out or to stdout.  Angle-valued flags accept symbolic expressions ("pi/4",
+"arcsin(cos(pi/6)/alpha)"); alpha, beta, gamma resolve from the --p of the
+run.  All outputs are byte-identical for identical configurations and seeds.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def _bloch_columns(field) -> dict[str, Sequence]:
     }
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[dict[str, Sequence], dict]:
     _defaults(args, kgrid=512)
     params = final_params(_flag_preset(args, _SINGLE_FIELDS))
     bands = band_structure(params, np.linspace(-np.pi, np.pi, args.kgrid, endpoint=False))
@@ -362,31 +362,28 @@ def cmd_spectrum(args) -> int:
         "im_energy": bands.energies.imag,
         "pt_broken": bands.pt_broken_mask,
     }
-    _write_output(args, columns, _meta(args, "spectrum", pt_phase=pt_classify(params).value))
-    return 0
+    return columns, _meta(args, "spectrum", pt_phase=pt_classify(params).value)
 
 
-def cmd_phase_diagram(args) -> int:
+def cmd_phase_diagram(args) -> tuple[dict[str, Sequence], dict]:
     _defaults(args, res=32, p=0.0)
     thetas1 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     thetas2 = np.linspace(-np.pi, np.pi, args.res, endpoint=False)
     cells = phase_diagram(thetas1, thetas2, args.p)
     columns = {name: cells[name] for name in cells.dtype.names}
-    _write_output(args, columns, _meta(args, "phase-diagram", res=args.res))
-    return 0
+    return columns, _meta(args, "phase-diagram", res=args.res)
 
 
-def cmd_quench(args) -> int:
+def cmd_quench(args) -> tuple[dict[str, Sequence], dict]:
     _defaults(args, kgrid=256, tmax=6)
     spec = _quench_spec(args)
     ts = np.linspace(0.0, args.tmax, args.tgrid) if args.tgrid else None
     field = bloch_field(spec, n_k=args.kgrid, ts=ts, t_max=args.tmax)
     meta = _meta(args, "quench", eigenstate_initial=bool(field.eigenstate_initial))
-    _write_output(args, _bloch_columns(field), meta)
-    return 0
+    return _bloch_columns(field), meta
 
 
-def cmd_fixed_points(args) -> int:
+def cmd_fixed_points(args) -> tuple[dict[str, Sequence], dict]:
     spec = _quench_spec(args)
     points = find_fixed_points(spec)
     for fp in points:
@@ -395,11 +392,10 @@ def cmd_fixed_points(args) -> int:
         _say(args, "no fixed points found")
     rows = [(fp.k, fp.k / np.pi, fp.kind.value, fp.residual) for fp in points]
     columns = _rows_to_columns(["k", "k_over_pi", "kind", "residual"], rows)
-    _write_output(args, columns, _meta(args, "fixed-points", count=len(points)))
-    return 0
+    return columns, _meta(args, "fixed-points", count=len(points))
 
 
-def cmd_chern(args) -> int:
+def cmd_chern(args) -> tuple[dict[str, Sequence], dict]:
     _defaults(args, kgrid=256, tgrid=256)
     spec = _quench_spec(args)
     points = find_fixed_points(spec)
@@ -431,11 +427,10 @@ def cmd_chern(args) -> int:
          "c_solid_angle", "c_solid_angle_rounded"],
         rows,
     )
-    _write_output(args, columns, _meta(args, "chern", submanifolds=len(subs)))
-    return 0
+    return columns, _meta(args, "chern", submanifolds=len(subs))
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> tuple[dict[str, Sequence], dict]:
     _defaults(args, kgrid=256, tmax=6, seed=0)
     spec = _quench_spec(args)
     steps = []
@@ -457,8 +452,7 @@ def cmd_reconstruct(args) -> int:
         _write_file(args.dump_probs, _csv_text(dump))
     if args.dump_amps:
         _dump_amplitudes(args, spec)
-    _write_output(args, _bloch_columns(field), meta)
-    return 0
+    return _bloch_columns(field), meta
 
 
 def _dump_amplitudes(args, spec: QuenchSpec) -> None:
@@ -490,7 +484,7 @@ def _pair_columns(t: int, pairs: PairIntensities) -> dict[str, np.ndarray]:
     }
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args) -> tuple[dict[str, Sequence], dict]:
     preset = _preset(args.name)
     args.preset = preset.name
     _say(args, f"# preset {preset.name}: {preset.description}")
@@ -576,7 +570,8 @@ def main(argv: list[str] | None = None) -> int:
         args.format = args.format or "csv"
         _check_sizes(args)
         try:
-            return args.func(args)
+            columns, meta = args.func(args)
+            _write_output(args, columns, meta)
         except ValueError as exc:  # a library precondition: grid size, loss range, ...
             raise ConfigError(str(exc)) from None
     except WalkError as exc:
@@ -584,6 +579,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1
+    return 0
 
 
 if __name__ == "__main__":

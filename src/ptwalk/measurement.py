@@ -40,13 +40,15 @@ table, which is never formed; the four on-site identities fill the offset
 d = 0, where no pair is measured.  On the grid k_m = -pi + 2 pi m / n_k,
 exp(-i k_m d) = (-1)^d exp(-2 pi i m d / n_k), so one FFT over the offsets
 d mod n_k gives s at every step, and one call maps them through Lambda to
-n(k, t).  A walk from one site fills one parity of sites per step, so no
-pair at an odd offset is counted.  Where every odd-offset sum reads exactly
-0.0 on an even grid, the sum over d has period pi in k: one FFT of length
+n(k, t).  A walk from one site moves by an even number of sites per step,
+and the shift fills the sites it opens with zeros, so the other parity of
+sites holds exactly 0.0, noise included (intensity 0 counts 0): no pair at
+an odd offset is counted, and every odd-offset sum reads exactly 0.0.  The
+sum over d then has period pi in k, and ``quench.half_zone`` decides the
+momenta solved, as for ``bloch_field``: on an even grid one FFT of length
 n_k / 2 over d / 2 gives the k < 0 half, the final frame and the regime are
-solved there alone, and the result is written into both halves, as
-``bloch_field`` does.  An odd grid, or counts at an odd offset, keep the
-full transform at every momentum.  Lambda = Re(P T P^T) / 2 is one matrix
+solved there alone, and the result is written into both halves; an odd grid
+is transformed at every momentum.  Lambda = Re(P T P^T) / 2 is one matrix
 product, with P the Pauli matrices as rows and
 T[(a, b), (c, d)] = L_bc conj(L_ad).  The per-pair table
 (``reconstruct_matrix_elements``), the one-pair, one-step form and the
@@ -71,6 +73,7 @@ from .quench import (
     NORM_FLOOR,
     BlochField,
     QuenchSpec,
+    half_zone,
     initial_spinors,
     initial_state_residual,
 )
@@ -335,13 +338,12 @@ def reconstruct_bloch_field(
     ``_stokes_by_offset``, the one copy of the identities, applies them to
     the diagonal sums of every step's intensities; neither the per-pair
     table (the tests' oracle) nor rho' is formed, only its Stokes vectors.
-    Pairs with a site of zero counts in every basis are dropped.  On an even
-    grid the final eigensystem of the k < 0 half is solved before the walk;
-    where every odd-offset Stokes sum then reads 0.0, that half is
-    transformed and mapped alone and written into both halves, so n and
-    ``real_regime`` repeat bit for bit.  Otherwise every momentum is solved
-    after the walk and transformed, so an :class:`ExceptionalPoint` at a
-    k >= 0 momentum alone is raised after ``on_step``.
+    Pairs with a site of zero counts in every basis are dropped, so no pair
+    at an odd offset is counted.  The final eigensystem of the momenta that
+    ``half_zone`` names is solved before the walk, and they alone are
+    transformed and mapped: on an even grid the k < 0 half, written into
+    both halves, so n and ``real_regime`` repeat bit for bit; on an odd grid
+    every momentum.
     """
     if t_max < 0 or n_k < 1:
         raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
@@ -354,8 +356,7 @@ def reconstruct_bloch_field(
             "position-space reconstruction needs a momentum-independent "
             f"initial state (eigenstate residual {residual:.2e} across sectors)"
         )
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
-    half = n_k // 2 if n_k % 2 == 0 else n_k
+    ks, half = half_zone(n_k)
     final = walk_eigensystem(spec.final, ks[:half])
 
     width = 4 * t_max + 1  # sites in the last, widest window
@@ -372,19 +373,9 @@ def reconstruct_bloch_field(
         sums[t, width - size : width + size - 1] = _intensity_sums(site, pairs)
         site_sums[t] = site.probs.sum(0)
     by_offset = _stokes_by_offset(sums, site_sums)
-    if half < n_k and by_offset[:, 1::2].any():  # row d + width - 1 is odd where d is
-        half, final = n_k, walk_eigensystem(spec.final, ks)
-    n = np.empty((n_k // half, half, t_max + 1, 3))
     stokes = _momentum_transform(by_offset, n_k, n_k // half)
-    n[:] = _frame_map(stokes, _stokes_frame(final.left)).swapaxes(0, 1)  # written to each half
-    real_regime = np.empty((n_k // half, half), dtype=bool)
-    real_regime[:] = final.quasienergies[:, 0].imag == 0
-    return BlochField(
-        ks=ks,
-        ts=np.arange(t_max + 1, dtype=float),
-        n=n.reshape(n_k, t_max + 1, 3),
-        real_regime=real_regime.reshape(n_k),
-        source="reconstructed",
-        eigenstate_initial=residual < EIGENSTATE_TOL,
-        initial_residual=residual,
+    n = _frame_map(stokes, _stokes_frame(final.left)).swapaxes(0, 1)
+    return BlochField.from_half_zone(
+        ks, np.arange(t_max + 1, dtype=float), n, final.quasienergies[:, 0].imag == 0,
+        "reconstructed", residual,
     )

@@ -119,6 +119,31 @@ class BlochField:
     eigenstate_initial: bool = True
     initial_residual: float = 0.0
 
+    @classmethod
+    def from_half_zone(cls, ks: np.ndarray, ts: np.ndarray, n: np.ndarray,
+                       real_regime: np.ndarray, source: str, residual: float) -> BlochField:
+        """The field on the grid ``ks`` from n and the regime solved at its first
+        ``len(n)`` momenta (:func:`half_zone`), written into each copy of them:
+        on an even grid the k >= 0 half repeats the k < 0 half bit for bit.
+        The start counts as an eigenstate where ``residual`` is below
+        ``EIGENSTATE_TOL``."""
+        copies = len(ks) // len(n)
+        return cls(ks=ks, ts=ts, n=np.concatenate([n] * copies),
+                   real_regime=np.concatenate([real_regime] * copies), source=source,
+                   eigenstate_initial=residual < EIGENSTATE_TOL, initial_residual=residual)
+
+
+def half_zone(n_k: int) -> tuple[np.ndarray, int]:
+    """The grid k_m = -pi + 2 pi m / n_k, and how many of its first momenta are solved.
+
+    The two shifts of one step give S_{k+pi} = -S_k, so U_{k+pi} = U_k, and
+    every start is pi-periodic too.  An even grid is pi-closed: its k < 0
+    half is solved, and :meth:`BlochField.from_half_zone` writes that half
+    into both.  An odd grid is not, and is solved at every momentum.
+    """
+    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    return ks, n_k // 2 if n_k % 2 == 0 else n_k
+
 
 def initial_spinors(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
     """The initial spinor in each momentum sector, shape (n_k, 2).
@@ -169,10 +194,11 @@ def initial_state_residual(spec: QuenchSpec) -> float:
     Zero (to rounding) when the initial state really is an eigenstate of the
     initial operator in every sector; O(1) for a genuinely non-eigenstate
     start such as a quench into the broken regime from an arbitrary coin
-    state.  The probes are the k < 0 half of a 64-point grid: U_{k+pi} = U_k
-    and the start is pi-periodic too, so the other half repeats them.
+    state.  The probes are the solved half of a grid of twice their number
+    (:func:`half_zone`): the other half repeats them.
     """
-    ks = np.linspace(-np.pi, 0.0, _RESIDUAL_SAMPLES, endpoint=False)
+    ks, half = half_zone(2 * _RESIDUAL_SAMPLES)
+    ks = ks[:half]
     psi = initial_spinors(spec, ks)
     u = momentum_operator_closed(spec.initial, ks)
     upsi = np.einsum("kab,kb->ka", u, psi)
@@ -248,36 +274,24 @@ def bloch_field(
     the broken regime are evolved with their complex energies; ``real_regime``
     records the dichotomy per k.
 
-    The two shifts of one step give S_{k+pi} = -S_k, so U_{k+pi} = U_k and
-    the start is pi-periodic too.  On an even grid only the k < 0 half is
-    solved, and its rows are written into both halves: n(k + pi, t) = n(k, t)
-    and ``real_regime`` repeat exactly.  An odd grid is not pi-closed and is
-    solved at every momentum.  A ``SingularNormalization`` counts the points of
-    the rows solved.
+    The momenta that :func:`half_zone` names are solved: on an even grid the
+    k < 0 half, whose rows are written into both halves, so n(k + pi, t) =
+    n(k, t) and ``real_regime`` repeat exactly; on an odd grid every
+    momentum.  A ``SingularNormalization`` counts the points of the rows
+    solved.
     """
     if t_max < 0 or n_k < 1:
         raise ValueError("t_max must be >= 0" if t_max < 0 else "n_k must be >= 1")
-    ks = np.linspace(-np.pi, np.pi, n_k, endpoint=False)
+    ks, half = half_zone(n_k)
     if ts is None:
         ts = np.arange(t_max + 1, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    half = n_k // 2 if n_k % 2 == 0 else n_k
     cp, cm, final = overlap_grid(spec, ks[:half])
     energy = final.quasienergies[:, 0]
     ct_p, ct_m = _dressed_coefficients(cp[:, None], cm[:, None], energy[:, None], ts[None, :])
-    n = np.empty((n_k // half, half, len(ts), 3))
-    n[:] = bloch_from_coefficients(ct_p, ct_m)  # each half of the zone, from one solve
-    real_regime = np.empty((n_k // half, half), dtype=bool)
-    real_regime[:] = energy.imag == 0
-    residual = initial_state_residual(spec)
-    return BlochField(
-        ks=ks,
-        ts=ts,
-        n=n.reshape(n_k, len(ts), 3),
-        real_regime=real_regime.reshape(n_k),
-        source="analytic",
-        eigenstate_initial=residual < EIGENSTATE_TOL,
-        initial_residual=residual,
+    n = bloch_from_coefficients(ct_p, ct_m)
+    return BlochField.from_half_zone(
+        ks, ts, n, energy.imag == 0, "analytic", initial_state_residual(spec)
     )
 
 
